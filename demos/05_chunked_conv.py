@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from hyperinit import data as dt
-from hyperinit.hypergen import CHUNKED, ChunkedHeadGroup, ChunkPlan, HypernetSpec, init_hypernet
+from hyperinit.hypergen import CHUNKED, ChunkPlan, HypernetSpec, init_hypernet
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.mainnet import allconv
 from hyperinit.tensor import Rng
@@ -23,7 +23,7 @@ hspec = HypernetSpec(embedding_dim=50, head_topology=CHUNKED,
                      chunk=ChunkPlan(K=96, n=3))
 net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(0))
 
-group = [g for g in net.weight_groups if isinstance(g, ChunkedHeadGroup)][0]
+group = net.head_of(0)   # the conv layers' weights all come from the chunked head
 print(f"chunk grid: {group.n_chunks} chunks of shape "
       f"({group.plan.K}, {group.plan.n}, {group.plan.n})")
 for t, (lo, hi) in sorted(group.layer_rows.items()):

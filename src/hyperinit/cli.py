@@ -23,11 +23,11 @@ from .data import FormatError
 from .gradcheck import run_suite
 from .hypergen import HypernetSpec, SHARED_SAME_SIZE, init_hypernet
 from .init_schemes import FanGeometry, parse_scheme, uniform_bound
-from .mainnet import IDENTITY, MSE, RELU, TANH, backward, forward, mlp
+from .mainnet import IDENTITY, MSE, RELU, TANH, mlp
 from .probe import (StatRow, activation_variance_ratios, compare, predict,
                     rows_from_dict, snapshot, write_csv, write_json)
 from .tensor import Rng
-from .train import DataNotFoundError, PRESETS, config_for, train
+from .train import DataNotFoundError, PRESETS, config_for, pipeline_step, train
 
 DATA_DIR_ENV = "HYPERINIT_DATA_DIR"
 
@@ -141,26 +141,21 @@ def cmd_variance_check(args):
     rng = Rng(args.seed)
     scheme = parse_scheme(args.scheme)
     net = init_hypernet(hspec, mspec, scheme, rng.child(1))
-    params, gtrace = net.generate()
     x = rng.child(2).normal(1.0, (args.batch, args.width))
     y = rng.child(3).normal(1.0, (args.batch, args.width))
-    trace, _ = forward(mspec, params, x, y)
-    grads = backward(mspec, params, trace, y)
-    hyper = net.backward(gtrace, grads.weight,
-                         grads.bias if net.bias_targets else None)
-
-    report = snapshot(0, trace, params, grads,
-                      head_feature_grads=hyper.head_feature_grads)
+    step = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+    report = snapshot(0, step.trace, step.params, step.grads,
+                      head_feature_grads=step.hyper.head_feature_grads)
     prediction = predict(scheme, mspec, net, var_input=float(np.var(x)))
     comparison = compare(report, prediction, band=(args.tol_lo, args.tol_hi))
 
-    ratios = activation_variance_ratios(trace)
+    ratios = activation_variance_ratios(step.trace)
     all_ok = True
     for t, ratio in enumerate(ratios):
         ok = args.tol_lo <= ratio <= args.tol_hi
         all_ok = all_ok and ok
         report.rows.append(StatRow(step=0, layer=t, kind="act_ratio",
-                                   mean=float("nan"), var=ratio, n=trace.acts[t].size,
+                                   mean=float("nan"), var=ratio, n=step.trace.acts[t].size,
                                    theory=1.0, ratio=ratio, passed=ok))
         print(f"layer {t}: act-variance ratio {ratio:10.4g}  "
               f"[{'ok' if ok else 'FAIL'}]")
@@ -228,7 +223,7 @@ def cmd_train(args):
         status = (f"diverged at step {result.divergence_step}" if result.diverged
                   else f"final metric {result.final_metric:.4f}")
         print(f"preset={args.preset} init={args.init} seed={seed} "
-              f"steps={result.curve[-1][0] if result.curve else 0} {status}")
+              f"steps={result.steps} {status}")
         worst = max(worst, 1 if result.diverged else 0)
     return worst
 

@@ -120,14 +120,13 @@ def load_cifar10_binary(path):
                           f"{CIFAR_RECORD}-byte records")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = records[:, 0].astype(np.int64)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"{path}: record {i} at offset {i * CIFAR_RECORD} has label "
+                          f"byte {labels[i]}; CIFAR-10 labels are 0-9")
     images = records[:, 1:].reshape(-1, 3, 32, 32).astype(DTYPE) / 255.0
     return Dataset(inputs=images, labels=labels)
-
-
-def load_cifar10_files(paths):
-    parts = [load_cifar10_binary(p) for p in paths]
-    return Dataset(inputs=np.concatenate([p.inputs for p in parts]),
-                   labels=np.concatenate([p.labels for p in parts]))
 
 
 def write_cifar10_binary(path, images, labels):

@@ -12,8 +12,9 @@ from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan,
                        HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, GENERATED_BIAS, MSE, RELU, TANH, allconv,
-                      backward, forward, mlp)
+                      forward, mlp)
 from .tensor import Rng
+from .train import pipeline_step
 
 
 def numeric_gradient(loss_fn, arr, h=1e-5):
@@ -39,12 +40,8 @@ def gradient_errors(analytic, numeric):
 
 def pipeline_grads(net, mspec, x, y):
     """Analytic gradients of the batch loss w.r.t. every hypernet parameter."""
-    params, gtrace = net.generate()
-    trace, loss = forward(mspec, params, x, y)
-    grads = backward(mspec, params, trace, y)
-    hyper = net.backward(gtrace, grads.weight,
-                         grads.bias if net.bias_targets else None)
-    return loss, hyper.by_key
+    step = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+    return step.loss, step.hyper.by_key
 
 
 def check_pipeline(net, mspec, x, y, h=1e-5):
@@ -65,46 +62,32 @@ def check_pipeline(net, mspec, x, y, h=1e-5):
     return worst_rel, worst_abs
 
 
-def _dense_per_layer_case(seed):
-    mspec = mlp([4, 6, 5, 3], activation=RELU, loss=MSE,
-                bias_source=GENERATED_BIAS)
-    hspec = HypernetSpec(embedding_dim=3, hidden_layers=(5,), trunk_activation=RELU,
-                         embeddings_trainable=True, head_topology=PER_LAYER,
-                         generates_bias=True)
+def _case(seed, scheme, mspec, hspec, x_shape):
+    """A reduced architecture and one batch: normal inputs, and class labels
+    (cross-entropy) or normal targets (MSE)."""
     rng = Rng(seed)
-    net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), rng)
-    x = rng.child(5).normal(1.0, (4, 4))
-    y = rng.child(6).normal(1.0, (4, 3))
-    return net, mspec, x, y
-
-
-def _dense_shared_case(seed):
-    mspec = mlp([4, 6, 6, 6, 3], activation=TANH, loss=CROSS_ENTROPY)
-    hspec = HypernetSpec(embedding_dim=3, hidden_layers=(),
-                         head_topology=SHARED_SAME_SIZE)
-    rng = Rng(seed)
-    net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-out"), rng)
-    x = rng.child(5).normal(1.0, (4, 4))
-    y = np.asarray(rng.child(6).integers(3, size=4))
-    return net, mspec, x, y
-
-
-def _conv_chunked_case(seed):
-    mspec = allconv(2, [4, 4], 3, kernel=3, strides=[1, 2])
-    hspec = HypernetSpec(embedding_dim=3, hidden_layers=(),
-                         head_topology=CHUNKED, chunk=ChunkPlan(K=2, n=3),
-                         embeddings_trainable=True)
-    rng = Rng(seed)
-    net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), rng)
-    x = rng.child(5).normal(1.0, (3, 2, 6, 6))
-    y = np.asarray(rng.child(6).integers(3, size=3))
+    net = init_hypernet(hspec, mspec, parse_scheme(scheme), rng)
+    x = rng.child(5).normal(1.0, x_shape)
+    n, k = x_shape[0], mspec.output_dim
+    y = (np.asarray(rng.child(6).integers(k, size=n)) if mspec.loss == CROSS_ENTROPY
+         else rng.child(6).normal(1.0, (n, k)))
     return net, mspec, x, y
 
 
 SUITE = {
-    "dense-per-layer-bias": _dense_per_layer_case,
-    "dense-shared-head": _dense_shared_case,
-    "conv-chunked": _conv_chunked_case,
+    "dense-per-layer-bias": lambda seed: _case(
+        seed, "hyperfan-in",
+        mlp([4, 6, 5, 3], activation=RELU, loss=MSE, bias_source=GENERATED_BIAS),
+        HypernetSpec(embedding_dim=3, hidden_layers=(5,), trunk_activation=RELU,
+                     embeddings_trainable=True, head_topology=PER_LAYER,
+                     generates_bias=True), (4, 4)),
+    "dense-shared-head": lambda seed: _case(
+        seed, "hyperfan-out", mlp([4, 6, 6, 6, 3], activation=TANH, loss=CROSS_ENTROPY),
+        HypernetSpec(embedding_dim=3, head_topology=SHARED_SAME_SIZE), (4, 4)),
+    "conv-chunked": lambda seed: _case(
+        seed, "hyperfan-in", allconv(2, [4, 4], 3, kernel=3, strides=[1, 2]),
+        HypernetSpec(embedding_dim=3, head_topology=CHUNKED, chunk=ChunkPlan(K=2, n=3),
+                     embeddings_trainable=True), (3, 2, 6, 6)),
 }
 
 

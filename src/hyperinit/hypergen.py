@@ -1,7 +1,10 @@
 """Hypernetwork engines: generate mainnet parameters from embeddings.
 
-A hypernet owns embeddings, an optional trunk (shared dense stack), and a set
-of generator heads. Three head topologies are supported:
+A hypernet owns embeddings, trunks (dense stacks shared by heads), and
+generator heads with one interface: ``generate`` writes mainnet parameters
+from input features, ``backward`` maps their gradients back. Weights and
+biases share one ``LinearHead`` class (``W = H h(e) + beta``, ``b = G g(e) +
+gamma``). Three head topologies are supported:
 
 * ``per-layer``: every target layer gets its own linear head.
 * ``shared-same-size``: layers with identical weight shapes share one head,
@@ -17,7 +20,7 @@ and into the embeddings. For shared heads the head gradient is the sum of the
 per-target contributions, which combats the usual head-gradient shrinkage.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +77,14 @@ class HypernetSpec:
 @dataclass
 class Embedding:
     values: np.ndarray
-    variance: float
-    trainable: bool
+    targets: tuple   # the mainnet layer each row of values feeds
 
 
 class Trunk:
     """Dense stack mapping embeddings to head features; identity when empty."""
 
-    def __init__(self, in_dim, widths, activation):
+    def __init__(self, name, in_dim, widths, activation):
+        self.name = name
         self.in_dim = in_dim
         self.widths = tuple(widths)
         self.activation = activation
@@ -117,30 +120,80 @@ class Trunk:
         return dws, dbs, dx
 
 
-class WeightHeadGroup:
-    """Linear head H, beta generating the weights of one or more same-shape layers."""
+@dataclass(frozen=True)
+class Slot:
+    """A generated mainnet parameter: what its heads fill and are called."""
 
-    def __init__(self, targets, mspec, d_k):
+    param: str          # params[t] entry: "W" or "b"
+    tag: str            # embedding keys emb.<tag><t>, head keys <tag>g<i>
+    names: tuple        # the head's (matrix, offset) parameter names
+    variance: callable  # head variance of a scheme on a target geometry
+    shape: callable     # layer -> generated shape
+
+
+WEIGHT = Slot("W", "w", ("H", "beta"), schemes.scheme_weight_variance,
+              lambda layer: layer.weight_shape)
+BIAS = Slot("b", "b", ("G", "gamma"), schemes.scheme_bias_variance,
+            lambda layer: (layer.d_out,))
+
+
+def _classical_kind(scheme):
+    """Formula for hypernet-internal layers: the scheme's own if classical."""
+    return scheme.kind if scheme.kind in schemes.CLASSICAL_KINDS else schemes.FAN_IN
+
+
+class LinearHead:
+    """Linear map generating one slot of same-size layers: target ``targets[i]``
+    gets ``H x[rows[i]] + beta`` from its source features x. A bias head's
+    parameter keys call H and beta G and gamma."""
+
+    def __init__(self, slot, key, targets, rows, mspec, d_in):
+        self.slot = slot
+        self.key = key
+        self.source = slot.tag
         self.targets = tuple(targets)
-        shapes = {mspec.layers[t].weight_shape for t in self.targets}
+        self.rows = tuple(rows)
+        self.d_in = d_in
+        shapes = {slot.shape(mspec.layers[t]) for t in self.targets}
         if len(shapes) != 1:
             raise SpecError(f"head shared across different-size layers {self.targets}; "
                             "only the chunked topology can cover mixed shapes")
-        self.weight_shape = shapes.pop()
-        self.n_out = int(np.prod(self.weight_shape))
-        self.H = np.zeros((self.n_out, d_k), dtype=DTYPE)
-        self.beta = np.zeros(self.n_out, dtype=DTYPE)
+        self.shape = shapes.pop()
+        n_out = int(np.prod(self.shape))
+        self.H = np.zeros((n_out, d_in), dtype=DTYPE)
+        self.beta = np.zeros(n_out, dtype=DTYPE)
 
+    def arrays(self):
+        h, beta = self.slot.names
+        return {f"{self.key}.{h}": self.H, f"{self.key}.{beta}": self.beta}
 
-class BiasHeadGroup:
-    def __init__(self, targets, mspec, d_l):
-        self.targets = tuple(targets)
-        widths = {mspec.layers[t].d_out for t in self.targets}
-        if len(widths) != 1:
-            raise SpecError(f"bias head shared across different widths {self.targets}")
-        self.d_out = widths.pop()
-        self.G = np.zeros((self.d_out, d_l), dtype=DTYPE)
-        self.gamma = np.zeros(self.d_out, dtype=DTYPE)
+    def emb_key(self, t):
+        return f"emb.{self.slot.tag}{t}"
+
+    def initialize(self, net, scheme, draw):
+        t0 = self.targets[0]
+        var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
+        self.H[:] = draw(var, self.H.shape)
+        self.beta[:] = (draw(scheme.scale_param ** 2, self.beta.shape)
+                        if scheme.kind == schemes.SMALL_RANDOM else 0.0)
+
+    def generate(self, x, params):
+        for t, row in zip(self.targets, self.rows):
+            params[t][self.slot.param] = (self.H @ x[row] + self.beta).reshape(self.shape)
+
+    def backward(self, x, cache, dslot, dx, grads):
+        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+        if len(self.targets) == 1:
+            d = dslot[self.targets[0]].reshape(-1, 1)
+        else:
+            d = np.stack([dslot[t].ravel() for t in self.targets], axis=1)
+        h, beta = self.arrays()
+        grads.by_key[h] = d @ x[list(self.rows)]
+        grads.by_key[beta] = d.sum(axis=1)
+        dfeat = (self.H.T @ d).T
+        for i, (t, row) in enumerate(zip(self.targets, self.rows)):
+            dx[row] += dfeat[i]
+            grads.head_feature_grads[(self.slot.tag, t)] = dfeat[i]
 
 
 class ChunkedHeadGroup:
@@ -148,18 +201,23 @@ class ChunkedHeadGroup:
 
     Chunks for a layer of shape (out, in, n, n) are indexed row-major by
     (block = out // K, input channel); the global chunk list concatenates the
-    per-layer grids in target order.
+    per-layer grids in target order. The head reads its own embedding matrix,
+    one row per chunk.
     """
 
-    def __init__(self, targets, mspec, plan, proj_dim, emb_dim):
+    slot = WEIGHT
+
+    def __init__(self, index, targets, mspec, plan, emb_dim):
+        self.key = f"cg{index}"
+        self.source = f"emb.c{index}"
         self.targets = tuple(targets)
         self.plan = plan
-        self.proj_dim = proj_dim
+        self.d_in = self.proj_dim = emb_dim
+        self.layers = {t: mspec.layers[t] for t in self.targets}
         k, n = plan.K, plan.n
         index = []
         self.layer_rows = {}
-        for t in self.targets:
-            layer = mspec.layers[t]
+        for t, layer in self.layers.items():
             if layer.kind != CONV:
                 raise SpecError(f"layer {t} is not a conv layer; cannot chunk")
             kh, kw = layer.kernel[0], layer.kernel[1]
@@ -169,16 +227,22 @@ class ChunkedHeadGroup:
                 raise SpecError(f"layer {t} has {layer.d_out} output channels, "
                                 f"not divisible by chunk size K={k}")
             start = len(index)
-            for block in range(layer.d_out // k):
-                for cin in range(layer.d_in):
-                    index.append((t, block, cin))
+            index += [(t, block, cin) for block in range(layer.d_out // k)
+                      for cin in range(layer.d_in)]
             self.layer_rows[t] = (start, len(index))
         self.index = tuple(index)
         self.n_chunks = len(index)
-        self.H = np.zeros((k * n * n, proj_dim), dtype=DTYPE)
+        self.H = np.zeros((k * n * n, emb_dim), dtype=DTYPE)
         self.beta = np.zeros(k * n * n, dtype=DTYPE)
-        self.proj = np.zeros((self.n_chunks, proj_dim, emb_dim), dtype=DTYPE)
-        self.proj_bias = np.zeros((self.n_chunks, proj_dim), dtype=DTYPE)
+        self.proj = np.zeros((self.n_chunks, emb_dim, emb_dim), dtype=DTYPE)
+        self.proj_bias = np.zeros((self.n_chunks, emb_dim), dtype=DTYPE)
+
+    def arrays(self):
+        return {f"{self.key}.{name}": getattr(self, name)
+                for name in ("H", "beta", "proj", "proj_bias")}
+
+    def emb_key(self, t):
+        return self.source
 
     def assemble(self, chunk_mat, t, layer):
         k, n = self.plan.K, self.plan.n
@@ -193,19 +257,64 @@ class ChunkedHeadGroup:
         d = dw.reshape(blocks, k, layer.d_in, n, n).transpose(0, 2, 1, 3, 4)
         return np.ascontiguousarray(d).reshape(blocks * layer.d_in, k * n * n)
 
+    def initialize(self, net, scheme, draw):
+        # The shared output layer is an interior linear map: plain fan-in.
+        # The per-chunk projections are the effective output layer and carry
+        # the hyperfan variance of their target layer.
+        k, n = self.plan.K, self.plan.n
+        if scheme.kind == schemes.SMALL_RANDOM:
+            var = scheme.scale_param ** 2
+            for a in self.arrays().values():
+                a[:] = draw(var, a.shape)
+            return
+        kind = _classical_kind(scheme)
+        var_h = schemes.classical_variance(
+            kind, FanGeometry(d_i=k * n * n, d_j=self.proj_dim, d_k=1), False)
+        if scheme.kind == schemes.SCALED_OUTPUT:
+            var_h *= scheme.scale_param ** 2
+        self.H[:] = draw(var_h, self.H.shape)
+        self.beta[:] = 0.0
+        proj_geom = FanGeometry(d_i=self.proj_dim, d_j=self.d_in, d_k=1)
+        for m, (t, _, _) in enumerate(self.index):
+            eff = net.layer_scheme(scheme, t)
+            var_p = (schemes.scheme_weight_variance(eff, net.geometry(t))
+                     if scheme.kind in schemes.HYPERFAN_KINDS
+                     else schemes.classical_variance(kind, proj_geom, eff.relu_gain))
+            self.proj[m] = draw(var_p, (self.proj_dim, self.d_in))
+        self.proj_bias[:] = 0.0
+
+    def generate(self, x, params):
+        alphas = np.einsum("mpd,md->mp", self.proj, x) + self.proj_bias
+        chunk_mat = alphas @ self.H.T + self.beta
+        for t, layer in self.layers.items():
+            params[t]["W"] = self.assemble(chunk_mat, t, layer)
+        return alphas
+
+    def backward(self, x, alphas, dslot, dx, grads):
+        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+        dcm = np.zeros((self.n_chunks, self.H.shape[0]), dtype=DTYPE)
+        for t, layer in self.layers.items():
+            lo, hi = self.layer_rows[t]
+            dcm[lo:hi] = self.disassemble(dslot[t], t, layer)
+        dalphas = dcm @ self.H
+        h, beta, proj, proj_bias = self.arrays()
+        grads.by_key[h] = dcm.T @ alphas
+        grads.by_key[beta] = dcm.sum(axis=0)
+        grads.by_key[proj] = np.einsum("mp,md->mpd", dalphas, x)
+        grads.by_key[proj_bias] = dalphas
+        dx += np.einsum("mpd,mp->md", self.proj, dalphas)
+        for t in self.targets:
+            lo, hi = self.layer_rows[t]
+            grads.head_feature_grads[("w", t)] = dalphas[lo:hi]
+
 
 @dataclass
 class GenTrace:
     """Intermediate activations of one generate() call, kept for backward."""
 
-    w_targets: tuple = ()
-    h_feats: np.ndarray | None = None     # (T_w, d_k) trunk features, weight side
-    h_cache: tuple | None = None
-    b_targets: tuple = ()
-    g_feats: np.ndarray | None = None
-    g_cache: tuple | None = None
-    chunk_alphas: dict = field(default_factory=dict)   # group index -> (M, proj_dim)
-    params: list | None = None
+    feats: dict          # source name -> (rows, d) head input features
+    trunk_caches: dict   # source name -> trunk forward cache
+    head_caches: list    # per head, whatever its generate() returned
 
 
 @dataclass
@@ -215,70 +324,39 @@ class HyperGrads:
 
 
 class Hypernet:
-    """Generates and backpropagates through all mainnet parameters."""
+    """Generates and backpropagates through all mainnet parameters.
+
+    Heads read their input from named sources: ``"w"`` and ``"b"`` push the
+    per-layer weight and bias embeddings through trunk_h and trunk_g, and
+    each chunked head reads its own embedding matrix through an identity
+    trunk.
+    """
 
     def __init__(self, mspec: MainnetSpec, hspec: HypernetSpec, rng: Rng):
         self.mspec = mspec
         self.hspec = hspec
-        self.scheme = None
         d_e = hspec.embedding_dim
-
-        self.trunk_h = Trunk(d_e, hspec.hidden_layers, hspec.trunk_activation)
         bias_layers = [t for t, l in enumerate(mspec.layers)
                        if l.bias_source == GENERATED_BIAS]
         if hspec.generates_bias != bool(bias_layers):
             raise SpecError("generates_bias flag disagrees with the layer bias sources")
-        if bias_layers:
-            self.trunk_g = self.trunk_h if hspec.shared_trunk else Trunk(
-                d_e, hspec.hidden_layers, hspec.trunk_activation)
-        else:
-            self.trunk_g = None
-
-        chunk_targets, plain_targets = [], []
-        for t, layer in enumerate(mspec.layers):
-            if hspec.head_topology == CHUNKED and layer.kind == CONV:
-                chunk_targets.append(t)
-            else:
-                plain_targets.append(t)
-        if hspec.head_topology == CHUNKED and not chunk_targets:
+        chunked = hspec.head_topology == CHUNKED
+        chunk_targets = [t for t, l in enumerate(mspec.layers) if chunked and l.kind == CONV]
+        plain_targets = [t for t in range(len(mspec.layers)) if t not in chunk_targets]
+        if chunked and not chunk_targets:
             raise SpecError("chunked topology requires at least one conv layer")
-
-        self.weight_groups = []
-        if hspec.head_topology == SHARED_SAME_SIZE:
-            by_shape = {}
-            for t in plain_targets:
-                by_shape.setdefault(mspec.layers[t].weight_shape, []).append(t)
-            for ts in by_shape.values():
-                self.weight_groups.append(WeightHeadGroup(ts, mspec, self.trunk_h.out_dim))
-        else:
-            for t in plain_targets:
-                self.weight_groups.append(
-                    WeightHeadGroup([t], mspec, self.trunk_h.out_dim))
-        if chunk_targets:
-            self.weight_groups.append(ChunkedHeadGroup(
-                chunk_targets, mspec, hspec.chunk, d_e, d_e))
-
-        self.bias_groups = []
-        if hspec.head_topology == SHARED_SAME_SIZE:
-            by_width = {}
-            for t in bias_layers:
-                by_width.setdefault(mspec.layers[t].d_out, []).append(t)
-            for ts in by_width.values():
-                self.bias_groups.append(BiasHeadGroup(ts, mspec, self.trunk_g.out_dim))
-        else:
-            for t in bias_layers:
-                self.bias_groups.append(
-                    BiasHeadGroup([t], mspec, self.trunk_g.out_dim))
-
-        self.plain_w_targets = tuple(plain_targets)
         self.bias_targets = tuple(bias_layers)
-        self._w_row = {t: i for i, t in enumerate(self.plain_w_targets)}
-        self._b_row = {t: i for i, t in enumerate(self.bias_targets)}
 
-        self.embeddings = {}
+        self.trunk_h = Trunk("trunk_h", d_e, hspec.hidden_layers, hspec.trunk_activation)
+        self.trunk_g = (None if not bias_layers else self.trunk_h if hspec.shared_trunk
+                        else Trunk("trunk_g", d_e, hspec.hidden_layers, hspec.trunk_activation))
+        self.trunks = [self.trunk_h] + (
+            [self.trunk_g] if self.trunk_g not in (None, self.trunk_h) else [])
+
         dist = hspec.embedding_distribution
+        erng = rng.child(0)
 
-        def draw_embedding(shape):
+        def add_embedding(key, shape, targets):
             e = sample(dist, shape, erng)
             if hspec.normalize_embeddings and dist.variance > 0:
                 # Pin each embedding's empirical second moment to the declared
@@ -286,91 +364,77 @@ class Hypernet:
                 # the luck of one finite draw.
                 m2 = np.mean(np.square(e), axis=-1, keepdims=True)
                 e = e * np.sqrt(dist.variance / m2)
-            return e
+            self.embeddings[key] = Embedding(e, targets)
 
-        erng = rng.child(0)
-        for t in self.plain_w_targets:
-            self.embeddings[f"emb.w{t}"] = Embedding(
-                draw_embedding(d_e), dist.variance, hspec.embeddings_trainable)
-        for t in self.bias_targets:
-            self.embeddings[f"emb.b{t}"] = Embedding(
-                draw_embedding(d_e), dist.variance, hspec.embeddings_trainable)
-        for gi, g in enumerate(self.weight_groups):
-            if isinstance(g, ChunkedHeadGroup):
-                self.embeddings[f"emb.c{gi}"] = Embedding(
-                    draw_embedding((g.n_chunks, d_e)), dist.variance,
-                    hspec.embeddings_trainable)
+        self.embeddings = {}
+        self.sources = {}   # name -> (trunk, embedding keys stacked in order)
+        groups = {}
+        shared = hspec.head_topology == SHARED_SAME_SIZE
+        for slot, trunk, targets in ((WEIGHT, self.trunk_h, plain_targets),
+                                     (BIAS, self.trunk_g, bias_layers)):
+            by_head = {}   # one head per target, or per same-size group when shared
+            for t in targets:
+                by_head.setdefault(slot.shape(mspec.layers[t]) if shared else t, []).append(t)
+            groups[slot] = [LinearHead(slot, f"{slot.tag}g{i}", ts,
+                                       [targets.index(t) for t in ts], mspec, trunk.out_dim)
+                            for i, ts in enumerate(by_head.values())]
+            for t in targets:
+                add_embedding(f"emb.{slot.tag}{t}", d_e, (t,))
+            if targets:
+                self.sources[slot.tag] = (trunk, tuple(f"emb.{slot.tag}{t}" for t in targets))
+        self.weight_groups = groups[WEIGHT]
+        self.bias_groups = groups[BIAS]
+        if chunk_targets:
+            head = ChunkedHeadGroup(len(self.weight_groups), chunk_targets, mspec,
+                                    hspec.chunk, d_e)
+            self.weight_groups.append(head)
+            add_embedding(head.source, (head.n_chunks, d_e),
+                          tuple(t for t, _, _ in head.index))
+            self.sources[head.source] = (Trunk(None, d_e, (), hspec.trunk_activation),
+                                         (head.source,))
+        self.heads = self.weight_groups + self.bias_groups
+        self._heads_by_target = {(h.slot.param, t): h for h in self.heads for t in h.targets}
 
     # ---- parameter access -------------------------------------------------
 
     def param_arrays(self):
         """Flat name -> array view of every parameter, embeddings included."""
         out = {}
-        for name, trunk in (("trunk_h", self.trunk_h), ("trunk_g", self.trunk_g)):
-            if trunk is None or (name == "trunk_g" and trunk is self.trunk_h):
-                continue
+        for trunk in self.trunks:
             for i, (w, b) in enumerate(zip(trunk.weights, trunk.biases)):
-                out[f"{name}.W{i}"] = w
-                out[f"{name}.b{i}"] = b
-        for gi, g in enumerate(self.weight_groups):
-            if isinstance(g, ChunkedHeadGroup):
-                out[f"cg{gi}.H"] = g.H
-                out[f"cg{gi}.beta"] = g.beta
-                out[f"cg{gi}.proj"] = g.proj
-                out[f"cg{gi}.proj_bias"] = g.proj_bias
-            else:
-                out[f"wg{gi}.H"] = g.H
-                out[f"wg{gi}.beta"] = g.beta
-        for gi, g in enumerate(self.bias_groups):
-            out[f"bg{gi}.G"] = g.G
-            out[f"bg{gi}.gamma"] = g.gamma
+                out[f"{trunk.name}.W{i}"] = w
+                out[f"{trunk.name}.b{i}"] = b
+        for head in self.heads:
+            out.update(head.arrays())
         for key, emb in self.embeddings.items():
             out[key] = emb.values
         return out
 
     def updatable_keys(self):
-        keys = set()
-        for key in self.param_arrays():
-            if key.startswith("emb."):
-                if self.embeddings[key].trainable:
-                    keys.add(key)
-            else:
-                keys.add(key)
-        return keys
+        return {key for key in self.param_arrays()
+                if not key.startswith("emb.") or self.hspec.embeddings_trainable}
 
     # ---- initialization ---------------------------------------------------
 
     def _var_e(self, key):
-        emb = self.embeddings[key]
-        if self.hspec.var_e_mode == "empirical" and emb.values.size >= 2:
-            return empirical_variance(emb.values)
-        return emb.variance
+        values = self.embeddings[key].values
+        if self.hspec.var_e_mode == "empirical" and values.size >= 2:
+            return empirical_variance(values)
+        return self.hspec.embedding_distribution.variance
 
     def geometry(self, t):
         """Fan geometry of the generator heads targeting mainnet layer t."""
         layer = self.mspec.layers[t]
-        gi = self._group_of(t)
-        g = self.weight_groups[gi]
-        if isinstance(g, ChunkedHeadGroup):
-            var_e1 = self._var_e(f"emb.c{gi}")
-            d_k = self.hspec.embedding_dim
-        else:
-            var_e1 = self._var_e(f"emb.w{t}")
-            d_k = self.trunk_h.out_dim
-        if t in self._b_row:
-            var_e2 = self._var_e(f"emb.b{t}")
-            d_l = self.trunk_g.out_dim
-        else:
-            var_e2, d_l = 1.0, 1
-        return FanGeometry(d_i=layer.d_out, d_j=layer.d_in, d_k=d_k, d_l=d_l,
-                           var_e1=var_e1, var_e2=var_e2,
+        w_head, b_head = self.head_of(t), self.head_of(t, BIAS.param)
+        var_e2, d_l = ((self._var_e(b_head.emb_key(t)), b_head.d_in) if b_head
+                       else (1.0, 1))
+        return FanGeometry(d_i=layer.d_out, d_j=layer.d_in, d_k=w_head.d_in, d_l=d_l,
+                           var_e1=self._var_e(w_head.emb_key(t)), var_e2=var_e2,
                            receptive_field=layer.receptive_field)
 
-    def _group_of(self, t):
-        for gi, g in enumerate(self.weight_groups):
-            if t in g.targets:
-                return gi
-        raise SpecError(f"no weight group targets layer {t}")
+    def head_of(self, t, param=WEIGHT.param):
+        """The head generating ``param`` ("W" or "b") of mainnet layer t, or None."""
+        return self._heads_by_target.get((param, t))
 
     def layer_scheme(self, scheme, t):
         layer = self.mspec.layers[t]
@@ -387,206 +451,69 @@ class Hypernet:
         matrix as well). Heads receive the scheme's weight/bias variance on
         their target geometry; beta and gamma start at zero.
         """
-        self.scheme = scheme
         fam = scheme.family
 
         def draw(var, shape):
             return sample(Distribution(fam, var), shape, rng)
 
-        trunks = [self.trunk_h]
-        if self.trunk_g is not None and self.trunk_g is not self.trunk_h:
-            trunks.append(self.trunk_g)
-        for trunk in trunks:
+        for trunk in self.trunks:
             trunk_relu = scheme.relu_gain and trunk.activation == RELU
             for w, b in zip(trunk.weights, trunk.biases):
-                geom = FanGeometry(d_i=w.shape[0], d_j=w.shape[1], d_k=1)
                 if scheme.kind == schemes.SMALL_RANDOM:
                     var = scheme.scale_param ** 2
                     b[:] = draw(var, b.shape)
-                elif scheme.kind in schemes.CLASSICAL_KINDS:
-                    var = schemes.classical_variance(scheme.kind, geom, trunk_relu)
-                    b[:] = 0.0
                 else:
-                    var = schemes.classical_variance(schemes.FAN_IN, geom, trunk_relu)
+                    var = schemes.classical_variance(
+                        _classical_kind(scheme),
+                        FanGeometry(d_i=w.shape[0], d_j=w.shape[1], d_k=1), trunk_relu)
                     b[:] = 0.0
                 w[:] = draw(var, w.shape)
 
-        for gi, g in enumerate(self.weight_groups):
-            if isinstance(g, ChunkedHeadGroup):
-                self._initialize_chunked(gi, g, scheme, draw)
-                continue
-            t0 = g.targets[0]
-            eff = self.layer_scheme(scheme, t0)
-            var_h = schemes.scheme_weight_variance(eff, self.geometry(t0))
-            g.H[:] = draw(var_h, g.H.shape)
-            g.beta[:] = (draw(scheme.scale_param ** 2, g.beta.shape)
-                         if scheme.kind == schemes.SMALL_RANDOM else 0.0)
-
-        for g in self.bias_groups:
-            t0 = g.targets[0]
-            eff = self.layer_scheme(scheme, t0)
-            var_g = schemes.scheme_bias_variance(eff, self.geometry(t0))
-            g.G[:] = draw(var_g, g.G.shape)
-            g.gamma[:] = (draw(scheme.scale_param ** 2, g.gamma.shape)
-                          if scheme.kind == schemes.SMALL_RANDOM else 0.0)
+        for head in self.heads:
+            head.initialize(self, scheme, draw)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
-            for t in self.plain_w_targets:
-                fan = self.mspec.layers[t].fan_in
-                self.embeddings[f"emb.w{t}"].values[:] = fan ** -0.5
-            for t in self.bias_targets:
-                fan = self.mspec.layers[t].fan_in
-                self.embeddings[f"emb.b{t}"].values[:] = fan ** -0.5
-            for gi, g in enumerate(self.weight_groups):
-                if isinstance(g, ChunkedHeadGroup):
-                    vals = self.embeddings[f"emb.c{gi}"].values
-                    for m, (t, _, _) in enumerate(g.index):
-                        vals[m] = self.mspec.layers[t].fan_in ** -0.5
+            for emb in self.embeddings.values():
+                for row, t in zip(emb.values.reshape(len(emb.targets), -1), emb.targets):
+                    row[:] = self.mspec.layers[t].fan_in ** -0.5
         return self
-
-    def _initialize_chunked(self, gi, g, scheme, draw):
-        # The shared output layer is an interior linear map: plain fan-in.
-        # The per-chunk projections are the effective output layer and carry
-        # the hyperfan variance of their target layer.
-        k, n = g.plan.K, g.plan.n
-        if scheme.kind == schemes.SMALL_RANDOM:
-            var = scheme.scale_param ** 2
-            g.H[:] = draw(var, g.H.shape)
-            g.beta[:] = draw(var, g.beta.shape)
-            g.proj[:] = draw(var, g.proj.shape)
-            g.proj_bias[:] = draw(var, g.proj_bias.shape)
-            return
-        head_geom = FanGeometry(d_i=k * n * n, d_j=g.proj_dim, d_k=1)
-        if scheme.kind in schemes.CLASSICAL_KINDS:
-            var_h = schemes.classical_variance(scheme.kind, head_geom, relu_gain=False)
-        elif scheme.kind == schemes.SCALED_OUTPUT:
-            var_h = (schemes.classical_variance(schemes.FAN_IN, head_geom, False)
-                     * scheme.scale_param ** 2)
-        else:
-            var_h = schemes.classical_variance(schemes.FAN_IN, head_geom, False)
-        g.H[:] = draw(var_h, g.H.shape)
-        g.beta[:] = 0.0
-        for m, (t, _, _) in enumerate(g.index):
-            eff = self.layer_scheme(scheme, t)
-            geom = self.geometry(t)
-            if scheme.kind in schemes.HYPERFAN_KINDS:
-                var_p = schemes.scheme_weight_variance(eff, geom)
-            elif scheme.kind in schemes.CLASSICAL_KINDS:
-                var_p = schemes.classical_variance(
-                    scheme.kind,
-                    FanGeometry(d_i=g.proj_dim, d_j=self.hspec.embedding_dim, d_k=1),
-                    eff.relu_gain)
-            else:
-                var_p = schemes.classical_variance(
-                    schemes.FAN_IN,
-                    FanGeometry(d_i=g.proj_dim, d_j=self.hspec.embedding_dim, d_k=1),
-                    eff.relu_gain)
-            g.proj[m] = draw(var_p, (g.proj_dim, self.hspec.embedding_dim))
-        g.proj_bias[:] = 0.0
 
     # ---- generation -------------------------------------------------------
 
     def generate(self):
         """Produce all mainnet parameters plus the trace needed for backward."""
         params = zero_params(self.mspec)
-        trace = GenTrace(w_targets=self.plain_w_targets, b_targets=self.bias_targets)
-
-        if self.plain_w_targets:
-            emb_w = np.stack([self.embeddings[f"emb.w{t}"].values
-                              for t in self.plain_w_targets])
-            trace.h_feats, trace.h_cache = self.trunk_h.forward(emb_w)
-        for gi, g in enumerate(self.weight_groups):
-            if isinstance(g, ChunkedHeadGroup):
-                emb = self.embeddings[f"emb.c{gi}"].values
-                alphas = np.einsum("mpd,md->mp", g.proj, emb) + g.proj_bias
-                trace.chunk_alphas[gi] = alphas
-                chunk_mat = alphas @ g.H.T + g.beta
-                for t in g.targets:
-                    params[t]["W"] = g.assemble(chunk_mat, t, self.mspec.layers[t])
-            else:
-                for t in g.targets:
-                    feat = trace.h_feats[self._w_row[t]]
-                    params[t]["W"] = (g.H @ feat + g.beta).reshape(g.weight_shape)
-
-        if self.bias_targets:
-            emb_b = np.stack([self.embeddings[f"emb.b{t}"].values
-                              for t in self.bias_targets])
-            trace.g_feats, trace.g_cache = self.trunk_g.forward(emb_b)
-            for g in self.bias_groups:
-                for t in g.targets:
-                    feat = trace.g_feats[self._b_row[t]]
-                    params[t]["b"] = g.G @ feat + g.gamma
-        trace.params = params
-        return params, trace
+        feats, caches = {}, {}
+        for name, (trunk, keys) in self.sources.items():
+            emb = np.concatenate([self.embeddings[k].values.reshape(-1, trunk.in_dim)
+                                  for k in keys])
+            feats[name], caches[name] = trunk.forward(emb)
+        head_caches = [head.generate(feats[head.source], params) for head in self.heads]
+        return params, GenTrace(feats, caches, head_caches)
 
     def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
         """Map mainnet parameter gradients to hypernet parameter gradients."""
-        grads = {}
-        feature_grads = {}
-
-        dh_feats = (np.zeros_like(trace.h_feats)
-                    if trace.h_feats is not None else None)
-        for gi, g in enumerate(self.weight_groups):
-            if isinstance(g, ChunkedHeadGroup):
-                alphas = trace.chunk_alphas[gi]
-                dcm = np.zeros((g.n_chunks, g.H.shape[0]), dtype=DTYPE)
-                for t in g.targets:
-                    lo, hi = g.layer_rows[t]
-                    dcm[lo:hi] = g.disassemble(weight_grads[t], t, self.mspec.layers[t])
-                grads[f"cg{gi}.H"] = dcm.T @ alphas
-                grads[f"cg{gi}.beta"] = dcm.sum(axis=0)
-                dalphas = dcm @ g.H
-                emb = self.embeddings[f"emb.c{gi}"].values
-                grads[f"cg{gi}.proj"] = np.einsum("mp,md->mpd", dalphas, emb)
-                grads[f"cg{gi}.proj_bias"] = dalphas
-                grads[f"emb.c{gi}"] = np.einsum("mpd,mp->md", g.proj, dalphas)
-                for t in g.targets:
-                    lo, hi = g.layer_rows[t]
-                    feature_grads[("w", t)] = dalphas[lo:hi]
-            else:
-                if len(g.targets) == 1:
-                    t = g.targets[0]
-                    dflat = weight_grads[t].reshape(-1, 1)
-                else:
-                    dflat = np.stack([weight_grads[t].ravel() for t in g.targets], axis=1)
-                gi_rows = [self._w_row[t] for t in g.targets]
-                grads[f"wg{gi}.H"] = dflat @ trace.h_feats[gi_rows]
-                grads[f"wg{gi}.beta"] = dflat.sum(axis=1)
-                dfeat = (g.H.T @ dflat).T
-                for i, t in enumerate(g.targets):
-                    dh_feats[self._w_row[t]] += dfeat[i]
-                    feature_grads[("w", t)] = dfeat[i]
-        if dh_feats is not None:
-            dws, dbs, demb = self.trunk_h.backward(trace.h_cache, dh_feats)
+        if self.bias_targets and bias_grads is None:
+            raise SpecError("bias gradients required: this hypernet generates biases")
+        grads = HyperGrads(by_key={}, head_feature_grads={})
+        dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
+        dfeats = {name: np.zeros_like(f) for name, f in trace.feats.items()}
+        for head, cache in zip(self.heads, trace.head_caches):
+            head.backward(trace.feats[head.source], cache, dslots[head.slot.param],
+                          dfeats[head.source], grads)
+        for name, (trunk, keys) in self.sources.items():
+            dws, dbs, demb = trunk.backward(trace.trunk_caches[name], dfeats[name])
             for i, (dw, db) in enumerate(zip(dws, dbs)):
-                grads[f"trunk_h.W{i}"] = dw
-                grads[f"trunk_h.b{i}"] = db
-            for t in self.plain_w_targets:
-                grads[f"emb.w{t}"] = demb[self._w_row[t]]
-
-        if self.bias_targets:
-            if bias_grads is None:
-                raise SpecError("bias gradients required: this hypernet generates biases")
-            dg_feats = np.zeros_like(trace.g_feats)
-            for gi, g in enumerate(self.bias_groups):
-                db = np.stack([bias_grads[t] for t in g.targets], axis=1)
-                rows = [self._b_row[t] for t in g.targets]
-                grads[f"bg{gi}.G"] = db @ trace.g_feats[rows]
-                grads[f"bg{gi}.gamma"] = db.sum(axis=1)
-                dfeat = (g.G.T @ db).T
-                for i, t in enumerate(g.targets):
-                    dg_feats[self._b_row[t]] += dfeat[i]
-                    feature_grads[("b", t)] = dfeat[i]
-            trunk_name = "trunk_h" if self.trunk_g is self.trunk_h else "trunk_g"
-            dws, dbs, demb = self.trunk_g.backward(trace.g_cache, dg_feats)
-            for i, (dw, db) in enumerate(zip(dws, dbs)):
-                key_w, key_b = f"{trunk_name}.W{i}", f"{trunk_name}.b{i}"
-                grads[key_w] = grads.get(key_w, 0.0) + dw
-                grads[key_b] = grads.get(key_b, 0.0) + db
-            for t in self.bias_targets:
-                grads[f"emb.b{t}"] = demb[self._b_row[t]]
-
-        return HyperGrads(by_key=grads, head_feature_grads=feature_grads)
+                # A shared trunk is reached from both sources: gradients add.
+                for key, d in ((f"{trunk.name}.W{i}", dw), (f"{trunk.name}.b{i}", db)):
+                    grads.by_key[key] = grads.by_key[key] + d if key in grads.by_key else d
+            lo = 0
+            for key in keys:
+                values = self.embeddings[key].values
+                hi = lo + values.size // trunk.in_dim
+                grads.by_key[key] = demb[lo:hi].reshape(values.shape)
+                lo = hi
+        return grads
 
 
 def init_hypernet(hspec, mspec, scheme, rng):

@@ -162,23 +162,6 @@ def hyperfan_out_bias_variance(geom, relu_gain=False):
     return max(v, 0.0)
 
 
-def hyperfan_combined_weight_variance(geom, relu_gain=False, hypernet_bias=False, mean="harmonic"):
-    """Mean combination of the hyperfan-in and hyperfan-out weight variances.
-
-    Exposed for experimentation; no scheme uses it by default since neither
-    combination shows a benefit over picking one side.
-    """
-    a = hyperfan_in_weight_variance(geom, relu_gain, hypernet_bias)
-    b = hyperfan_out_weight_variance(geom, relu_gain)
-    if mean == "harmonic":
-        return 2.0 * a * b / (a + b)
-    if mean == "geometric":
-        return float(np.sqrt(a * b))
-    if mean == "arithmetic":
-        return (a + b) / 2.0
-    raise ValueError(f"unknown mean {mean!r}")
-
-
 def _head_geometry(geom):
     # The weight head itself, seen as a classical layer: it maps d_k features
     # to d_i*d_j*r generated entries.
@@ -239,14 +222,6 @@ def generated_weight_variance(scheme, geom):
         head = scheme_weight_variance(scheme, geom)
         return geom.d_k * head / (geom.d_j * geom.receptive_field)
     return geom.d_k * scheme_weight_variance(scheme, geom) * geom.var_e1
-
-
-def generated_bias_variance(scheme, geom):
-    """Variance of generated biases: d_l * Var(G) * var_e2."""
-    if scheme.kind == CONST_EMBEDDING:
-        head = scheme_bias_variance(scheme, geom)
-        return geom.d_l * head / (geom.d_j * geom.receptive_field)
-    return geom.d_l * scheme_bias_variance(scheme, geom) * geom.var_e2
 
 
 def uniform_bound(variance):

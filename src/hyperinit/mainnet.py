@@ -235,12 +235,6 @@ def conv2d_forward(x, weight, bias, kernel):
     return _conv_forward_cols(cols, out_hw, x.shape[0], weight, bias)
 
 
-def conv2d_backward(x, weight, kernel, dy):
-    """Gradients of a conv layer (standalone form: rebuilds the patch matrix)."""
-    cols, out_hw = _im2col(x, kernel)
-    return _conv_backward_cols(cols, out_hw, x.shape, weight, kernel, dy)
-
-
 def forward(spec, params, batch, labels=None):
     """Run the net; returns (trace, loss) with loss None when labels are absent.
 

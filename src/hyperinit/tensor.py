@@ -80,24 +80,9 @@ def sample(dist, shape, rng):
     return rng.normal(np.sqrt(dist.variance), shape)
 
 
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors with explicit shape checking."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 tensors, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def empirical_variance(t):
     """Population variance (divide by N) over all elements of the tensor."""
     t = np.asarray(t, dtype=DTYPE)
     if t.size < 2:
         raise ValueError("variance needs at least 2 elements")
     return float(np.var(t))
-
-
-def empirical_mean(t):
-    return float(np.mean(np.asarray(t, dtype=DTYPE)))

@@ -1,14 +1,18 @@
 """Vanilla SGD over (hypernet -> mainnet -> loss), plus the experiment presets.
 
-Only hypernet parameters and trainable embeddings are ever updated; generated
-mainnet weights are a pure function of them. For hypernets with an identity
-trunk and fixed embeddings (the MNIST-style presets) the loop uses an exact
-reparameterization: SGD on a linear head (H, beta) with fixed embeddings
-moves the generated weights by
+``pipeline_step`` (generate, forward, stop if diverged, backward,
+Hypernet.backward) serves the training loop, the probe, the variance check
+and the gradient check. ``train`` runs one loop over a preset's batch
+schedule: shuffled epochs, or a sequence of tasks of sampled batches.
+
+Only hypernet parameters and trainable embeddings are ever updated, through
+``sgd_step``. For identity-trunk, fixed-embedding hypernets (the MNIST-style
+presets) the loop's updater uses an exact reparameterization instead: SGD on
+a linear head (H, beta) with fixed embeddings moves the generated weights by
 
     W_s  <-  W_s - lr * sum_t (<e_t, e_s> + 1) * dW_t
 
-so the loop can carry the generated weights directly and reconstruct the head
+so it can carry the generated weights directly and reconstruct the head
 update lazily (solving the small Gram system) whenever the head itself is
 needed. This is algebraically identical to stepping (H, beta) and orders of
 magnitude cheaper when the head is large.
@@ -25,14 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (GLOBAL, load_cifar10_binary, load_idx, make_regression_tasks,
-                   standardize)
-from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet,
-                       HypernetSpec, WeightHeadGroup, init_hypernet)
+from .data import (GLOBAL, FormatError, load_cifar10_binary, load_idx,
+                   make_regression_tasks, standardize)
+from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, HyperGrads,
+                       Hypernet, HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
-                      MainnetSpec, accuracy, allconv, backward, forward, mlp,
-                      mse_loss, softmax_cross_entropy)
+                      ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
+                      backward, forward, mlp, mse_loss)
 from .probe import linear_activation_variances, snapshot, write_csv, write_json
 from .tensor import Rng
 
@@ -83,46 +87,91 @@ def sgd_step(params, grads, lr, updatable=None):
     return True
 
 
-class _FixedHeadFastPath:
-    """Carries generated weights through SGD for identity-trunk, fixed-embedding
-    hypernets, reconstructing the heads exactly on demand."""
+def _diverged(trace, loss):
+    return (trace.overflow_layer is not None or not np.isfinite(loss)
+            or abs(loss) > DIVERGENCE_LIMIT)
 
-    @staticmethod
-    def applicable(net: Hypernet):
-        return (not net.hspec.hidden_layers
-                and not net.hspec.embeddings_trainable
-                and all(isinstance(g, WeightHeadGroup) for g in net.weight_groups))
+
+@dataclass
+class Step:
+    """One pipeline pass; ``grads`` and ``hyper`` stay None when it stopped."""
+
+    params: list
+    trace: ForwardTrace
+    loss: float
+    diverged: bool
+    grads: MainnetGrads | None = None
+    hyper: HyperGrads | None = None
+
+
+def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True):
+    """Generate the mainnet parameters (unless carried ``params`` are given),
+    run forward, stop if diverged, then backpropagate through the mainnet and,
+    for generated parameters, through the hypernet."""
+    gtrace = None
+    if params is None:
+        params, gtrace = net.generate()
+    trace, loss = forward(mspec, params, x, y)
+    diverged = _diverged(trace, loss)
+    if diverged and stop_on_divergence:
+        return Step(params, trace, loss, diverged)
+    grads = backward(mspec, params, trace, y)
+    hyper = None if gtrace is None else net.backward(
+        gtrace, grads.weight, grads.bias if net.bias_targets else None)
+    return Step(params, trace, loss, diverged, grads, hyper)
+
+
+class _HeadSpaceSgd:
+    """Updater applying ``sgd_step`` to every updatable hypernet array."""
+
+    carried = None   # no carried parameters: pipeline_step generates them
 
     def __init__(self, net: Hypernet):
         self.net = net
-        self.params, _ = net.generate()
-        self.w_groups = []
-        for g in net.weight_groups:
-            emb = np.stack([net.embeddings[f"emb.w{t}"].values for t in g.targets])
-            gram = emb @ emb.T + 1.0
-            stack = np.stack([self.params[t]["W"].ravel() for t in g.targets])
-            for i, t in enumerate(g.targets):
-                self.params[t]["W"] = stack[i].reshape(g.weight_shape)
-            self.w_groups.append({"g": g, "emb": emb, "gram": gram,
-                                  "stack": stack, "base": stack.copy()})
-        self.b_groups = []
-        for g in net.bias_groups:
-            emb = np.stack([net.embeddings[f"emb.b{t}"].values for t in g.targets])
-            gram = emb @ emb.T + 1.0
-            stack = np.stack([self.params[t]["b"] for t in g.targets])
-            for i, t in enumerate(g.targets):
-                self.params[t]["b"] = stack[i]
-            self.b_groups.append({"g": g, "emb": emb, "gram": gram,
-                                  "stack": stack, "base": stack.copy()})
+        self.arrays = net.param_arrays()
+        self.updatable = net.updatable_keys()
 
-    def step(self, weight_grads, bias_grads, lr):
-        for rec in self.w_groups:
-            d = np.stack([weight_grads[t].ravel() for t in rec["g"].targets])
-            if not np.all(np.isfinite(d)):
-                return False
-            rec["stack"] -= lr * (rec["gram"] @ d)
-        for rec in self.b_groups:
-            d = np.stack([bias_grads[t] for t in rec["g"].targets])
+    def current_params(self):
+        return self.net.generate()[0]
+
+    def update(self, step, lr):
+        return sgd_step(self.arrays, step.hyper.by_key, lr, self.updatable)
+
+    def sync(self):
+        pass
+
+
+class _FixedHeadFastPath:
+    """Updater that carries the generated parameters of identity-trunk,
+    fixed-embedding hypernets through SGD, reconstructing the heads exactly on
+    demand."""
+
+    @staticmethod
+    def applicable(net: Hypernet):
+        # A chunked head trains a projection between embedding and head.
+        return (not net.hspec.hidden_layers
+                and not net.hspec.embeddings_trainable
+                and net.hspec.head_topology != CHUNKED)
+
+    def __init__(self, net: Hypernet):
+        self.carried, trace = net.generate()
+        self.heads = []
+        for head in net.heads:
+            emb = trace.feats[head.source][list(head.rows)]
+            stack = np.stack([self.carried[t][head.slot.param].ravel() for t in head.targets])
+            for i, t in enumerate(head.targets):
+                self.carried[t][head.slot.param] = stack[i].reshape(head.shape)
+            self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
+                               "stack": stack, "base": stack.copy()})
+
+    def current_params(self):
+        return self.carried
+
+    def update(self, step, lr):
+        grads = {"W": step.grads.weight, "b": step.grads.bias}
+        for rec in self.heads:
+            head = rec["head"]
+            d = np.stack([grads[head.slot.param][t].ravel() for t in head.targets])
             if not np.all(np.isfinite(d)):
                 return False
             rec["stack"] -= lr * (rec["gram"] @ d)
@@ -130,18 +179,13 @@ class _FixedHeadFastPath:
 
     def sync(self):
         """Fold the accumulated weight motion back into the heads (exactly)."""
-        for rec in self.w_groups + self.b_groups:
+        for rec in self.heads:
             delta = rec["base"] - rec["stack"]
             if not delta.any():
                 continue
             acc = np.linalg.solve(rec["gram"], delta)
-            head = rec["g"]
-            if isinstance(head, WeightHeadGroup):
-                head.H -= acc.T @ rec["emb"]
-                head.beta -= acc.sum(axis=0)
-            else:
-                head.G -= acc.T @ rec["emb"]
-                head.gamma -= acc.sum(axis=0)
+            rec["head"].H -= acc.T @ rec["emb"]
+            rec["head"].beta -= acc.sum(axis=0)
             rec["base"] = rec["stack"].copy()
 
 
@@ -156,6 +200,7 @@ class TrainResult:
     reports: list = field(default_factory=list)
     diverged: bool = False
     divergence_step: int | None = None
+    steps: int = 0                              # SGD steps taken
     init_loss: float | None = None
     init_linear_vars: list | None = None
     final_metric: float | None = None
@@ -187,7 +232,7 @@ def _mnist_hspec(bias):
 
 def _regression_mainnet():
     # Desk-scale mainnet: deep enough that a bad hypernet init visibly hurts
-    # within a few hundred iterations (the full-scale preset pairs a
+    # within a few hundred iterations (the full-scale setting pairs a
     # 2-hidden-layer width-10 mainnet with 6000 iterations per task).
     return mlp([1, 16, 16, 16, 1], activation=RELU, loss=MSE,
                bias_source=GENERATED_BIAS)
@@ -237,23 +282,21 @@ def _load_cifar(data_dir):
     return train, test
 
 
-# Desk-scale defaults; the acceptance suite pins these. Full-size settings
-# live in FULL_SCALE and can be requested through config flags.
+# Desk-scale defaults; the acceptance suite pins these. The README lists the
+# paper's full-size settings.
+_MNIST_DEFAULTS = dict(learning_rate=5e-4, batch_size=10, epochs=3,
+                       subset=10000, eval_every=200, probe_every=1000)
 PRESETS = {
     "mnist-mlp": Preset(
         name="mnist-mlp", kind="classification",
         build_mainnet=lambda: _mnist_mainnet(False),
         build_hspec=lambda: _mnist_hspec(False),
-        load=_load_mnist,
-        defaults=dict(learning_rate=5e-4, batch_size=10, epochs=3,
-                      subset=10000, eval_every=200, probe_every=1000)),
+        load=_load_mnist, defaults=_MNIST_DEFAULTS),
     "mnist-mlp-bias": Preset(
         name="mnist-mlp-bias", kind="classification",
         build_mainnet=lambda: _mnist_mainnet(True),
         build_hspec=lambda: _mnist_hspec(True),
-        load=_load_mnist,
-        defaults=dict(learning_rate=5e-4, batch_size=10, epochs=3,
-                      subset=10000, eval_every=200, probe_every=1000)),
+        load=_load_mnist, defaults=_MNIST_DEFAULTS),
     "regression-seq": Preset(
         name="regression-seq", kind="regression",
         build_mainnet=_regression_mainnet,
@@ -270,18 +313,6 @@ PRESETS = {
                       probe_every=1000)),
 }
 
-FULL_SCALE = {
-    # Full-size experiment settings (hours of CPU; the desk presets above are
-    # their scaled-down counterparts).
-    "mnist-mlp": dict(learning_rate=5e-4, batch_size=10, epochs=30, subset=None),
-    "mnist-mlp-bias": dict(learning_rate=5e-4, batch_size=10, epochs=30, subset=None),
-    "mnist-classical-control": dict(learning_rate=0.01, batch_size=10, epochs=30),
-    "regression-seq": dict(batch_size=32, iterations=6000,
-                           mainnet_dims=(1, 10, 10, 1)),
-    "cifar-allconv": dict(learning_rate=5e-4, batch_size=100, epochs=500,
-                          lr_milestones=(350, 450), lr_decay=0.1, subset=None),
-}
-
 
 def config_for(preset_name, **overrides):
     base = dict(PRESETS[preset_name].defaults)
@@ -296,26 +327,75 @@ def _flatten_inputs(mspec, x):
 
 
 def _test_metric(mspec, params, x, y, chunk=500):
-    """Accuracy for classifiers (plus summed CE), MSE for regression outputs."""
-    n = len(x)
-    correct = 0.0
-    ce_sum = 0.0
-    for lo in range(0, n, chunk):
+    """Accuracy for classifiers, MSE for regression outputs."""
+    metric = accuracy if mspec.loss == CROSS_ENTROPY else mse_loss
+    total = 0.0
+    for lo in range(0, len(x), chunk):
         trace, _ = forward(mspec, params, x[lo:lo + chunk])
-        out = trace.output
-        if mspec.loss == CROSS_ENTROPY:
-            correct += accuracy(out, y[lo:lo + chunk]) * len(out)
-            ce_sum += softmax_cross_entropy(out, y[lo:lo + chunk], reduction="sum")
-        else:
-            ce_sum += mse_loss(out, y[lo:lo + chunk]) * len(out)
-    if mspec.loss == CROSS_ENTROPY:
-        return correct / n, ce_sum
-    return ce_sum / n, ce_sum
+        total += metric(trace.output, y[lo:lo + chunk]) * len(trace.output)
+    return total / len(x)
 
 
-def _diverged(trace, loss):
-    return (trace.overflow_layer is not None or not np.isfinite(loss)
-            or abs(loss) > DIVERGENCE_LIMIT)
+@dataclass
+class Schedule:
+    """``segments`` yields (lr index, (x, y) batches, (x, y) test set) per epoch
+    or task. Without a ``probe`` batch a run takes no probes and its initial
+    loss is its first batch loss. ``tasks`` segments each record their first
+    and tail loss, keep curve windows inside the task, record nothing when cut
+    by divergence, and get no final evaluation."""
+
+    segments: object
+    probe: tuple | None = None
+    tasks: bool = False
+
+
+def _epochs(rng, x, y, test, config):
+    """Shuffled epochs of batches, at most ``iterations`` batches in all (if set)."""
+    n, size, left = len(x), config.batch_size, config.iterations
+    for epoch in range(config.epochs):
+        order = rng.child(100 + epoch).permutation(n)
+        starts = range(0, n - n % size, size)[:left]
+        yield epoch, ((x[order[lo:lo + size]], y[order[lo:lo + size]]) for lo in starts), test
+        if left is not None:
+            left -= len(starts)
+            if left <= 0:
+                return
+
+
+def _sampled_batches(rng, x, y, count, size):
+    for _ in range(count):
+        idx = rng.integers(len(x), size=size)
+        yield x[idx], y[idx]
+
+
+def _classification_schedule(preset, config, rng, mspec, data_dir, data):
+    train_raw, test_raw = preset.load(data_dir) if data is None else data
+    train_ds, stats = standardize(train_raw.take(config.subset), preset.standardize_mode)
+    test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
+    x, y = _flatten_inputs(mspec, train_ds.inputs), train_ds.labels
+    x_test, y_test = _flatten_inputs(mspec, test_ds.inputs), test_ds.labels
+    if mspec.loss == CROSS_ENTROPY:   # checked once, before step 1
+        for split, labels in (("train", y), ("test", y_test)):
+            bad = np.flatnonzero((labels < 0) | (labels >= mspec.output_dim))
+            if bad.size:
+                raise FormatError(f"{split} label {labels[bad[0]]} at index {bad[0]} "
+                                  f"is outside [0, {mspec.output_dim})")
+    return Schedule(_epochs(rng, x, y, (x_test, y_test), config),
+                    probe=(x_test[:PROBE_BATCH], y_test[:PROBE_BATCH]))
+
+
+def _regression_schedule(preset, config, rng, mspec, data_dir, data):
+    """Tasks in sequence, ``iterations`` (default 400) sampled batches each."""
+    tasks = data if data is not None else make_regression_tasks(config.seed)
+    count = config.iterations or 400
+    return Schedule(((i, _sampled_batches(rng.child(200 + i), task.train_x, task.train_y,
+                                          count, config.batch_size),
+                      (task.test_x, task.test_y))
+                     for i, task in enumerate(tasks.tasks)), tasks=True)
+
+
+SCHEDULES = {"classification": _classification_schedule,
+             "regression": _regression_schedule}
 
 
 def train(preset_name, config=None, data_dir=None, data=None, out_dir=None,
@@ -326,179 +406,88 @@ def train(preset_name, config=None, data_dir=None, data=None, out_dir=None,
         config = config_for(preset_name)
     if scheme is not None:
         config = replace(config, scheme=scheme)
-    if preset.kind == "regression":
-        result = _train_regression(preset, config, data)
-    else:
-        result = _train_classification(preset, config, data_dir, data)
+    rng = Rng(config.seed)
+    mspec = preset.build_mainnet()
+    schedule = SCHEDULES[preset.kind](preset, config, rng, mspec, data_dir, data)
+    net = init_hypernet(preset.build_hspec(), mspec, parse_scheme(config.scheme), rng.child(1))
+    result = TrainResult(preset=preset.name, config=config, mspec=mspec, hypernet=net)
+    _run(net, mspec, config, schedule, result)
     if out_dir is not None:
         write_outputs(out_dir, result)
     return result
 
 
-def _train_classification(preset, config, data_dir, data):
-    rng = Rng(config.seed)
-    if data is None:
-        train_raw, test_raw = preset.load(data_dir)
-    else:
-        train_raw, test_raw = data
-    train_raw = train_raw.take(config.subset)
-    train_ds, stats = standardize(train_raw, preset.standardize_mode)
-    test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
-
-    mspec = preset.build_mainnet()
-    hspec = preset.build_hspec()
-    net = init_hypernet(hspec, mspec, parse_scheme(config.scheme), rng.child(1))
-
-    x_train = _flatten_inputs(mspec, train_ds.inputs)
-    y_train = train_ds.labels
-    x_test = _flatten_inputs(mspec, test_ds.inputs)
-    y_test = test_ds.labels
-    probe_x, probe_y = x_test[:PROBE_BATCH], y_test[:PROBE_BATCH]
-
-    fast = _FixedHeadFastPath(net) if _FixedHeadFastPath.applicable(net) else None
-    arrays = net.param_arrays()
-    updatable = net.updatable_keys()
-
-    result = TrainResult(preset=preset.name, config=config, mspec=mspec, hypernet=net)
-
-    def current_params():
-        if fast is not None:
-            return fast.params
-        return net.generate()[0]
+def _run(net, mspec, config, schedule, result):
+    """The training loop: one pipeline step and one update per batch."""
+    updater = (_FixedHeadFastPath if _FixedHeadFastPath.applicable(net) else _HeadSpaceSgd)(net)
 
     def take_probe(step):
-        if fast is not None:
-            fast.sync()
-        params_now, gtrace = net.generate()
-        trace, loss = forward(mspec, params_now, probe_x, probe_y)
-        grads = backward(mspec, params_now, trace, probe_y)
-        hyper = net.backward(gtrace, grads.weight,
-                             grads.bias if net.bias_targets else None)
-        lin = linear_activation_variances(mspec, params_now, probe_x)
-        rep = snapshot(step, trace, params_now, grads,
-                       head_feature_grads=hyper.head_feature_grads, linear_acts=lin)
-        result.reports.append(rep)
-        return trace, loss, lin
+        if schedule.probe is None:
+            return
+        updater.sync()
+        x, y = schedule.probe
+        s = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+        lin = linear_activation_variances(mspec, s.params, x)
+        if not result.reports:   # the first probe measures the initial state
+            result.init_loss = s.loss
+            result.init_linear_vars = [float(np.var(a)) for a in lin]
+        result.reports.append(snapshot(step, s.trace, s.params, s.grads,
+                                       head_feature_grads=s.hyper.head_feature_grads,
+                                       linear_acts=lin))
 
-    _, init_loss, init_lin = take_probe(0)
-    result.init_loss = init_loss
-    result.init_linear_vars = [float(np.var(a)) for a in init_lin]
-
+    take_probe(0)
     step = 0
-    n = len(x_train)
-    window_losses = []
-    last_metric = None
-    max_steps = config.iterations
-    epoch = 0
-    for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
-        order = rng.child(100 + epoch).permutation(n)
-        epoch_losses = []
-        for lo in range(0, n - n % config.batch_size, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            if fast is not None:
-                params = fast.params
-                trace, loss = forward(mspec, params, xb, yb)
-            else:
-                params, gtrace = net.generate()
-                trace, loss = forward(mspec, params, xb, yb)
-            if _diverged(trace, loss):
-                result.diverged = True
-                result.divergence_step = step
-                break
-            epoch_losses.append(loss)
-            window_losses.append(loss)
-            grads = backward(mspec, params, trace, yb)
-            if fast is not None:
-                ok = fast.step(grads.weight, grads.bias, lr)
-            else:
-                hyper = net.backward(gtrace, grads.weight,
-                                     grads.bias if net.bias_targets else None)
-                ok = sgd_step(arrays, hyper.by_key, lr, updatable)
-            if not ok:
-                result.diverged = True
-                result.divergence_step = step
+    losses = []   # the loss of every batch, in order
+    for index, batches, test in schedule.segments:
+        lr = config.lr_at(index)
+        first = len(losses)
+        floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
+        for xb, yb in batches:
+            s = pipeline_step(net, mspec, xb, yb, updater.carried)
+            if not s.diverged:
+                losses.append(s.loss)
+            if s.diverged or not updater.update(s, lr):
+                result.diverged, result.divergence_step = True, step
                 break
             step += 1
             if config.eval_every and step % config.eval_every == 0:
-                metric, _ = _test_metric(mspec, current_params(), x_test, y_test)
-                last_metric = metric
-                result.curve.append((step, epoch, float(np.mean(window_losses)), metric))
-                window_losses = []
+                window = losses[max(floor, len(losses) - config.eval_every):]
+                metric = _test_metric(mspec, updater.current_params(), *test)
+                result.curve.append((step, index, float(np.mean(window)), metric))
             if config.probe_every and step % config.probe_every == 0:
                 take_probe(step)
-            if max_steps is not None and step >= max_steps:
+        segment = losses[first:]
+        if schedule.tasks:
+            if segment:
+                result.task_init_losses.append(segment[0])
+            if result.diverged:
                 break
-        if epoch_losses:
-            result.epoch_train_loss.append(float(np.mean(epoch_losses)))
-        if result.diverged or (max_steps is not None and step >= max_steps):
-            break
-
-    if not result.diverged:
-        metric, _ = _test_metric(mspec, current_params(), x_test, y_test)
-        last_metric = metric
-        if not result.curve or result.curve[-1][0] != step:
-            tl = float(np.mean(window_losses)) if window_losses else float("nan")
-            result.curve.append((step, epoch, tl, metric))
-        take_probe(step)
-    result.final_metric = last_metric
-    return result
-
-
-def _train_regression(preset, config, data):
-    rng = Rng(config.seed)
-    tasks = data if data is not None else make_regression_tasks(config.seed)
-    mspec = preset.build_mainnet()
-    hspec = preset.build_hspec()
-    net = init_hypernet(hspec, mspec, parse_scheme(config.scheme), rng.child(1))
-    arrays = net.param_arrays()
-    updatable = net.updatable_keys()
-    result = TrainResult(preset=preset.name, config=config, mspec=mspec, hypernet=net)
-
-    iterations = config.iterations or 400
-    step = 0
-    for task_idx, task in enumerate(tasks.tasks):
-        trng = rng.child(200 + task_idx)
-        n = len(task.train_x)
-        task_losses = []
-        for it in range(iterations):
-            idx = trng.integers(n, size=config.batch_size)
-            xb, yb = task.train_x[idx], task.train_y[idx]
-            params, gtrace = net.generate()
-            trace, loss = forward(mspec, params, xb, yb)
-            if _diverged(trace, loss):
-                result.diverged = True
-                result.divergence_step = step
-                break
-            if it == 0:
-                result.task_init_losses.append(loss)
-                if task_idx == 0:
-                    result.init_loss = loss
-            task_losses.append(loss)
-            grads = backward(mspec, params, trace, yb)
-            hyper = net.backward(gtrace, grads.weight, grads.bias)
-            if not sgd_step(arrays, hyper.by_key, config.lr_at(task_idx), updatable):
-                result.diverged = True
-                result.divergence_step = step
-                break
-            step += 1
-            if config.eval_every and step % config.eval_every == 0:
-                params_now, _ = net.generate()
-                mse, _ = _test_metric(mspec, params_now, task.test_x, task.test_y)
-                result.curve.append((step, task_idx,
-                                     float(np.mean(task_losses[-config.eval_every:])),
-                                     mse))
+            tail = max(1, len(segment) // 10)
+            result.task_final_losses.append(float(np.mean(segment[-tail:])))
+        if segment:
+            result.epoch_train_loss.append(float(np.mean(segment)))
         if result.diverged:
             break
-        tail = max(1, iterations // 10)
-        result.task_final_losses.append(float(np.mean(task_losses[-tail:])))
-        result.epoch_train_loss.append(float(np.mean(task_losses)))
-    if not result.diverged and result.curve:
-        result.final_metric = result.curve[-1][3]
-    elif not result.diverged and result.task_final_losses:
-        result.final_metric = result.task_final_losses[-1]
-    return result
+    result.steps = step
+    if result.init_loss is None and losses:
+        result.init_loss = losses[0]
+
+    if schedule.tasks:
+        # The last test MSE, else the last task's tail loss; none after divergence.
+        if not result.diverged and result.curve:
+            result.final_metric = result.curve[-1][3]
+        elif not result.diverged and result.task_final_losses:
+            result.final_metric = result.task_final_losses[-1]
+        return
+    if not result.diverged:
+        last = result.curve[-1][0] if result.curve else 0
+        if last != step or not result.curve:
+            window = losses[last:]
+            metric = _test_metric(mspec, updater.current_params(), *test)
+            result.curve.append((step, index,
+                                 float(np.mean(window)) if window else float("nan"), metric))
+        take_probe(step)
+    result.final_metric = result.curve[-1][3] if result.curve else None
 
 
 def write_curve_csv(path, result):
@@ -529,4 +518,5 @@ def write_outputs(out_dir, result):
     write_json(out / "probe.json", result.reports)
     write_csv(out / "probe.csv", result.reports)
     if result.hypernet is not None:
-        save_checkpoint(out / "checkpoint.npz", result.hypernet, result.config)
+        save_checkpoint(out / "checkpoint.npz", result.hypernet, result.config,
+                        step=result.steps)

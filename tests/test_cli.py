@@ -116,6 +116,7 @@ class TestTrainCommand:
                            "--iterations", "20", "--out", str(out_dir))
         assert code == 0
         assert "final metric" in out
+        assert "steps=60 " in out   # 20 iterations on each of three tasks
         for name in ("curves.csv", "probe.json", "checkpoint.npz",
                      "manifest.json"):
             assert (out_dir / name).exists()
@@ -146,6 +147,18 @@ class TestTrainCommand:
                            "--epochs", "1", "--subset", "64",
                            "--data-dir", str(tmp_path))
         assert code == 0
+        assert "steps=6 " in out   # 64 examples in batches of 10
+
+    def test_bad_cifar_label_is_io_error(self, capsys, tmp_path):
+        images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
+        dt.write_cifar10_binary(tmp_path / "data_batch_1.bin", images,
+                                np.array([1, 12], dtype=np.uint8))
+        dt.write_cifar10_binary(tmp_path / "test_batch.bin", images,
+                                np.array([0, 1], dtype=np.uint8))
+        code, _, err = run(capsys, "train", "--preset", "cifar-allconv",
+                           "--data-dir", str(tmp_path))
+        assert code == 3
+        assert "label byte 12" in err
 
 
 class TestReport:

@@ -87,6 +87,14 @@ class TestCifar:
         with pytest.raises(dt.FormatError, match="records"):
             dt.load_cifar10_binary(p)
 
+    def test_label_byte_above_nine_rejected(self, tmp_path):
+        p = tmp_path / "bad.bin"
+        dt.write_cifar10_binary(p, np.zeros((3, 3, 32, 32), dtype=np.uint8),
+                                np.array([3, 9, 12], dtype=np.uint8))
+        with pytest.raises(dt.FormatError,
+                           match=f"record 2 at offset {2 * dt.CIFAR_RECORD} has label byte 12"):
+            dt.load_cifar10_binary(p)
+
 
 class TestStandardize:
     def test_constant_global(self):

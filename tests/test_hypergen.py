@@ -32,7 +32,9 @@ class TestTopologyConstruction:
     def test_shared_head_rejects_mixed_shapes(self):
         mspec = mn.mlp([3, 4, 5], activation="tanh")
         with pytest.raises(mn.SpecError):
-            hg.WeightHeadGroup([0, 1], mspec, 4)
+            hg.LinearHead(hg.WEIGHT, "wg0", [0, 1], [0, 1], mspec, 4)
+        with pytest.raises(mn.SpecError):   # bias widths 4 and 5 differ too
+            hg.LinearHead(hg.BIAS, "bg0", [0, 1], [0, 1], mspec, 4)
         # grouping by shape never mixes sizes, so each layer here gets its own head
         net, _ = simple_dense_net([3, 4, 5], hg.SHARED_SAME_SIZE)
         assert all(len(g.targets) == 1 for g in net.weight_groups)
@@ -75,10 +77,12 @@ class TestGenerate:
 
     def test_beta_gamma_zero_at_init(self):
         net, _ = simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE, bias=True)
-        for g in net.weight_groups:
+        arrays = net.param_arrays()
+        for gi in range(len(net.weight_groups)):
+            assert not arrays[f"wg{gi}.beta"].any()
+        for gi, g in enumerate(net.bias_groups):
+            assert arrays[f"bg{gi}.gamma"] is g.beta
             assert not g.beta.any()
-        for g in net.bias_groups:
-            assert not g.gamma.any()
 
     def test_ungenerated_biases_are_zero(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER)

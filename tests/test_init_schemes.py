@@ -163,23 +163,6 @@ class TestScaleRecoveryProperties:
             assert abs(total - 1.0) < 1e-12
 
 
-class TestCombinedMeans:
-    def test_means_bracket_the_extremes(self):
-        g = geom(600, 100, 30)
-        a = s.hyperfan_in_weight_variance(g)
-        b = s.hyperfan_out_weight_variance(g)
-        for mean in ("harmonic", "geometric", "arithmetic"):
-            v = s.hyperfan_combined_weight_variance(g, mean=mean)
-            assert min(a, b) <= v <= max(a, b)
-
-    def test_harmonic_formula(self):
-        g = geom(600, 100, 30)
-        a = s.hyperfan_in_weight_variance(g)
-        b = s.hyperfan_out_weight_variance(g)
-        assert (s.hyperfan_combined_weight_variance(g, mean="harmonic")
-                == pytest.approx(2 * a * b / (a + b), rel=REL))
-
-
 class TestSchemeDispatch:
     def test_scheme_table_values(self):
         g = geom(500, 500, 50, d_l=50)

@@ -3,22 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinit.tensor import (Distribution, Rng, empirical_variance, matmul,
-                              sample)
-
-
-def matmul_oracle(a, b):
-    # naive triple loop, summing along k in index order
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
+from hyperinit.tensor import Distribution, Rng, empirical_variance, sample
 
 
 class TestRng:
@@ -88,32 +73,6 @@ class TestSample:
     def test_uniform_bound_is_exact_for_every_sample(self, v):
         vals = sample(Distribution("uniform", v), 512, Rng(3))
         assert np.abs(vals).max() <= np.sqrt(3 * v)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_example(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(11)
-        a = rng.normal(1.0, (3, 4))
-        b = rng.normal(1.0, (4, 5))
-        got = matmul(a, b)
-        want = matmul_oracle(a, b)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rank_check(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones(3), np.ones((3, 2)))
 
 
 class TestEmpiricalVariance:

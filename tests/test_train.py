@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -94,14 +96,21 @@ class TestFastPath:
         deep = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(0))
         assert not tr._FixedHeadFastPath.applicable(deep)
 
+    @staticmethod
+    def step_with(dw, db, hyper=None):
+        """A pipeline step carrying the given mainnet (and hypernet) gradients."""
+        return tr.Step(params=None, trace=None, loss=0.0, diverged=False,
+                       grads=SimpleNamespace(weight=dw, bias=db), hyper=hyper)
+
     @pytest.mark.parametrize("bias", [False, True])
     def test_matches_head_space_sgd_exactly(self, bias):
-        # run the same gradient sequence through the naive head update and the
+        # feed the same gradient sequence to the head-space updater and the
         # reparameterized fast path; weights and heads must agree
         mspec, net_fast = self.build(seed=3, bias=bias)
         _, net_naive = self.build(seed=3, bias=bias)
         fast = tr._FixedHeadFastPath(net_fast)
-        arrays = net_naive.param_arrays()
+        naive = tr._HeadSpaceSgd(net_naive)
+        assert naive.carried is None and fast.carried is not None
         rng = Rng(44)
         lr = 0.05
         for step in range(25):
@@ -111,19 +120,19 @@ class TestFastPath:
             db = [rng.child(900 + 100 * step + t).normal(1.0, p["b"].shape)
                   for t, p in enumerate(params)]
             hyper = net_naive.backward(gtrace, dw, db if bias else None)
-            assert tr.sgd_step(arrays, hyper.by_key, lr, net_naive.updatable_keys())
-            assert fast.step(dw, db, lr)
+            assert naive.update(self.step_with(dw, db, hyper), lr)
+            assert fast.update(self.step_with(dw, db), lr)
         fast.sync()
-        naive_params, _ = net_naive.generate()
+        naive_params = naive.current_params()
         fast_params, _ = net_fast.generate()
         for t in range(len(mspec.layers)):
-            np.testing.assert_allclose(fast.params[t]["W"], naive_params[t]["W"],
+            np.testing.assert_allclose(fast.current_params()[t]["W"], naive_params[t]["W"],
                                        rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(fast_params[t]["W"], naive_params[t]["W"],
                                        rtol=1e-9, atol=1e-12)
             if bias:
-                np.testing.assert_allclose(fast.params[t]["b"], naive_params[t]["b"],
-                                           rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(fast.current_params()[t]["b"],
+                                           naive_params[t]["b"], rtol=1e-9, atol=1e-12)
 
     def test_sync_makes_regeneration_idempotent(self):
         mspec, net = self.build(seed=5)
@@ -131,13 +140,20 @@ class TestFastPath:
         rng = Rng(7)
         for step in range(5):
             dw = [rng.child(step * 10 + t).normal(1.0, p["W"].shape)
-                  for t, p in enumerate(fast.params)]
-            fast.step(dw, [np.zeros(l.d_out) for l in mspec.layers], 0.1)
+                  for t, p in enumerate(fast.carried)]
+            fast.update(self.step_with(dw, [np.zeros(l.d_out) for l in mspec.layers]), 0.1)
         fast.sync()
         regen, _ = net.generate()
         for t in range(len(mspec.layers)):
-            np.testing.assert_allclose(regen[t]["W"], fast.params[t]["W"],
+            np.testing.assert_allclose(regen[t]["W"], fast.carried[t]["W"],
                                        rtol=1e-10, atol=1e-13)
+
+    def test_nonfinite_gradient_rejected(self):
+        mspec, net = self.build(seed=5)
+        fast = tr._FixedHeadFastPath(net)
+        dw = [np.full(l.weight_shape, np.nan) for l in mspec.layers]
+        assert not fast.update(self.step_with(dw, [np.zeros(l.d_out) for l in mspec.layers]),
+                               0.1)
 
 
 class TestClassificationLoop:
@@ -179,6 +195,7 @@ class TestClassificationLoop:
         res = tr.train(name, cfg, data=data)
         assert res.diverged
         assert res.divergence_step is not None
+        assert res.steps == res.divergence_step
 
     def test_curve_rows_have_metric(self, tiny_classification):
         name, data = tiny_classification
@@ -245,6 +262,23 @@ class TestCheckpoint:
         assert (out / "checkpoint.npz").exists()
         header = (out / "curves.csv").read_text().splitlines()[0]
         assert header == "step,epoch,train_loss,test_metric"
+        meta, _ = tr.load_checkpoint(out / "checkpoint.npz")
+        assert meta["step"] == res.steps == 16   # 2 epochs of 128 / 16 batches
+
+
+class TestLabelCheck:
+    @pytest.mark.parametrize("split,label", [(0, 4), (1, -1)])
+    def test_out_of_range_label_rejected_before_step_one(self, tiny_classification,
+                                                         split, label):
+        from dataclasses import replace
+        name, data = tiny_classification
+        labels = data[split].labels.copy()
+        labels[5] = label   # the tiny preset is a 4-way classifier
+        data = tuple(replace(ds, labels=labels) if i == split else ds
+                     for i, ds in enumerate(data))
+        which = ("train", "test")[split]
+        with pytest.raises(dt.FormatError, match=f"{which} label {label} at index 5"):
+            tr.train(name, tr.config_for(name), data=data)
 
 
 class TestDataLoading:
