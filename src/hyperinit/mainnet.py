@@ -6,7 +6,14 @@ parameters: callers pass them in, usually fresh from a hypernetwork, and get
 exact analytic gradients of the batch loss back.
 
 A conv stack is followed by an implicit global average pool when the next
-layer is dense. Overflowing activations (|y| > 1e30 or non-finite) are
+layer is dense. Conv activations are channels-last inside the net: the
+(B, C, H, W) input batch is viewed as (B, H, W, C) once, every conv entry of
+the trace (inputs after the first, pre-activations, activations, patch
+matrices) and of ``MainnetGrads.acts`` is (B, H, W, C), and so is the output
+of a net that ends in a conv layer. The caller-facing layouts stay NCHW/OIHW:
+``trace.inputs[0]``, ``MainnetGrads.batch`` and ``conv2d_forward`` use
+(B, C, H, W), and conv weights and their gradients (C_out, C_in, kh, kw).
+Overflowing activations (|y| > 1e30 or non-finite) are
 reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
 """
@@ -141,11 +148,12 @@ def zero_params(spec):
 
 @dataclass
 class ForwardTrace:
+    # Conv entries are (B, H, W, C), except inputs[0], the caller's NCHW batch.
     inputs: list = field(default_factory=list)    # inputs[t] = tensor layer t consumed
     preacts: list = field(default_factory=list)   # y[t] before the activation
     acts: list = field(default_factory=list)      # x[t+1] = activation(y[t])
-    pool_shape: dict = field(default_factory=dict)  # {t: conv shape averaged into layer t}
-    conv_cols: dict = field(default_factory=dict)   # {t: (patch matrix, out_hw)}
+    pool_shape: dict = field(default_factory=dict)  # {t: NHWC shape averaged into layer t}
+    conv_cols: dict = field(default_factory=dict)   # {t: (patch matrix, NHWC input shape)}
     overflow_layer: int | None = None
 
     @property
@@ -180,59 +188,62 @@ def _conv_out_hw(h, w, kernel):
 
 
 def _im2col(x, kernel):
-    """Patch matrix of shape (B*oh*ow, C*kh*kw): one GEMM drives the conv."""
+    """Patch matrix of shape (B*oh*ow, kh*kw*C) of an NHWC batch: one GEMM
+    drives the conv. Each patch is one contiguous run of kh*kw*C values."""
     kh, kw, stride, pad = kernel
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     oh, ow = _conv_out_hw(h, w, kernel)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    patches = np.empty((b, c, kh, kw, oh, ow), dtype=DTYPE)
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    patches = np.empty((b, oh, ow, kh, kw, c), dtype=DTYPE)
     for i in range(kh):
         for j in range(kw):
-            patches[:, :, i, j] = x[:, :, i:i + stride * oh:stride,
-                                    j:j + stride * ow:stride]
-    cols = patches.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * kh * kw)
-    return cols, (oh, ow)
+            patches[:, :, :, i, j] = x[:, i:i + stride * oh:stride,
+                                       j:j + stride * ow:stride]
+    return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
 
 
 def _col2im(dcols, x_shape, kernel, out_hw):
     kh, kw, stride, pad = kernel
-    b, c, h, w = x_shape
+    b, h, w, c = x_shape
     oh, ow = out_hw
-    dpatches = np.ascontiguousarray(
-        dcols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2))
-    dx = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=DTYPE)
+    dpatches = dcols.reshape(b, oh, ow, kh, kw, c)
+    dx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE)
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i:i + stride * oh:stride,
-               j:j + stride * ow:stride] += dpatches[:, :, i, j]
+            dx[:, i:i + stride * oh:stride,
+               j:j + stride * ow:stride] += dpatches[:, :, :, i, j]
     if pad:
-        dx = dx[:, :, pad:pad + h, pad:pad + w]
+        dx = dx[:, pad:pad + h, pad:pad + w]
     return dx
 
 
-def _conv_forward_cols(cols, out_hw, batch, weight, bias):
-    oh, ow = out_hw
-    w_mat = weight.reshape(weight.shape[0], -1)
-    y = cols @ w_mat.T + bias                  # (B*oh*ow, C_out)
-    return np.ascontiguousarray(
-        y.reshape(batch, oh, ow, -1).transpose(0, 3, 1, 2))
+def _weight_matrix(weight):
+    """(C_out, kh*kw*C_in) rows in patch order, from OIHW weights."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
-def _conv_backward_cols(cols, out_hw, x_shape, weight, kernel, dy):
-    c_out = weight.shape[0]
-    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, c_out)
-    dw = dy_mat.T @ cols
+def _conv_forward(x, weight, bias, kernel):
+    """NHWC conv: returns the (B, oh, ow, C_out) output and the patch matrix."""
+    cols, out_hw = _im2col(x, kernel)
+    y = cols @ _weight_matrix(weight).T + bias
+    return y.reshape(x.shape[0], *out_hw, -1), cols
+
+
+def _conv_backward(cols, x_shape, weight, kernel, dy):
+    c_out, c_in, kh, kw = weight.shape
+    dy_mat = dy.reshape(-1, c_out)
+    dw = (dy_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
     db = dy_mat.sum(axis=0)
-    dcols = dy_mat @ weight.reshape(c_out, -1)
-    dx = _col2im(dcols, x_shape, kernel, out_hw)
-    return dw.reshape(weight.shape), db, dx
+    dx = _col2im(dy_mat @ _weight_matrix(weight), x_shape, kernel, dy.shape[1:3])
+    return np.ascontiguousarray(dw), db, dx
 
 
 def conv2d_forward(x, weight, bias, kernel):
     """Cross-correlation of (B, C, H, W) with (C_out, C, kh, kw) weights."""
-    cols, out_hw = _im2col(x, kernel)
-    return _conv_forward_cols(cols, out_hw, x.shape[0], weight, bias)
+    y, _ = _conv_forward(np.asarray(x, dtype=DTYPE).transpose(0, 2, 3, 1),
+                         weight, bias, kernel)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
 def forward(spec, params, batch, labels=None):
@@ -241,28 +252,29 @@ def forward(spec, params, batch, labels=None):
     The trace keeps every pre- and post-activation for backprop and probing.
     """
     x = np.asarray(batch, dtype=DTYPE)
+    if x.ndim == 4:
+        x = x.transpose(0, 2, 3, 1)   # NHWC from here on
     trace = ForwardTrace()
     for t, layer in enumerate(spec.layers):
         if layer.kind == DENSE and x.ndim == 4:
             trace.pool_shape[t] = x.shape
-            x = x.mean(axis=(2, 3))
+            x = x.mean(axis=(1, 2))
         if layer.kind == DENSE:
             if x.shape[1] != layer.d_in:
                 raise SpecError(f"layer {t} expects width {layer.d_in}, got {x.shape[1]}")
             y = x @ params[t]["W"].T + params[t]["b"]
         else:
-            if x.ndim != 4 or x.shape[1] != layer.d_in:
-                raise SpecError(f"layer {t} expects {layer.d_in} channels, got {x.shape}")
-            cols, out_hw = _im2col(x, layer.kernel)
-            trace.conv_cols[t] = (cols, out_hw)
-            y = _conv_forward_cols(cols, out_hw, x.shape[0], params[t]["W"],
-                                   params[t]["b"])
+            if x.ndim != 4 or x.shape[3] != layer.d_in:   # only the batch can fail this
+                raise SpecError(f"layer {t} expects {layer.d_in} channels, got {np.shape(batch)}")
+            y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel)
+            trace.conv_cols[t] = (cols, x.shape)
         if trace.overflow_layer is None:
             with np.errstate(invalid="ignore"):
                 m = np.abs(y).max()
             if not np.isfinite(m) or m > OVERFLOW_LIMIT:
                 trace.overflow_layer = t
-        trace.inputs.append(x)
+        # a conv net's inputs[0] stays the caller's NCHW batch
+        trace.inputs.append(x.transpose(0, 3, 1, 2) if t == 0 and x.ndim == 4 else x)
         trace.preacts.append(y)
         x = activate(layer.activation, y)
         trace.acts.append(x)
@@ -315,8 +327,8 @@ def accuracy(output, labels):
 class MainnetGrads:
     weight: list
     bias: list
-    acts: list   # acts[t] = dL/d(activation output of layer t)
-    batch: np.ndarray  # dL/d(input batch)
+    acts: list   # acts[t] = dL/d(activation output of layer t), NHWC for conv
+    batch: np.ndarray  # dL/d(input batch), in the batch's own (NCHW) layout
 
 
 def backward(spec, params, trace, labels):
@@ -332,17 +344,18 @@ def backward(spec, params, trace, labels):
         layer = spec.layers[t]
         dacts[t] = dx
         dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
-        x_in = trace.inputs[t]
         if layer.kind == DENSE:
-            dW[t] = dy.T @ x_in
+            dW[t] = dy.T @ trace.inputs[t]
             db[t] = dy.sum(axis=0)
             dx = dy @ params[t]["W"]
         else:
-            cols, out_hw = trace.conv_cols[t]
-            dW[t], db[t], dx = _conv_backward_cols(
-                cols, out_hw, x_in.shape, params[t]["W"], layer.kernel, dy)
+            cols, x_shape = trace.conv_cols[t]
+            dW[t], db[t], dx = _conv_backward(cols, x_shape, params[t]["W"],
+                                              layer.kernel, dy)
         if t in trace.pool_shape:
             shape = trace.pool_shape[t]
             dx = np.broadcast_to(
-                dx[:, :, None, None] / (shape[2] * shape[3]), shape).copy()
+                dx[:, None, None, :] / (shape[1] * shape[2]), shape).copy()
+    if dx.ndim == 4:
+        dx = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))   # back to NCHW
     return MainnetGrads(weight=dW, bias=db, acts=dacts, batch=dx)

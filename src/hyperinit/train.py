@@ -67,6 +67,11 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
+        if self.subset is not None and self.subset < 1:
+            raise ValueError("subset must be positive")
+        for name in ("iterations", "eval_every", "probe_every"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
             raise ValueError("lr milestones must be strictly increasing")
         object.__setattr__(self, "lr_milestones", tuple(self.lr_milestones))

@@ -229,6 +229,51 @@ class TestConv:
         want = conv_oracle(x, w, b, kernel)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [(3, 3, 2, 1), (2, 2, 2, 0)])
+    def test_non_square_odd_input_matches_oracle(self, kernel):
+        # H != W, both odd: a swapped spatial axis cannot pass unnoticed
+        rng = Rng(9)
+        x = rng.child(0).normal(1.0, (2, 3, 5, 7))
+        w = rng.child(1).normal(1.0, (4, 3, kernel[0], kernel[1]))
+        b = rng.child(2).normal(1.0, 4)
+        got = mn.conv2d_forward(x, w, b, kernel)
+        want = conv_oracle(x, w, b, kernel)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_non_square_conv_net_finite_difference(self):
+        rng = Rng(14)
+        spec = mn.allconv(2, [3, 4], 3, kernel=3, strides=[2, 1])
+        params = random_params(spec, rng, scale=0.3)
+        x = rng.child(40).normal(1.0, (2, 2, 5, 7))
+        y = np.asarray(rng.child(41).integers(3, size=2))
+
+        def loss_fn():
+            _, l = mn.forward(spec, params, x, y)
+            return l
+
+        trace, _ = mn.forward(spec, params, x, y)
+        grads = mn.backward(spec, params, trace, y)
+        pairs = [(x, grads.batch)]
+        for t in range(len(spec.layers)):
+            pairs += [(params[t]["W"], grads.weight[t]), (params[t]["b"], grads.bias[t])]
+        worst = max(gradient_errors(g, numeric_gradient(loss_fn, arr))[0]
+                    for arr, g in pairs)
+        assert worst < 1e-5
+
+    def test_gradient_shapes_keep_the_public_layout(self):
+        rng = Rng(15)
+        spec = mn.allconv(2, [3, 4], 3, kernel=3, strides=[2, 1])
+        params = random_params(spec, rng)
+        x = rng.child(40).normal(1.0, (2, 2, 5, 7))
+        y = np.asarray(rng.child(41).integers(3, size=2))
+        trace, _ = mn.forward(spec, params, x, y)
+        grads = mn.backward(spec, params, trace, y)
+        for t, layer in enumerate(spec.layers):
+            assert grads.weight[t].shape == layer.weight_shape
+            assert grads.bias[t].shape == (layer.d_out,)
+        assert grads.batch.shape == x.shape
+
     def test_conv_net_finite_difference(self):
         rng = Rng(13)
         spec = mn.allconv(2, [4, 4], 3, kernel=3, strides=[1, 2])

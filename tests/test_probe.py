@@ -157,6 +157,47 @@ class TestLinearReplay:
         assert np.var(lin[-1]) > 100 * np.var(trace.acts[-1])
 
 
+class TestConvLayout:
+    def test_rows_match_nchw_reference_activations(self):
+        # the probe's per-layer statistics do not depend on the memory
+        # layout the mainnet keeps its conv activations in
+        rng = Rng(4)
+        mspec = mn.MainnetSpec(layers=(
+            mn.LayerSpec("conv", 2, 3, kernel=(3, 3, 1, 1), activation="relu"),
+            mn.LayerSpec("conv", 3, 4, kernel=(3, 3, 2, 1), activation="tanh"),
+            mn.LayerSpec("dense", 4, 3)), loss="cross-entropy")
+        params = [{"W": rng.child(2 * t).normal(0.5, l.weight_shape),
+                   "b": rng.child(2 * t + 1).normal(0.5, l.d_out)}
+                  for t, l in enumerate(mspec.layers)]
+        x = rng.child(9).normal(1.0, (3, 2, 5, 7))
+
+        def reference(activations):
+            preacts, acts, h = [], [], x
+            for layer, p in zip(mspec.layers, params):
+                if layer.kind == "conv":
+                    y = mn.conv2d_forward(h, p["W"], p["b"], layer.kernel)
+                else:
+                    y = h.mean(axis=(2, 3)) @ p["W"].T + p["b"]
+                h = mn.activate(layer.activation if activations else "identity", y)
+                preacts.append(y)
+                acts.append(h)
+            return preacts, acts
+
+        trace, _ = mn.forward(mspec, params, x)
+        linear = probe.linear_activation_variances(mspec, params, x)
+        rows = {(r.kind, r.layer): r
+                for r in probe.snapshot(0, trace, linear_acts=linear).rows}
+        preacts, acts = reference(True)
+        _, linear_acts = reference(False)
+        for kind, arrays in ((probe.PREACT, preacts), (probe.ACT, acts),
+                             (probe.LINEAR_ACT, linear_acts)):
+            for t, a in enumerate(arrays):
+                row = rows[(kind, t)]
+                assert row.n == a.size
+                assert row.mean == pytest.approx(a.mean(), rel=1e-10)
+                assert row.var == pytest.approx(a.var(), rel=1e-10)
+
+
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         net, mspec, params, trace, grads, hyper = small_setup()

@@ -39,6 +39,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(lr_milestones=(5, 3))
 
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", -2), ("subset", -10), ("subset", 0),
+        ("eval_every", -1), ("probe_every", -3),
+    ])
+    def test_bad_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", 0), ("iterations", None), ("eval_every", 0),
+        ("eval_every", None), ("probe_every", 0), ("probe_every", None),
+        ("subset", 1), ("subset", None),
+    ])
+    def test_zero_and_none_counts_allowed(self, field, value):
+        assert getattr(tr.TrainConfig(**{field: value}), field) == value
+
     def test_lr_schedule(self):
         cfg = tr.TrainConfig(learning_rate=1.0, lr_milestones=(2, 4), lr_decay=0.1)
         assert cfg.lr_at(0) == 1.0
