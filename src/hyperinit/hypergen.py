@@ -18,6 +18,11 @@ gamma``). Three head topologies are supported:
 ``backward`` pushes mainnet parameter gradients through the heads, the trunk,
 and into the embeddings. For shared heads the head gradient is the sum of the
 per-target contributions, which combats the usual head-gradient shrinkage.
+
+Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``:
+trunks, then heads, then embeddings, so the updatable arrays form the prefix
+``flat[:n_updatable]``. Each ``backward`` call returns a fresh gradient vector
+with the same layout, so one SGD step is one check and one update.
 """
 
 from dataclasses import dataclass
@@ -88,9 +93,19 @@ class Trunk:
         self.in_dim = in_dim
         self.widths = tuple(widths)
         self.activation = activation
-        dims = (in_dim,) + self.widths
-        self.weights = [np.zeros((b, a), dtype=DTYPE) for a, b in zip(dims, dims[1:])]
-        self.biases = [np.zeros(b, dtype=DTYPE) for b in self.widths]
+        self.weights, self.biases = [], []   # views set by bind()
+
+    def shapes(self):
+        dims = (self.in_dim,) + self.widths
+        out = {}
+        for i, (a, b) in enumerate(zip(dims, dims[1:])):
+            out[f"{self.name}.W{i}"] = (b, a)
+            out[f"{self.name}.b{i}"] = (b,)
+        return out
+
+    def bind(self, views):
+        self.weights = [views[f"{self.name}.W{i}"] for i in range(len(self.widths))]
+        self.biases = [views[f"{self.name}.b{i}"] for i in range(len(self.widths))]
 
     @property
     def out_dim(self):
@@ -159,13 +174,14 @@ class LinearHead:
             raise SpecError(f"head shared across different-size layers {self.targets}; "
                             "only the chunked topology can cover mixed shapes")
         self.shape = shapes.pop()
-        n_out = int(np.prod(self.shape))
-        self.H = np.zeros((n_out, d_in), dtype=DTYPE)
-        self.beta = np.zeros(n_out, dtype=DTYPE)
+        self.array_keys = tuple(f"{key}.{name}" for name in slot.names)
 
-    def arrays(self):
-        h, beta = self.slot.names
-        return {f"{self.key}.{h}": self.H, f"{self.key}.{beta}": self.beta}
+    def shapes(self):
+        n_out = int(np.prod(self.shape))
+        return dict(zip(self.array_keys, ((n_out, self.d_in), (n_out,))))
+
+    def bind(self, views):
+        self.H, self.beta = (views[key] for key in self.array_keys)
 
     def emb_key(self, t):
         return f"emb.{self.slot.tag}{t}"
@@ -187,9 +203,9 @@ class LinearHead:
             d = dslot[self.targets[0]].reshape(-1, 1)
         else:
             d = np.stack([dslot[t].ravel() for t in self.targets], axis=1)
-        h, beta = self.arrays()
-        grads.by_key[h] = d @ x[list(self.rows)]
-        grads.by_key[beta] = d.sum(axis=1)
+        h, beta = (grads.by_key[key] for key in self.array_keys)
+        np.matmul(d, x[list(self.rows)], out=h)
+        d.sum(axis=1, out=beta)
         dfeat = (self.H.T @ d).T
         for i, (t, row) in enumerate(zip(self.targets, self.rows)):
             dx[row] += dfeat[i]
@@ -232,14 +248,15 @@ class ChunkedHeadGroup:
             self.layer_rows[t] = (start, len(index))
         self.index = tuple(index)
         self.n_chunks = len(index)
-        self.H = np.zeros((k * n * n, emb_dim), dtype=DTYPE)
-        self.beta = np.zeros(k * n * n, dtype=DTYPE)
-        self.proj = np.zeros((self.n_chunks, emb_dim, emb_dim), dtype=DTYPE)
-        self.proj_bias = np.zeros((self.n_chunks, emb_dim), dtype=DTYPE)
+        self.array_keys = tuple(f"{self.key}.{name}"
+                                for name in ("H", "beta", "proj", "proj_bias"))
 
-    def arrays(self):
-        return {f"{self.key}.{name}": getattr(self, name)
-                for name in ("H", "beta", "proj", "proj_bias")}
+    def shapes(self):
+        width, d, m = self.plan.K * self.plan.n ** 2, self.proj_dim, self.n_chunks
+        return dict(zip(self.array_keys, ((width, d), (width,), (m, d, d), (m, d))))
+
+    def bind(self, views):
+        self.H, self.beta, self.proj, self.proj_bias = (views[key] for key in self.array_keys)
 
     def emb_key(self, t):
         return self.source
@@ -264,7 +281,7 @@ class ChunkedHeadGroup:
         k, n = self.plan.K, self.plan.n
         if scheme.kind == schemes.SMALL_RANDOM:
             var = scheme.scale_param ** 2
-            for a in self.arrays().values():
+            for a in (self.H, self.beta, self.proj, self.proj_bias):
                 a[:] = draw(var, a.shape)
             return
         kind = _classical_kind(scheme)
@@ -297,11 +314,11 @@ class ChunkedHeadGroup:
             lo, hi = self.layer_rows[t]
             dcm[lo:hi] = self.disassemble(dslot[t], t, layer)
         dalphas = dcm @ self.H
-        h, beta, proj, proj_bias = self.arrays()
-        grads.by_key[h] = dcm.T @ alphas
-        grads.by_key[beta] = dcm.sum(axis=0)
-        grads.by_key[proj] = np.einsum("mp,md->mpd", dalphas, x)
-        grads.by_key[proj_bias] = dalphas
+        h, beta, proj, proj_bias = (grads.by_key[key] for key in self.array_keys)
+        np.matmul(dcm.T, alphas, out=h)
+        dcm.sum(axis=0, out=beta)
+        np.einsum("mp,md->mpd", dalphas, x, out=proj)
+        proj_bias[...] = dalphas
         dx += np.einsum("mpd,mp->md", self.proj, dalphas)
         for t in self.targets:
             lo, hi = self.layer_rows[t]
@@ -319,7 +336,8 @@ class GenTrace:
 
 @dataclass
 class HyperGrads:
-    by_key: dict
+    flat: np.ndarray           # one gradient vector laid out like Hypernet.flat
+    by_key: dict               # name -> view of flat, keyed like param_arrays()
     head_feature_grads: dict   # ("w"|"b", layer) -> dL/d(head input features)
 
 
@@ -394,21 +412,41 @@ class Hypernet:
                                          (head.source,))
         self.heads = self.weight_groups + self.bias_groups
         self._heads_by_target = {(h.slot.param, t): h for h in self.heads for t in h.targets}
+        self._allocate()
 
     # ---- parameter access -------------------------------------------------
 
+    def _allocate(self):
+        """Lay every array out in ``self.flat`` and bind its owner to a view:
+        trunks, heads, then embeddings, so the updatable arrays come first.
+        The buffer is allocated once; only the (small) sampled embeddings are
+        copied in."""
+        shapes = {}
+        for part in self.trunks + self.heads:
+            shapes.update(part.shapes())
+        shapes.update((key, emb.values.shape) for key, emb in self.embeddings.items())
+        self._layout, lo = [], 0
+        for key, shape in shapes.items():
+            hi = lo + int(np.prod(shape))
+            self._layout.append((key, lo, hi, shape))
+            lo = hi
+        self.flat = np.zeros(lo, dtype=DTYPE)
+        self._arrays = self._views(self.flat)
+        for part in self.trunks + self.heads:
+            part.bind(self._arrays)
+        for key, emb in self.embeddings.items():
+            self._arrays[key][...] = emb.values
+            emb.values = self._arrays[key]
+        fixed = 0 if self.hspec.embeddings_trainable else sum(
+            emb.values.size for emb in self.embeddings.values())
+        self.n_updatable = self.flat.size - fixed
+
+    def _views(self, vector):
+        return {key: vector[lo:hi].reshape(shape) for key, lo, hi, shape in self._layout}
+
     def param_arrays(self):
         """Flat name -> array view of every parameter, embeddings included."""
-        out = {}
-        for trunk in self.trunks:
-            for i, (w, b) in enumerate(zip(trunk.weights, trunk.biases)):
-                out[f"{trunk.name}.W{i}"] = w
-                out[f"{trunk.name}.b{i}"] = b
-        for head in self.heads:
-            out.update(head.arrays())
-        for key, emb in self.embeddings.items():
-            out[key] = emb.values
-        return out
+        return dict(self._arrays)
 
     def updatable_keys(self):
         return {key for key in self.param_arrays()
@@ -495,23 +533,28 @@ class Hypernet:
         """Map mainnet parameter gradients to hypernet parameter gradients."""
         if self.bias_targets and bias_grads is None:
             raise SpecError("bias gradients required: this hypernet generates biases")
-        grads = HyperGrads(by_key={}, head_feature_grads={})
+        flat = np.zeros_like(self.flat)   # fresh per call: callers keep by_key arrays
+        grads = HyperGrads(flat=flat, by_key=self._views(flat), head_feature_grads={})
         dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
         dfeats = {name: np.zeros_like(f) for name, f in trace.feats.items()}
         for head, cache in zip(self.heads, trace.head_caches):
             head.backward(trace.feats[head.source], cache, dslots[head.slot.param],
                           dfeats[head.source], grads)
+        reached = set()
         for name, (trunk, keys) in self.sources.items():
             dws, dbs, demb = trunk.backward(trace.trunk_caches[name], dfeats[name])
             for i, (dw, db) in enumerate(zip(dws, dbs)):
-                # A shared trunk is reached from both sources: gradients add.
                 for key, d in ((f"{trunk.name}.W{i}", dw), (f"{trunk.name}.b{i}", db)):
-                    grads.by_key[key] = grads.by_key[key] + d if key in grads.by_key else d
+                    if trunk in reached:   # a shared trunk's second source: gradients add
+                        grads.by_key[key] += d
+                    else:
+                        grads.by_key[key][...] = d
+            reached.add(trunk)
             lo = 0
             for key in keys:
-                values = self.embeddings[key].values
-                hi = lo + values.size // trunk.in_dim
-                grads.by_key[key] = demb[lo:hi].reshape(values.shape)
+                g = grads.by_key[key]
+                hi = lo + g.size // trunk.in_dim
+                g[...] = demb[lo:hi].reshape(g.shape)
                 lo = hi
         return grads
 

@@ -11,8 +11,9 @@ layer is dense. Conv activations are channels-last inside the net: the
 the trace (inputs after the first, pre-activations, activations, patch
 matrices) and of ``MainnetGrads.acts`` is (B, H, W, C), and so is the output
 of a net that ends in a conv layer. The caller-facing layouts stay NCHW/OIHW:
-``trace.inputs[0]``, ``MainnetGrads.batch`` and ``conv2d_forward`` use
-(B, C, H, W), and conv weights and their gradients (C_out, C_in, kh, kw).
+``trace.inputs[0]`` and ``conv2d_forward`` use (B, C, H, W), and conv weights
+and their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient
+for the input batch: nothing trains it.
 Overflowing activations (|y| > 1e30 or non-finite) are
 reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
@@ -230,13 +231,17 @@ def _conv_forward(x, weight, bias, kernel):
     return y.reshape(x.shape[0], *out_hw, -1), cols
 
 
-def _conv_backward(cols, x_shape, weight, kernel, dy):
+def _conv_backward(cols, weight, dy):
+    """OIHW weight and bias gradients of an NHWC conv from its patch matrix."""
     c_out, c_in, kh, kw = weight.shape
     dy_mat = dy.reshape(-1, c_out)
     dw = (dy_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-    db = dy_mat.sum(axis=0)
-    dx = _col2im(dy_mat @ _weight_matrix(weight), x_shape, kernel, dy.shape[1:3])
-    return np.ascontiguousarray(dw), db, dx
+    return np.ascontiguousarray(dw), dy_mat.sum(axis=0)
+
+
+def _conv_input_grad(x_shape, weight, kernel, dy):
+    dy_mat = dy.reshape(-1, weight.shape[0])
+    return _col2im(dy_mat @ _weight_matrix(weight), x_shape, kernel, dy.shape[1:3])
 
 
 def conv2d_forward(x, weight, bias, kernel):
@@ -328,7 +333,6 @@ class MainnetGrads:
     weight: list
     bias: list
     acts: list   # acts[t] = dL/d(activation output of layer t), NHWC for conv
-    batch: np.ndarray  # dL/d(input batch), in the batch's own (NCHW) layout
 
 
 def backward(spec, params, trace, labels):
@@ -347,15 +351,16 @@ def backward(spec, params, trace, labels):
         if layer.kind == DENSE:
             dW[t] = dy.T @ trace.inputs[t]
             db[t] = dy.sum(axis=0)
+        else:
+            dW[t], db[t] = _conv_backward(trace.conv_cols[t][0], params[t]["W"], dy)
+        if t == 0:
+            break   # the input batch is not trained: no gradient for it
+        if layer.kind == DENSE:
             dx = dy @ params[t]["W"]
         else:
-            cols, x_shape = trace.conv_cols[t]
-            dW[t], db[t], dx = _conv_backward(cols, x_shape, params[t]["W"],
-                                              layer.kernel, dy)
+            dx = _conv_input_grad(trace.conv_cols[t][1], params[t]["W"], layer.kernel, dy)
         if t in trace.pool_shape:
             shape = trace.pool_shape[t]
             dx = np.broadcast_to(
                 dx[:, None, None, :] / (shape[1] * shape[2]), shape).copy()
-    if dx.ndim == 4:
-        dx = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))   # back to NCHW
-    return MainnetGrads(weight=dW, bias=db, acts=dacts, batch=dx)
+    return MainnetGrads(weight=dW, bias=db, acts=dacts)

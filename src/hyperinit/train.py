@@ -6,9 +6,12 @@ and the gradient check. ``train`` runs one loop over a preset's batch
 schedule: shuffled epochs, or a sequence of tasks of sampled batches.
 
 Only hypernet parameters and trainable embeddings are ever updated, through
-``sgd_step``. For identity-trunk, fixed-embedding hypernets (the MNIST-style
-presets) the loop's updater uses an exact reparameterization instead: SGD on
-a linear head (H, beta) with fixed embeddings moves the generated weights by
+``sgd_step`` on the updatable prefix of the hypernet's flat parameter vector
+and the same prefix of the flat gradient: one finiteness check refuses the
+whole step, one in-place update takes it. For identity-trunk, fixed-embedding
+hypernets (the MNIST-style presets) the loop's updater uses an exact
+reparameterization instead: SGD on a linear head (H, beta) with fixed
+embeddings moves the generated weights by
 
     W_s  <-  W_s - lr * sum_t (<e_t, e_s> + 1) * dW_t
 
@@ -80,15 +83,12 @@ class TrainConfig:
         return self.learning_rate * self.lr_decay ** bisect_right(self.lr_milestones, epoch)
 
 
-def sgd_step(params, grads, lr, updatable=None):
-    """In-place params -= lr * grads; returns False (and changes nothing) on
-    non-finite gradients."""
-    items = [(k, g) for k, g in grads.items() if updatable is None or k in updatable]
-    for _, g in items:
-        if not np.all(np.isfinite(g)):
-            return False
-    for k, g in items:
-        params[k] -= lr * g
+def sgd_step(params, grads, lr):
+    """In-place params -= lr * grads on two same-shape arrays; returns False
+    (and changes nothing) if any gradient entry is non-finite."""
+    if not np.isfinite(grads).all():
+        return False
+    params -= lr * grads
     return True
 
 
@@ -127,20 +127,20 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True):
 
 
 class _HeadSpaceSgd:
-    """Updater applying ``sgd_step`` to every updatable hypernet array."""
+    """Updater applying ``sgd_step`` to the updatable prefix of the hypernet's
+    flat parameter vector."""
 
     carried = None   # no carried parameters: pipeline_step generates them
 
     def __init__(self, net: Hypernet):
         self.net = net
-        self.arrays = net.param_arrays()
-        self.updatable = net.updatable_keys()
 
     def current_params(self):
         return self.net.generate()[0]
 
     def update(self, step, lr):
-        return sgd_step(self.arrays, step.hyper.by_key, lr, self.updatable)
+        n = self.net.n_updatable
+        return sgd_step(self.net.flat[:n], step.hyper.flat[:n], lr)
 
     def sync(self):
         pass
@@ -392,7 +392,7 @@ def _classification_schedule(preset, config, rng, mspec, data_dir, data):
 def _regression_schedule(preset, config, rng, mspec, data_dir, data):
     """Tasks in sequence, ``iterations`` (default 400) sampled batches each."""
     tasks = data if data is not None else make_regression_tasks(config.seed)
-    count = config.iterations or 400
+    count = 400 if config.iterations is None else config.iterations
     return Schedule(((i, _sampled_batches(rng.child(200 + i), task.train_x, task.train_y,
                                           count, config.batch_size),
                       (task.test_x, task.test_y))
@@ -467,8 +467,9 @@ def _run(net, mspec, config, schedule, result):
                 result.task_init_losses.append(segment[0])
             if result.diverged:
                 break
-            tail = max(1, len(segment) // 10)
-            result.task_final_losses.append(float(np.mean(segment[-tail:])))
+            if segment:
+                tail = max(1, len(segment) // 10)
+                result.task_final_losses.append(float(np.mean(segment[-tail:])))
         if segment:
             result.epoch_train_loss.append(float(np.mean(segment)))
         if result.diverged:

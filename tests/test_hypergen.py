@@ -199,6 +199,48 @@ class TestChunked:
             assert np.var(params[t]["W"]) == pytest.approx(target, rel=0.05)
 
 
+def chunked_net():
+    mspec = mn.allconv(2, [4], 2, kernel=3)
+    hspec = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
+                            chunk=hg.ChunkPlan(K=2, n=3))
+    return hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-in"), Rng(0))
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("build", [
+        lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True,
+                                 embeddings_trainable=True)[0],
+        lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True,
+                                 shared_trunk=True)[0],
+        lambda: simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE)[0],
+        chunked_net,
+    ])
+    def test_arrays_are_views_of_one_vector_updatable_first(self, build):
+        net = build()
+        arrays = net.param_arrays()
+        assert sum(a.size for a in arrays.values()) == net.flat.size
+        for key, a in arrays.items():
+            assert np.shares_memory(a, net.flat), key
+        prefix = net.flat[:net.n_updatable]
+        updatable = {k for k, a in arrays.items() if np.shares_memory(a, prefix)}
+        assert updatable == net.updatable_keys()
+
+    def test_gradients_share_the_layout(self):
+        net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True)
+        params, trace = net.generate()
+        hyper = net.backward(trace, [np.ones_like(p["W"]) for p in params],
+                             [np.ones_like(p["b"]) for p in params])
+        assert hyper.flat.shape == net.flat.shape
+        arrays = net.param_arrays()
+        assert hyper.by_key.keys() == arrays.keys()
+        for key, g in hyper.by_key.items():
+            assert g.shape == arrays[key].shape
+            offset = (g.__array_interface__["data"][0]
+                      - hyper.flat.__array_interface__["data"][0])
+            assert offset == (arrays[key].__array_interface__["data"][0]
+                              - net.flat.__array_interface__["data"][0])
+
+
 class TestBackwardGenerate:
     def test_zero_grads_give_zero_hypernet_grads(self):
         net, mspec = simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE, bias=True)
@@ -253,6 +295,23 @@ class TestBackwardGenerate:
             solo[t] = dw[t]
             total += net.backward(trace, solo).by_key[f"wg{gi}.H"]
         np.testing.assert_allclose(full, total, rtol=1e-12, atol=1e-15)
+
+    def test_each_call_returns_fresh_gradients(self):
+        # callers keep by_key arrays across calls: a second call must not
+        # write into the first call's arrays
+        net, _ = simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE, bias=True,
+                                  hidden=(3,), embeddings_trainable=True)
+        params, trace = net.generate()
+        rng = Rng(12)
+        dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
+        db = [rng.child(10 + t).normal(1.0, p["b"].shape) for t, p in enumerate(params)]
+        first = net.backward(trace, dw, db).by_key
+        kept = {key: g.copy() for key, g in first.items()}
+        second = net.backward(trace, [2.0 * d for d in dw], [2.0 * d for d in db]).by_key
+        assert first.keys() == second.keys()
+        for key, g in first.items():
+            assert not np.shares_memory(g, second[key])
+            np.testing.assert_array_equal(g, kept[key])
 
     def test_missing_bias_grads_rejected(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, bias=True)

@@ -182,23 +182,6 @@ class TestBackward:
                 worst = max(worst, rel)
         assert worst < 1e-5
 
-    def test_input_gradient_matches_finite_difference(self):
-        rng = Rng(33)
-        spec = mn.mlp([4, 6, 2], activation="tanh", loss="mse")
-        params = random_params(spec, rng)
-        x = rng.child(1).normal(1.0, (3, 4))
-        y = rng.child(2).normal(1.0, (3, 2))
-        trace, _ = mn.forward(spec, params, x, y)
-        grads = mn.backward(spec, params, trace, y)
-
-        def loss_fn():
-            _, l = mn.forward(spec, params, x, y)
-            return l
-
-        num = numeric_gradient(loss_fn, x)
-        rel, _ = gradient_errors(grads.batch, num)
-        assert rel < 1e-5
-
 
 class TestConv:
     def test_one_by_one_kernel_is_per_pixel_dense(self):
@@ -254,7 +237,7 @@ class TestConv:
 
         trace, _ = mn.forward(spec, params, x, y)
         grads = mn.backward(spec, params, trace, y)
-        pairs = [(x, grads.batch)]
+        pairs = []
         for t in range(len(spec.layers)):
             pairs += [(params[t]["W"], grads.weight[t]), (params[t]["b"], grads.bias[t])]
         worst = max(gradient_errors(g, numeric_gradient(loss_fn, arr))[0]
@@ -272,7 +255,6 @@ class TestConv:
         for t, layer in enumerate(spec.layers):
             assert grads.weight[t].shape == layer.weight_shape
             assert grads.bias[t].shape == (layer.d_out,)
-        assert grads.batch.shape == x.shape
 
     def test_conv_net_finite_difference(self):
         rng = Rng(13)

@@ -3,8 +3,9 @@
 Each drawn case picks a head layout (per-layer, shared-same-size or chunked),
 generated biases on or off, a trunk of depth 0 or 1 (shared between the
 weight and bias sides or not) and fixed or trainable embeddings. Every case
-must pass the whole-pipeline finite-difference check, and every chunked head
-must map its chunk slots one-to-one onto weight entries.
+must pass the whole-pipeline finite-difference check, every chunked head
+must map its chunk slots one-to-one onto weight entries, and the head-space
+SGD updater must step exactly like plain per-array SGD.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from hyperinit import mainnet as mn
 from hyperinit.gradcheck import check_pipeline
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
+from hyperinit.train import _HeadSpaceSgd as HeadSpaceSgd
+from hyperinit.train import pipeline_step
 
 # Central differences straddle a ReLU kink now and then (the chunked layout
 # runs ReLU conv layers); a fixed example set keeps the suite deterministic.
@@ -23,7 +26,8 @@ CASES = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def hypernet_cases(draw):
+def hypernet_builds(draw):
+    """(build, mainnet spec, x, y): build() returns a fresh copy of one net."""
     topology = draw(st.sampled_from(hg.TOPOLOGIES))
     bias = draw(st.booleans())
     depth = draw(st.integers(0, 1))
@@ -52,8 +56,10 @@ def hypernet_cases(draw):
         x = rng.child(5).normal(1.0, (3, dims[0]))
         y = rng.child(6).normal(1.0, (3, dims[-1]))
     scheme = parse_scheme(draw(st.sampled_from(["hyperfan-in", "hyperfan-out"])))
-    net = hg.init_hypernet(hspec, mspec, scheme, rng)
-    return net, mspec, x, y
+    return (lambda: hg.init_hypernet(hspec, mspec, scheme, rng)), mspec, x, y
+
+
+hypernet_cases = hypernet_builds().map(lambda case: (case[0](),) + case[1:])
 
 
 def chunked_heads(net):
@@ -62,14 +68,14 @@ def chunked_heads(net):
             if key.startswith("cg") and key.endswith(".H")]
 
 
-@given(hypernet_cases())
+@given(hypernet_cases)
 @CASES
 def test_pipeline_gradients_match_finite_differences(case):
     rel, _ = check_pipeline(*case)
     assert rel < 1e-5
 
 
-@given(hypernet_cases())
+@given(hypernet_cases)
 @CASES
 def test_chunk_assembly_is_a_bijection(case):
     net, mspec, _, _ = case
@@ -83,3 +89,28 @@ def test_chunk_assembly_is_a_bijection(case):
             assert w.shape == layer.weight_shape
             assert sorted(w.ravel().tolist()) == marks[lo:hi].ravel().tolist()
             np.testing.assert_array_equal(head.disassemble(w, t, layer), marks[lo:hi])
+
+
+def reference_sgd_step(net, grads, lr):
+    """Per-array SGD: refuse the step if any updatable gradient is non-finite."""
+    arrays, keys = net.param_arrays(), net.updatable_keys()
+    if not all(np.isfinite(grads[k]).all() for k in keys):
+        return False
+    for k in keys:
+        arrays[k] -= lr * grads[k]
+    return True
+
+
+@given(hypernet_builds())
+@CASES
+def test_head_space_sgd_matches_per_array_reference(case):
+    build, mspec, x, y = case
+    net, ref = build(), build()
+    updater = HeadSpaceSgd(net)
+    for _ in range(3):
+        step = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+        ref_step = pipeline_step(ref, mspec, x, y, stop_on_divergence=False)
+        assert updater.update(step, 0.05) == reference_sgd_step(ref, ref_step.hyper.by_key, 0.05)
+    want = ref.param_arrays()
+    for key, a in net.param_arrays().items():
+        np.testing.assert_array_equal(a, want[key], err_msg=key)

@@ -64,33 +64,32 @@ class TestTrainConfig:
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
-        p = {"a": np.array([1.0, 2.0])}
-        assert tr.sgd_step(p, {"a": np.array([5.0, 5.0])}, 0.0)
-        np.testing.assert_array_equal(p["a"], [1.0, 2.0])
+        p = np.array([1.0, 2.0])
+        assert tr.sgd_step(p, np.array([5.0, 5.0]), 0.0)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_scalar_hand_example(self):
-        p = {"a": np.array([1.0])}
-        tr.sgd_step(p, {"a": np.array([2.0])}, 0.1)
-        assert p["a"][0] == pytest.approx(0.8)
+        p = np.array([1.0])
+        tr.sgd_step(p, np.array([2.0]), 0.1)
+        assert p[0] == pytest.approx(0.8)
 
     def test_nonfinite_gradient_rejects_whole_step(self):
-        p = {"a": np.array([1.0]), "b": np.array([1.0])}
-        ok = tr.sgd_step(p, {"a": np.array([np.nan]), "b": np.array([1.0])}, 0.1)
+        p = np.array([1.0, 1.0])
+        ok = tr.sgd_step(p, np.array([np.nan, 1.0]), 0.1)
         assert not ok
-        np.testing.assert_array_equal(p["b"], [1.0])
+        np.testing.assert_array_equal(p, [1.0, 1.0])
 
     def test_updatable_filter(self):
-        p = {"a": np.array([1.0]), "emb": np.array([1.0])}
-        tr.sgd_step(p, {"a": np.array([1.0]), "emb": np.array([1.0])}, 0.5,
-                    updatable={"a"})
-        assert p["a"][0] == 0.5
-        assert p["emb"][0] == 1.0
+        # the updatable parameters are a prefix view: entries past it stay
+        p, g = np.array([1.0, 1.0]), np.array([1.0, np.inf])
+        assert tr.sgd_step(p[:1], g[:1], 0.5)
+        np.testing.assert_array_equal(p, [0.5, 1.0])
 
     def test_quadratic_convergence(self):
-        p = {"x": np.array([10.0])}
+        p = np.array([10.0])
         for _ in range(1000):
-            tr.sgd_step(p, {"x": 2.0 * (p["x"] - 3.0)}, 0.1)
-        assert abs(p["x"][0] - 3.0) < 1e-6
+            tr.sgd_step(p, 2.0 * (p - 3.0), 0.1)
+        assert abs(p[0] - 3.0) < 1e-6
 
 
 class TestFastPath:
@@ -172,6 +171,24 @@ class TestFastPath:
                                0.1)
 
 
+class TestHeadSpaceSgd:
+    def test_nonfinite_fixed_embedding_gradient_is_ignored(self):
+        mspec = mn.mlp([3, 4, 2], activation="tanh", loss="mse")
+        hspec = hg.HypernetSpec(embedding_dim=3, hidden_layers=(4,), trunk_activation="tanh",
+                                head_topology=hg.PER_LAYER)
+        net = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(2))
+        rng = Rng(3)
+        step = tr.pipeline_step(net, mspec, rng.child(0).normal(1.0, (5, 3)),
+                                rng.child(1).normal(1.0, (5, 2)))
+        step.hyper.by_key["emb.w0"][...] = np.nan
+        before = {key: a.copy() for key, a in net.param_arrays().items()}
+        assert tr._HeadSpaceSgd(net).update(step, 0.1)
+        after = net.param_arrays()
+        np.testing.assert_array_equal(after["emb.w0"], before["emb.w0"])
+        for key in ("trunk_h.W0", "wg0.H"):   # the rest of the step was taken
+            assert not np.array_equal(after[key], before[key])
+
+
 class TestClassificationLoop:
     def test_deterministic_curves(self, tiny_classification):
         name, data = tiny_classification
@@ -230,6 +247,15 @@ class TestRegressionLoop:
         res = tr.train("regression-seq", cfg)
         assert len(res.task_init_losses) == 3
         assert len(res.task_final_losses) == 3
+        assert not res.diverged
+
+    def test_zero_iterations_take_no_steps(self):
+        from dataclasses import replace
+        cfg = replace(tr.config_for("regression-seq"), iterations=0)
+        res = tr.train("regression-seq", cfg)
+        assert res.steps == 0
+        assert res.task_init_losses == [] and res.task_final_losses == []
+        assert res.final_metric is None
         assert not res.diverged
 
     def test_deterministic(self):
