@@ -39,6 +39,30 @@ def _positive_int(text):
     return v
 
 
+def _seed_list(text):
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    if not seeds:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integer seeds")
+    return seeds
+
+
+def _learning_rate(text):
+    v = float(text)
+    if not np.isfinite(v) or v < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite learning rate >= 0, got {v}")
+    return v
+
+
+def _variance(text):
+    v = float(text)
+    if not np.isfinite(v) or v <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite variance > 0, got {v}")
+    return v
+
+
 def _geometry(text):
     parts = text.split(",")
     if len(parts) != 4:
@@ -81,8 +105,8 @@ def build_parser():
     it = sub.add_parser("init-table", help="tabulate every scheme's variances")
     it.add_argument("--geometry", type=_geometry, required=True,
                     metavar="d_i,d_j,d_k,d_l")
-    it.add_argument("--var-e", type=float, default=1.0)
-    it.add_argument("--var-e2", type=float, default=None)
+    it.add_argument("--var-e", type=_variance, default=1.0)
+    it.add_argument("--var-e2", type=_variance, default=None)
     it.add_argument("--receptive-field", type=_positive_int, default=1)
     it.add_argument("--relu", action="store_true")
     it.add_argument("--gen-bias", action="store_true")
@@ -92,12 +116,12 @@ def build_parser():
     tr.add_argument("--preset", required=True, choices=sorted(PRESETS))
     tr.add_argument("--init", default="hyperfan-in", choices=schemes.ALL_KINDS)
     tr.add_argument("--epochs", type=_positive_int, default=None)
-    tr.add_argument("--lr", type=float, default=None)
+    tr.add_argument("--lr", type=_learning_rate, default=None)
     tr.add_argument("--batch", type=_positive_int, default=None)
     tr.add_argument("--subset", type=_positive_int, default=None)
     tr.add_argument("--iterations", type=_positive_int, default=None)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--seeds", default=None,
+    tr.add_argument("--seeds", type=_seed_list, default=None,
                     help="comma-separated seed list; runs each seed independently")
     tr.add_argument("--probe-every", type=_positive_int, default=None)
     tr.add_argument("--eval-every", type=_positive_int, default=None)
@@ -197,15 +221,9 @@ def cmd_init_table(args):
     return 0
 
 
-def _parse_seeds(args):
-    if args.seeds:
-        return [int(s) for s in args.seeds.split(",") if s.strip()]
-    return [args.seed]
-
-
 def cmd_train(args):
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV) or "."
-    seeds = _parse_seeds(args)
+    seeds = args.seeds or [args.seed]
     worst = 0
     for seed in seeds:
         config = config_for(args.preset, learning_rate=args.lr,
@@ -242,8 +260,10 @@ def cmd_grad_check(args):
 
 def cmd_report(args):
     with open(args.inp, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    reports = rows_from_dict(data)
+        try:
+            reports = rows_from_dict(json.load(f))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise FormatError(f"{args.inp} is not a probe report: {e!r}") from e
     if args.csv:
         write_csv(args.csv, reports)
         print(f"wrote {args.csv}")

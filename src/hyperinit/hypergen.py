@@ -1,10 +1,13 @@
 """Hypernetwork engines: generate mainnet parameters from embeddings.
 
-A hypernet owns embeddings, trunks (dense stacks shared by heads), and
-generator heads with one interface: ``generate`` writes mainnet parameters
-from input features, ``backward`` maps their gradients back. Weights and
-biases share one ``LinearHead`` class (``W = H h(e) + beta``, ``b = G g(e) +
-gamma``). Three head topologies are supported:
+A hypernet owns sources and generator heads. A source is one (rows, d_e)
+block of embeddings, a row per target, read through its own trunk (a dense
+stack, identity when empty): ``"w"`` through trunk_h, ``"b"`` through
+trunk_g, and each chunked head's ``emb.c<i>`` through an identity trunk.
+Heads share one interface: ``generate`` writes mainnet parameters from source
+features, ``backward`` maps their gradients back. Weights and biases share
+one ``LinearHead`` class (``W = H h(e) + beta``, ``b = G g(e) + gamma``).
+Three head topologies are supported:
 
 * ``per-layer``: every target layer gets its own linear head.
 * ``shared-same-size``: layers with identical weight shapes share one head,
@@ -20,9 +23,10 @@ and into the embeddings. For shared heads the head gradient is the sum of the
 per-target contributions, which combats the usual head-gradient shrinkage.
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``:
-trunks, then heads, then embeddings, so the updatable arrays form the prefix
-``flat[:n_updatable]``. Each ``backward`` call returns a fresh gradient vector
-with the same layout, so one SGD step is one check and one update.
+trunks, then heads, then each source's block, so the updatable arrays form the
+prefix ``flat[:n_updatable]``. Each ``backward`` call returns a fresh gradient
+vector with the same layout, so one SGD step is one check and one update.
+The head formulas read the declared embedding variance, ``Var(e)``.
 """
 
 from dataclasses import dataclass
@@ -32,8 +36,8 @@ import numpy as np
 from . import init_schemes as schemes
 from .init_schemes import FanGeometry, InitScheme
 from .mainnet import (CONV, GENERATED_BIAS, RELU, MainnetSpec, SpecError,
-                      activate, activation_grad, zero_params)
-from .tensor import DTYPE, Distribution, Rng, empirical_variance, sample
+                      activate, activation_grad)
+from .tensor import DTYPE, UNIFORM, Distribution, Rng, sample
 
 PER_LAYER = "per-layer"
 SHARED_SAME_SIZE = "shared-same-size"
@@ -63,8 +67,6 @@ class HypernetSpec:
     head_topology: str = SHARED_SAME_SIZE
     generates_bias: bool = False
     chunk: ChunkPlan | None = None
-    var_e_mode: str = "declared"   # "declared" | "empirical"
-    shared_trunk: bool = False
     normalize_embeddings: bool = False
 
     def __post_init__(self):
@@ -75,14 +77,6 @@ class HypernetSpec:
             raise SpecError(f"unknown head topology {self.head_topology!r}")
         if self.head_topology == CHUNKED and self.chunk is None:
             raise SpecError("chunked topology requires a ChunkPlan")
-        if self.var_e_mode not in ("declared", "empirical"):
-            raise SpecError(f"unknown var_e mode {self.var_e_mode!r}")
-
-
-@dataclass
-class Embedding:
-    values: np.ndarray
-    targets: tuple   # the mainnet layer each row of values feeds
 
 
 class Trunk:
@@ -122,17 +116,29 @@ class Trunk:
             xs.append(x)
         return x, (xs, ys)
 
-    def backward(self, cache, dfeat):
+    def backward(self, cache, dfeat, grads):
+        """Write dL/d(trunk params) into ``grads``; return dL/d(embeddings)."""
         xs, ys = cache
-        dws = [None] * len(self.weights)
-        dbs = [None] * len(self.weights)
         dx = dfeat
         for i in range(len(self.weights) - 1, -1, -1):
             dy = activation_grad(self.activation, ys[i], xs[i + 1], dx)
-            dws[i] = dy.T @ xs[i]
-            dbs[i] = dy.sum(axis=0)
+            np.matmul(dy.T, xs[i], out=grads.by_key[f"{self.name}.W{i}"])
+            dy.sum(axis=0, out=grads.by_key[f"{self.name}.b{i}"])
             dx = dy @ self.weights[i]
-        return dws, dbs, dx
+        return dx
+
+
+@dataclass
+class Source:
+    """``trunk`` over one (rows, d_e) embedding block, the view ``block`` of
+    ``Hypernet.flat[span[0]:span[1]]``. Row i feeds mainnet layer
+    ``targets[i]``; ``shapes`` holds the block's parameter keys in row order."""
+
+    trunk: Trunk
+    shapes: dict
+    targets: tuple
+    span: tuple = None
+    block: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,6 @@ class LinearHead:
 
     def bind(self, views):
         self.H, self.beta = (views[key] for key in self.array_keys)
-
-    def emb_key(self, t):
-        return f"emb.{self.slot.tag}{t}"
 
     def initialize(self, net, scheme, draw):
         t0 = self.targets[0]
@@ -258,9 +261,6 @@ class ChunkedHeadGroup:
     def bind(self, views):
         self.H, self.beta, self.proj, self.proj_bias = (views[key] for key in self.array_keys)
 
-    def emb_key(self, t):
-        return self.source
-
     def assemble(self, chunk_mat, t, layer):
         k, n = self.plan.K, self.plan.n
         lo, hi = self.layer_rows[t]
@@ -327,7 +327,11 @@ class ChunkedHeadGroup:
 
 @dataclass
 class GenTrace:
-    """Intermediate activations of one generate() call, kept for backward."""
+    """Intermediate activations of one generate() call, kept for backward.
+
+    An identity trunk's features are its source's embedding block itself, a
+    view of ``Hypernet.flat``: a trace is valid only until the next update.
+    """
 
     feats: dict          # source name -> (rows, d) head input features
     trunk_caches: dict   # source name -> trunk forward cache
@@ -344,10 +348,8 @@ class HyperGrads:
 class Hypernet:
     """Generates and backpropagates through all mainnet parameters.
 
-    Heads read their input from named sources: ``"w"`` and ``"b"`` push the
-    per-layer weight and bias embeddings through trunk_h and trunk_g, and
-    each chunked head reads its own embedding matrix through an identity
-    trunk.
+    ``sources`` maps each source name (``"w"``, ``"b"``, ``emb.c<i>``) to its
+    ``Source``; trunk_g never shares trunk_h's arrays.
     """
 
     def __init__(self, mspec: MainnetSpec, hspec: HypernetSpec, rng: Rng):
@@ -365,66 +367,61 @@ class Hypernet:
             raise SpecError("chunked topology requires at least one conv layer")
         self.bias_targets = tuple(bias_layers)
 
-        self.trunk_h = Trunk("trunk_h", d_e, hspec.hidden_layers, hspec.trunk_activation)
-        self.trunk_g = (None if not bias_layers else self.trunk_h if hspec.shared_trunk
-                        else Trunk("trunk_g", d_e, hspec.hidden_layers, hspec.trunk_activation))
-        self.trunks = [self.trunk_h] + (
-            [self.trunk_g] if self.trunk_g not in (None, self.trunk_h) else [])
-
-        dist = hspec.embedding_distribution
-        erng = rng.child(0)
-
-        def add_embedding(key, shape, targets):
-            e = sample(dist, shape, erng)
-            if hspec.normalize_embeddings and dist.variance > 0:
-                # Pin each embedding's empirical second moment to the declared
-                # variance, so head-variance checks see the formula rather than
-                # the luck of one finite draw.
-                m2 = np.mean(np.square(e), axis=-1, keepdims=True)
-                e = e * np.sqrt(dist.variance / m2)
-            self.embeddings[key] = Embedding(e, targets)
-
-        self.embeddings = {}
-        self.sources = {}   # name -> (trunk, embedding keys stacked in order)
-        groups = {}
+        self.trunks = [Trunk(name, d_e, hspec.hidden_layers, hspec.trunk_activation)
+                       for name in (("trunk_h", "trunk_g") if bias_layers else ("trunk_h",))]
+        self.sources = {}
+        groups = {BIAS: []}
         shared = hspec.head_topology == SHARED_SAME_SIZE
-        for slot, trunk, targets in ((WEIGHT, self.trunk_h, plain_targets),
-                                     (BIAS, self.trunk_g, bias_layers)):
+        for slot, trunk, targets in zip((WEIGHT, BIAS), self.trunks,
+                                        (plain_targets, bias_layers)):
             by_head = {}   # one head per target, or per same-size group when shared
             for t in targets:
                 by_head.setdefault(slot.shape(mspec.layers[t]) if shared else t, []).append(t)
             groups[slot] = [LinearHead(slot, f"{slot.tag}g{i}", ts,
                                        [targets.index(t) for t in ts], mspec, trunk.out_dim)
                             for i, ts in enumerate(by_head.values())]
-            for t in targets:
-                add_embedding(f"emb.{slot.tag}{t}", d_e, (t,))
             if targets:
-                self.sources[slot.tag] = (trunk, tuple(f"emb.{slot.tag}{t}" for t in targets))
+                self.sources[slot.tag] = Source(
+                    trunk, {f"emb.{slot.tag}{t}": (d_e,) for t in targets}, tuple(targets))
         self.weight_groups = groups[WEIGHT]
         self.bias_groups = groups[BIAS]
         if chunk_targets:
             head = ChunkedHeadGroup(len(self.weight_groups), chunk_targets, mspec,
                                     hspec.chunk, d_e)
             self.weight_groups.append(head)
-            add_embedding(head.source, (head.n_chunks, d_e),
-                          tuple(t for t, _, _ in head.index))
-            self.sources[head.source] = (Trunk(None, d_e, (), hspec.trunk_activation),
-                                         (head.source,))
+            self.sources[head.source] = Source(
+                Trunk(None, d_e, (), hspec.trunk_activation),
+                {head.source: (head.n_chunks, d_e)}, tuple(t for t, _, _ in head.index))
         self.heads = self.weight_groups + self.bias_groups
         self._heads_by_target = {(h.slot.param, t): h for h in self.heads for t in h.targets}
         self._allocate()
+
+        dist = hspec.embedding_distribution
+        erng = rng.child(0)
+        for src in self.sources.values():
+            e = sample(dist, src.block.shape, erng)
+            if hspec.normalize_embeddings and dist.variance > 0:
+                # Pin each embedding's empirical second moment to the declared
+                # variance, so head-variance checks see the formula rather than
+                # the luck of one finite draw.
+                m2 = np.mean(np.square(e), axis=-1, keepdims=True)
+                e = e * np.sqrt(dist.variance / m2)
+            src.block[...] = e
 
     # ---- parameter access -------------------------------------------------
 
     def _allocate(self):
         """Lay every array out in ``self.flat`` and bind its owner to a view:
-        trunks, heads, then embeddings, so the updatable arrays come first.
-        The buffer is allocated once; only the (small) sampled embeddings are
-        copied in."""
+        trunks, heads, then each source's embedding block, so the updatable
+        arrays come first. The buffer is allocated once."""
         shapes = {}
         for part in self.trunks + self.heads:
             shapes.update(part.shapes())
-        shapes.update((key, emb.values.shape) for key, emb in self.embeddings.items())
+        lo = n_params = sum(int(np.prod(shape)) for shape in shapes.values())
+        for src in self.sources.values():
+            src.span = (lo, lo + len(src.targets) * self.hspec.embedding_dim)
+            lo = src.span[1]
+            shapes.update(src.shapes)
         self._layout, lo = [], 0
         for key, shape in shapes.items():
             hi = lo + int(np.prod(shape))
@@ -434,12 +431,9 @@ class Hypernet:
         self._arrays = self._views(self.flat)
         for part in self.trunks + self.heads:
             part.bind(self._arrays)
-        for key, emb in self.embeddings.items():
-            self._arrays[key][...] = emb.values
-            emb.values = self._arrays[key]
-        fixed = 0 if self.hspec.embeddings_trainable else sum(
-            emb.values.size for emb in self.embeddings.values())
-        self.n_updatable = self.flat.size - fixed
+        for src in self.sources.values():
+            src.block = self.flat[slice(*src.span)].reshape(len(src.targets), -1)
+        self.n_updatable = self.flat.size if self.hspec.embeddings_trainable else n_params
 
     def _views(self, vector):
         return {key: vector[lo:hi].reshape(shape) for key, lo, hi, shape in self._layout}
@@ -454,21 +448,14 @@ class Hypernet:
 
     # ---- initialization ---------------------------------------------------
 
-    def _var_e(self, key):
-        values = self.embeddings[key].values
-        if self.hspec.var_e_mode == "empirical" and values.size >= 2:
-            return empirical_variance(values)
-        return self.hspec.embedding_distribution.variance
-
     def geometry(self, t):
         """Fan geometry of the generator heads targeting mainnet layer t."""
         layer = self.mspec.layers[t]
-        w_head, b_head = self.head_of(t), self.head_of(t, BIAS.param)
-        var_e2, d_l = ((self._var_e(b_head.emb_key(t)), b_head.d_in) if b_head
-                       else (1.0, 1))
-        return FanGeometry(d_i=layer.d_out, d_j=layer.d_in, d_k=w_head.d_in, d_l=d_l,
-                           var_e1=self._var_e(w_head.emb_key(t)), var_e2=var_e2,
-                           receptive_field=layer.receptive_field)
+        var_e = self.hspec.embedding_distribution.variance
+        b_head = self.head_of(t, BIAS.param)
+        d_l, var_e2 = (b_head.d_in, var_e) if b_head else (1, 1.0)
+        return FanGeometry(d_i=layer.d_out, d_j=layer.d_in, d_k=self.head_of(t).d_in, d_l=d_l,
+                           var_e1=var_e, var_e2=var_e2, receptive_field=layer.receptive_field)
 
     def head_of(self, t, param=WEIGHT.param):
         """The head generating ``param`` ("W" or "b") of mainnet layer t, or None."""
@@ -487,12 +474,11 @@ class Hypernet:
         baselines override this: small-random draws everything at
         scale_param^2, classical schemes apply their formula to each trunk
         matrix as well). Heads receive the scheme's weight/bias variance on
-        their target geometry; beta and gamma start at zero.
+        their target geometry; beta and gamma start at zero. Every draw is
+        uniform.
         """
-        fam = scheme.family
-
         def draw(var, shape):
-            return sample(Distribution(fam, var), shape, rng)
+            return sample(Distribution(UNIFORM, var), shape, rng)
 
         for trunk in self.trunks:
             trunk_relu = scheme.relu_gain and trunk.activation == RELU
@@ -511,8 +497,8 @@ class Hypernet:
             head.initialize(self, scheme, draw)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
-            for emb in self.embeddings.values():
-                for row, t in zip(emb.values.reshape(len(emb.targets), -1), emb.targets):
+            for src in self.sources.values():
+                for row, t in zip(src.block, src.targets):
                     row[:] = self.mspec.layers[t].fan_in ** -0.5
         return self
 
@@ -520,12 +506,10 @@ class Hypernet:
 
     def generate(self):
         """Produce all mainnet parameters plus the trace needed for backward."""
-        params = zero_params(self.mspec)
+        params = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.mspec.layers]
         feats, caches = {}, {}
-        for name, (trunk, keys) in self.sources.items():
-            emb = np.concatenate([self.embeddings[k].values.reshape(-1, trunk.in_dim)
-                                  for k in keys])
-            feats[name], caches[name] = trunk.forward(emb)
+        for name, src in self.sources.items():
+            feats[name], caches[name] = src.trunk.forward(src.block)
         head_caches = [head.generate(feats[head.source], params) for head in self.heads]
         return params, GenTrace(feats, caches, head_caches)
 
@@ -540,22 +524,9 @@ class Hypernet:
         for head, cache in zip(self.heads, trace.head_caches):
             head.backward(trace.feats[head.source], cache, dslots[head.slot.param],
                           dfeats[head.source], grads)
-        reached = set()
-        for name, (trunk, keys) in self.sources.items():
-            dws, dbs, demb = trunk.backward(trace.trunk_caches[name], dfeats[name])
-            for i, (dw, db) in enumerate(zip(dws, dbs)):
-                for key, d in ((f"{trunk.name}.W{i}", dw), (f"{trunk.name}.b{i}", db)):
-                    if trunk in reached:   # a shared trunk's second source: gradients add
-                        grads.by_key[key] += d
-                    else:
-                        grads.by_key[key][...] = d
-            reached.add(trunk)
-            lo = 0
-            for key in keys:
-                g = grads.by_key[key]
-                hi = lo + g.size // trunk.in_dim
-                g[...] = demb[lo:hi].reshape(g.shape)
-                lo = hi
+        for name, src in self.sources.items():
+            demb = src.trunk.backward(trace.trunk_caches[name], dfeats[name], grads)
+            flat[slice(*src.span)] = demb.ravel()
         return grads
 
 

@@ -79,14 +79,11 @@ class InitScheme:
     kind: str
     relu_gain: bool = True
     hypernet_bias: bool = False
-    family: str = "uniform"
     scale_param: float | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown init scheme {self.kind!r}; expected one of {ALL_KINDS}")
-        if self.family not in ("uniform", "normal"):
-            raise ValueError(f"unknown distribution family {self.family!r}")
         if self.scale_param is None and self.kind in DEFAULT_SCALE:
             object.__setattr__(self, "scale_param", DEFAULT_SCALE[self.kind])
 

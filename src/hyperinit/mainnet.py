@@ -251,10 +251,13 @@ def conv2d_forward(x, weight, bias, kernel):
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(spec, params, batch, labels=None):
     """Run the net; returns (trace, loss) with loss None when labels are absent.
 
     The trace keeps every pre- and post-activation for backprop and probing.
+    Overflow raises no floating-point warning: the trace records the first
+    overflowing layer, and the caller judges a non-finite or huge loss.
     """
     x = np.asarray(batch, dtype=DTYPE)
     if x.ndim == 4:
@@ -274,8 +277,7 @@ def forward(spec, params, batch, labels=None):
             y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel)
             trace.conv_cols[t] = (cols, x.shape)
         if trace.overflow_layer is None:
-            with np.errstate(invalid="ignore"):
-                m = np.abs(y).max()
+            m = np.abs(y).max()
             if not np.isfinite(m) or m > OVERFLOW_LIMIT:
                 trace.overflow_layer = t
         # a conv net's inputs[0] stays the caller's NCHW batch

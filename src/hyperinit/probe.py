@@ -64,8 +64,13 @@ def _stat(rows, step, layer, kind, values):
     values = np.asarray(values, dtype=DTYPE).ravel()
     if values.size < 2:
         return
+    # The sums and divisions of values.mean() and values.var(), with the mean
+    # taken once: the same bits in one pass fewer.
+    mean = values.sum() / values.size
+    dev = values - mean
+    dev *= dev
     rows.append(StatRow(step=step, layer=layer, kind=kind,
-                        mean=float(values.mean()), var=float(values.var()),
+                        mean=float(mean), var=float(dev.sum() / values.size),
                         n=int(values.size)))
 
 

@@ -26,7 +26,6 @@ baseline initializations are expected to end this way.
 """
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,8 +59,6 @@ class TrainConfig:
     scheme: str = "hyperfan-in"
     probe_every: int = 1000
     eval_every: int | None = 200
-    lr_milestones: tuple = ()
-    lr_decay: float = 0.1
     subset: int | None = None
     iterations: int | None = None   # per-task iteration cap (regression / conv desk runs)
 
@@ -75,12 +72,6 @@ class TrainConfig:
         for name in ("iterations", "eval_every", "probe_every"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
-            raise ValueError("lr milestones must be strictly increasing")
-        object.__setattr__(self, "lr_milestones", tuple(self.lr_milestones))
-
-    def lr_at(self, epoch):
-        return self.learning_rate * self.lr_decay ** bisect_right(self.lr_milestones, epoch)
 
 
 def sgd_step(params, grads, lr):
@@ -343,7 +334,7 @@ def _test_metric(mspec, params, x, y, chunk=500):
 
 @dataclass
 class Schedule:
-    """``segments`` yields (lr index, (x, y) batches, (x, y) test set) per epoch
+    """``segments`` yields (index, (x, y) batches, (x, y) test set) per epoch
     or task. Without a ``probe`` batch a run takes no probes and its initial
     loss is its first batch loss. ``tasks`` segments each record their first
     and tail loss, keep curve windows inside the task, record nothing when cut
@@ -444,14 +435,13 @@ def _run(net, mspec, config, schedule, result):
     step = 0
     losses = []   # the loss of every batch, in order
     for index, batches, test in schedule.segments:
-        lr = config.lr_at(index)
         first = len(losses)
         floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
         for xb, yb in batches:
             s = pipeline_step(net, mspec, xb, yb, updater.carried)
             if not s.diverged:
                 losses.append(s.loss)
-            if s.diverged or not updater.update(s, lr):
+            if s.diverged or not updater.update(s, config.learning_rate):
                 result.diverged, result.divergence_step = True, step
                 break
             step += 1

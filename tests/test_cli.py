@@ -34,6 +34,23 @@ class TestUsageErrors:
         code, *_ = run(capsys, "variance-check", "--scheme", "magic")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--seeds", "1,x"),
+        ("train", "--seeds", ","),
+        ("train", "--lr", "-1"),
+        ("train", "--lr", "nan"),
+        ("init-table", "--var-e", "0"),
+        ("init-table", "--var-e", "nan"),
+        ("init-table", "--var-e2", "-1"),
+    ])
+    def test_bad_flag_value_rejected(self, capsys, argv):
+        command, *flags = argv
+        preset = (("--preset", "regression-seq", "--iterations", "2") if command == "train"
+                  else ("--geometry", "1,1,1,1"))
+        code, _, err = run(capsys, command, *preset, *flags)
+        assert code == 2
+        assert f"argument {flags[0]}" in err
+
 
 class TestInitTable:
     def test_hyperfan_in_row_value(self, capsys):
@@ -180,3 +197,15 @@ class TestReport:
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--in", str(tmp_path / "nope.json"))
         assert code == 3
+
+    @pytest.mark.parametrize("text", [
+        "{bad",                                  # not JSON
+        '{"0": {"0": {"act": {"var": 1.0}}}}',   # a row without its mean
+        "[1, 2]",                                # not step -> layer -> kind
+    ])
+    def test_malformed_report_is_format_error(self, capsys, tmp_path, text):
+        path = tmp_path / "probe.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "report", "--in", str(path))
+        assert code == 3
+        assert "is not a probe report" in err

@@ -5,7 +5,7 @@ from hyperinit import hypergen as hg
 from hyperinit import init_schemes as s
 from hyperinit import mainnet as mn
 from hyperinit.gradcheck import run_suite
-from hyperinit.tensor import Rng
+from hyperinit.tensor import Distribution, Rng
 
 
 def simple_dense_net(widths, topology, scheme="hyperfan-in", emb=4, seed=0,
@@ -71,7 +71,7 @@ class TestGenerate:
         g = net.weight_groups[0]
         g.H[:] = np.arange(8.0).reshape(4, 2)
         g.beta[:] = 0.0
-        net.embeddings["emb.w0"].values[:] = 1.0
+        net.param_arrays()["emb.w0"][:] = 1.0
         params, _ = net.generate()
         np.testing.assert_allclose(params[0]["W"].ravel(), g.H.sum(axis=1))
 
@@ -107,6 +107,23 @@ class TestGenerate:
         params, _ = net.generate()
         var = np.var(params[0]["W"])    # 10^6 generated entries
         assert var == pytest.approx(1 / 500, rel=0.02)
+
+    @pytest.mark.parametrize("scheme", ["hyperfan-in", "hyperfan-out"])
+    def test_declared_embedding_variance_reaches_the_generated_weights(self, scheme):
+        # the head formulas divide by the declared Var(e); normal embeddings
+        # of variance 0.25 must still land the weights on the classical target
+        mspec = mn.mlp([500, 2000], activation="identity", loss="mse")
+        hspec = hg.HypernetSpec(embedding_dim=50, head_topology=hg.PER_LAYER,
+                                embedding_distribution=Distribution("normal", 0.25),
+                                normalize_embeddings=True)
+        sch = s.parse_scheme(scheme)
+        net = hg.init_hypernet(hspec, mspec, sch, Rng(3))
+        geom = net.geometry(0)
+        assert geom.var_e1 == 0.25
+        params, _ = net.generate()
+        want = s.generated_weight_variance(net.layer_scheme(sch, 0), geom)
+        assert want == pytest.approx(1 / 500 if scheme == "hyperfan-in" else 1 / 2000)
+        assert np.var(params[0]["W"]) == pytest.approx(want, rel=0.02)
 
     def test_fan_in_on_head_is_width_independent(self):
         net, mspec = simple_dense_net([784, 500, 10], hg.PER_LAYER,
@@ -207,14 +224,15 @@ def chunked_net():
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("build", [
+    BUILDS = [
         lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True,
                                  embeddings_trainable=True)[0],
-        lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True,
-                                 shared_trunk=True)[0],
+        lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True)[0],
         lambda: simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE)[0],
         chunked_net,
-    ])
+    ]
+
+    @pytest.mark.parametrize("build", BUILDS)
     def test_arrays_are_views_of_one_vector_updatable_first(self, build):
         net = build()
         arrays = net.param_arrays()
@@ -224,6 +242,21 @@ class TestFlatLayout:
         prefix = net.flat[:net.n_updatable]
         updatable = {k for k, a in arrays.items() if np.shares_memory(a, prefix)}
         assert updatable == net.updatable_keys()
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_each_source_is_one_block_of_its_embeddings(self, build):
+        net = build()
+        arrays = net.param_arrays()
+        covered = []
+        for name, src in net.sources.items():
+            lo, hi = src.span
+            assert src.block.shape == (len(src.targets), net.hspec.embedding_dim), name
+            assert np.shares_memory(src.block, net.flat[lo:hi]), name
+            assert src.block.size == hi - lo, name
+            inside = {k for k, a in arrays.items() if np.shares_memory(a, src.block)}
+            assert inside == set(src.shapes), name
+            covered += src.shapes
+        assert sorted(covered) == sorted(k for k in arrays if k.startswith("emb."))
 
     def test_gradients_share_the_layout(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True)
@@ -257,7 +290,7 @@ class TestBackwardGenerate:
         dw = [np.zeros_like(p["W"]) for p in params]
         dw[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
         hyper = net.backward(trace, dw)
-        e = net.embeddings["emb.w0"].values
+        e = net.param_arrays()["emb.w0"]
         np.testing.assert_allclose(hyper.by_key["wg0.H"],
                                    np.outer(dw[0].ravel(), e))
         np.testing.assert_allclose(hyper.by_key["wg0.beta"], dw[0].ravel())
@@ -329,24 +362,6 @@ class TestPipelineGradients:
         for name, (rel, _) in results.items():
             assert rel < 1e-5, f"{name}: {rel}"
 
-    def test_shared_trunk_gradients(self):
-        # single trunk feeding both weight and bias heads: gradients from the
-        # two sides accumulate into the same matrices
-        from hyperinit.gradcheck import check_pipeline
-        mspec = mn.mlp([4, 5, 3], activation="relu", loss="mse",
-                       bias_source="generated")
-        hspec = hg.HypernetSpec(embedding_dim=3, hidden_layers=(4,),
-                                trunk_activation="tanh", shared_trunk=True,
-                                embeddings_trainable=True,
-                                head_topology=hg.PER_LAYER, generates_bias=True)
-        rng = Rng(11)
-        net = hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-in"), rng)
-        assert net.trunk_g is net.trunk_h
-        x = rng.child(5).normal(1.0, (4, 4))
-        y = rng.child(6).normal(1.0, (4, 3))
-        rel, _ = check_pipeline(net, mspec, x, y)
-        assert rel < 1e-5
-
 
 class TestGradientShrink:
     def test_formula_values(self):
@@ -388,23 +403,18 @@ class TestEmbeddings:
 
     def test_declared_uniform_distribution_bound(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, emb=64)
-        e = net.embeddings["emb.w0"].values
+        e = net.param_arrays()["emb.w0"]
         assert np.abs(e).max() <= np.sqrt(3.0)
 
     def test_normalization_pins_second_moment(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, emb=64,
                                   normalize_embeddings=True)
-        e = net.embeddings["emb.w0"].values
+        e = net.param_arrays()["emb.w0"]
         assert np.mean(e ** 2) == pytest.approx(1.0, rel=1e-12)
-
-    def test_empirical_var_e_mode_changes_geometry(self):
-        net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, emb=16,
-                                  var_e_mode="empirical")
-        emp = float(np.var(net.embeddings["emb.w0"].values))
-        assert net.geometry(0).var_e1 == pytest.approx(emp)
 
     def test_const_embedding_overwrites_with_inverse_sqrt_fan_in(self):
         net, mspec = simple_dense_net([9, 4, 2], hg.PER_LAYER,
                                       scheme="const-embedding")
-        np.testing.assert_allclose(net.embeddings["emb.w0"].values, 1 / 3)
-        np.testing.assert_allclose(net.embeddings["emb.w1"].values, 1 / 2)
+        arrays = net.param_arrays()
+        np.testing.assert_allclose(arrays["emb.w0"], 1 / 3)
+        np.testing.assert_allclose(arrays["emb.w1"], 1 / 2)

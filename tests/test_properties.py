@@ -1,8 +1,8 @@
 """Property tests over small random hypernets.
 
 Each drawn case picks a head layout (per-layer, shared-same-size or chunked),
-generated biases on or off, a trunk of depth 0 or 1 (shared between the
-weight and bias sides or not) and fixed or trainable embeddings. Every case
+generated biases on or off, a trunk of depth 0 or 1 and fixed or trainable
+embeddings. Every case
 must pass the whole-pipeline finite-difference check, every chunked head
 must map its chunk slots one-to-one onto weight entries, and the head-space
 SGD updater must step exactly like plain per-array SGD.
@@ -39,8 +39,7 @@ def hypernet_builds(draw):
         embeddings_trainable=draw(st.booleans()),
         head_topology=topology,
         generates_bias=bias,
-        chunk=hg.ChunkPlan(K=2, n=3) if topology == hg.CHUNKED else None,
-        shared_trunk=bias and draw(st.booleans()))
+        chunk=hg.ChunkPlan(K=2, n=3) if topology == hg.CHUNKED else None)
     source = mn.GENERATED_BIAS if bias else mn.ZERO_BIAS
     rng = Rng(draw(st.integers(0, 2 ** 16)))
     if topology == hg.CHUNKED:
