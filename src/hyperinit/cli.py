@@ -27,7 +27,7 @@ from .mainnet import IDENTITY, MSE, RELU, TANH, mlp
 from .probe import (StatRow, activation_variance_ratios, compare, predict,
                     rows_from_dict, snapshot, write_csv, write_json)
 from .tensor import Rng
-from .train import DataNotFoundError, PRESETS, config_for, pipeline_step, train
+from .train import DataNotFoundError, PRESETS, config_for, probe_step, train
 
 DATA_DIR_ENV = "HYPERINIT_DATA_DIR"
 
@@ -167,9 +167,9 @@ def cmd_variance_check(args):
     net = init_hypernet(hspec, mspec, scheme, rng.child(1))
     x = rng.child(2).normal(1.0, (args.batch, args.width))
     y = rng.child(3).normal(1.0, (args.batch, args.width))
-    step = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+    step, feature_grads = probe_step(net, mspec, x, y)
     report = snapshot(0, step.trace, step.params, step.grads,
-                      head_feature_grads=step.hyper.head_feature_grads)
+                      head_feature_grads=feature_grads)
     prediction = predict(scheme, mspec, net, var_input=float(np.var(x)))
     comparison = compare(report, prediction, band=(args.tol_lo, args.tol_hi))
 

@@ -21,6 +21,9 @@ Three head topologies are supported:
 ``backward`` pushes mainnet parameter gradients through the heads, the trunk,
 and into the embeddings. For shared heads the head gradient is the sum of the
 per-target contributions, which combats the usual head-gradient shrinkage.
+``feature_grads`` returns only the gradients of the heads' input features,
+which the variance probe reads: each head computes them with the same helper
+its ``backward`` uses, from its output matrix and the mainnet gradients alone.
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``:
 trunks, then heads, then each source's block, so the updatable arrays form the
@@ -200,16 +203,25 @@ class LinearHead:
         for t, row in zip(self.targets, self.rows):
             params[t][self.slot.param] = (self.H @ x[row] + self.beta).reshape(self.shape)
 
-    def backward(self, x, cache, dslot, dx, grads):
-        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+    def _slot_and_feature_grads(self, dslot):
+        """(d, dfeat): the slot gradients as (n_out, T) columns and
+        dL/d(features) as (T, d_in) rows, in target order."""
         if len(self.targets) == 1:
             d = dslot[self.targets[0]].reshape(-1, 1)
         else:
             d = np.stack([dslot[t].ravel() for t in self.targets], axis=1)
+        return d, (self.H.T @ d).T
+
+    def feature_grads(self, dslot):
+        _, dfeat = self._slot_and_feature_grads(dslot)
+        return {(self.slot.tag, t): dfeat[i] for i, t in enumerate(self.targets)}
+
+    def backward(self, x, cache, dslot, dx, grads):
+        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+        d, dfeat = self._slot_and_feature_grads(dslot)
         h, beta = (grads.by_key[key] for key in self.array_keys)
         np.matmul(d, x[list(self.rows)], out=h)
         d.sum(axis=1, out=beta)
-        dfeat = (self.H.T @ d).T
         for i, (t, row) in enumerate(zip(self.targets, self.rows)):
             dx[row] += dfeat[i]
             grads.head_feature_grads[(self.slot.tag, t)] = dfeat[i]
@@ -307,13 +319,22 @@ class ChunkedHeadGroup:
             params[t]["W"] = self.assemble(chunk_mat, t, layer)
         return alphas
 
-    def backward(self, x, alphas, dslot, dx, grads):
-        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+    def _chunk_and_feature_grads(self, dslot):
+        """(dcm, dalphas): the chunk-matrix gradient, one row per chunk, and
+        dL/d(alphas), the gradient of the shared layer's input features."""
         dcm = np.zeros((self.n_chunks, self.H.shape[0]), dtype=DTYPE)
         for t, layer in self.layers.items():
             lo, hi = self.layer_rows[t]
             dcm[lo:hi] = self.disassemble(dslot[t], t, layer)
-        dalphas = dcm @ self.H
+        return dcm, dcm @ self.H
+
+    def feature_grads(self, dslot):
+        _, dalphas = self._chunk_and_feature_grads(dslot)
+        return {("w", t): dalphas[slice(*self.layer_rows[t])] for t in self.targets}
+
+    def backward(self, x, alphas, dslot, dx, grads):
+        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+        dcm, dalphas = self._chunk_and_feature_grads(dslot)
         h, beta, proj, proj_bias = (grads.by_key[key] for key in self.array_keys)
         np.matmul(dcm.T, alphas, out=h)
         dcm.sum(axis=0, out=beta)
@@ -321,8 +342,7 @@ class ChunkedHeadGroup:
         proj_bias[...] = dalphas
         dx += np.einsum("mpd,mp->md", self.proj, dalphas)
         for t in self.targets:
-            lo, hi = self.layer_rows[t]
-            grads.head_feature_grads[("w", t)] = dalphas[lo:hi]
+            grads.head_feature_grads[("w", t)] = dalphas[slice(*self.layer_rows[t])]
 
 
 @dataclass
@@ -513,13 +533,27 @@ class Hypernet:
         head_caches = [head.generate(feats[head.source], params) for head in self.heads]
         return params, GenTrace(feats, caches, head_caches)
 
-    def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
-        """Map mainnet parameter gradients to hypernet parameter gradients."""
+    def _slot_grads(self, weight_grads, bias_grads):
         if self.bias_targets and bias_grads is None:
             raise SpecError("bias gradients required: this hypernet generates biases")
+        return {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
+
+    def feature_grads(self, weight_grads, bias_grads=None):
+        """dL/d(head input features) keyed ("w"|"b", layer), as ``backward``'s
+        ``head_feature_grads``. A feature gradient depends only on the heads'
+        output matrices and the mainnet gradients, so it needs no ``GenTrace``
+        and builds no hypernet parameter gradient."""
+        dslots = self._slot_grads(weight_grads, bias_grads)
+        out = {}
+        for head in self.heads:
+            out.update(head.feature_grads(dslots[head.slot.param]))
+        return out
+
+    def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
+        """Map mainnet parameter gradients to hypernet parameter gradients."""
+        dslots = self._slot_grads(weight_grads, bias_grads)
         flat = np.zeros_like(self.flat)   # fresh per call: callers keep by_key arrays
         grads = HyperGrads(flat=flat, by_key=self._views(flat), head_feature_grads={})
-        dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
         dfeats = {name: np.zeros_like(f) for name, f in trace.feats.items()}
         for head, cache in zip(self.heads, trace.head_caches):
             head.backward(trace.feats[head.source], cache, dslots[head.slot.param],

@@ -231,12 +231,15 @@ def _conv_forward(x, weight, bias, kernel):
     return y.reshape(x.shape[0], *out_hw, -1), cols
 
 
-def _conv_backward(cols, weight, dy):
-    """OIHW weight and bias gradients of an NHWC conv from its patch matrix."""
+def _conv_backward(cols, weight, dy, dw=None, db=None):
+    """OIHW weight and bias gradients of an NHWC conv from its patch matrix,
+    written into ``dw`` and ``db`` when given."""
     c_out, c_in, kh, kw = weight.shape
     dy_mat = dy.reshape(-1, c_out)
-    dw = (dy_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dw), dy_mat.sum(axis=0)
+    if dw is None:
+        dw = np.empty(weight.shape, dtype=DTYPE)
+    dw[...] = (dy_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+    return dw, dy_mat.sum(axis=0, out=db)
 
 
 def _conv_input_grad(x_shape, weight, kernel, dy):
@@ -337,13 +340,18 @@ class MainnetGrads:
     acts: list   # acts[t] = dL/d(activation output of layer t), NHWC for conv
 
 
-def backward(spec, params, trace, labels):
-    """Exact gradients of the batch loss for every parameter and activation."""
+def backward(spec, params, trace, labels, out=None):
+    """Exact gradients of the batch loss for every parameter and activation.
+
+    ``out`` is an optional ``MainnetGrads`` whose ``weight`` and ``bias``
+    entries are arrays or None: a layer's gradient is written into its array
+    in place, and the returned gradients hold that same array.
+    """
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
         raise SpecError("trace does not match the spec")
-    dW = [None] * n_layers
-    db = [None] * n_layers
+    dW = [None] * n_layers if out is None else list(out.weight)
+    db = [None] * n_layers if out is None else list(out.bias)
     dacts = [None] * n_layers
     dx = loss_output_grad(spec, trace.output, labels)
     for t in range(n_layers - 1, -1, -1):
@@ -351,10 +359,11 @@ def backward(spec, params, trace, labels):
         dacts[t] = dx
         dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
         if layer.kind == DENSE:
-            dW[t] = dy.T @ trace.inputs[t]
-            db[t] = dy.sum(axis=0)
+            dW[t] = np.matmul(dy.T, trace.inputs[t], out=dW[t])
+            db[t] = dy.sum(axis=0, out=db[t])
         else:
-            dW[t], db[t] = _conv_backward(trace.conv_cols[t][0], params[t]["W"], dy)
+            dW[t], db[t] = _conv_backward(trace.conv_cols[t][0], params[t]["W"], dy,
+                                          dW[t], db[t])
         if t == 0:
             break   # the input batch is not trained: no gradient for it
         if layer.kind == DENSE:

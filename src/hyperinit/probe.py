@@ -79,8 +79,8 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
     """Deterministic per-layer statistics of one probe batch.
 
     ``trace`` is a mainnet ForwardTrace; ``grads`` a MainnetGrads; the
-    optional ``head_feature_grads`` come from Hypernet.backward and measure
-    the gradient entering the hypernet; ``linear_acts`` are activations of an
+    optional ``head_feature_grads`` come from Hypernet.feature_grads and
+    measure the gradient entering the hypernet; ``linear_acts`` are activations of an
     identity-activation replay of the same weights (the exploding-variance
     diagnostic, unsquashed by tanh).
     """

@@ -2,7 +2,10 @@
 
 ``pipeline_step`` (generate, forward, stop if diverged, backward,
 Hypernet.backward) serves the training loop, the probe, the variance check
-and the gradient check. ``train`` runs one loop over a preset's batch
+and the gradient check. The probe and the variance check read only head
+feature gradients: ``probe_step`` runs the step on freshly generated
+parameters and asks ``Hypernet.feature_grads`` for them, so no hypernet
+parameter gradient is built. ``train`` runs one loop over a preset's batch
 schedule: shuffled epochs, or a sequence of tasks of sampled batches.
 
 Only hypernet parameters and trainable embeddings are ever updated, through
@@ -17,8 +20,12 @@ embeddings moves the generated weights by
 
 so it can carry the generated weights directly and reconstruct the head
 update lazily (solving the small Gram system) whenever the head itself is
-needed. This is algebraically identical to stepping (H, beta) and orders of
-magnitude cheaper when the head is large.
+needed: at each probe and when the loop ends, however it ends. This is
+algebraically identical to stepping (H, beta) and orders of magnitude cheaper
+when the head is large. Each head keeps its targets' weights and gradients as
+two preallocated (T, n) stacks; ``mainnet.backward`` writes the gradients into
+their rows in place, and a step is one finiteness check over every head, then
+one Gram GEMM and one in-place update per head.
 
 Divergence (non-finite or > 1e30 loss/activations, or non-finite gradients)
 halts training and returns partial results with the step recorded; several
@@ -40,7 +47,7 @@ from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
                       ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
                       backward, forward, mlp, mse_loss)
 from .probe import linear_activation_variances, snapshot, write_csv, write_json
-from .tensor import Rng
+from .tensor import DTYPE, Rng
 
 DIVERGENCE_LIMIT = 1e30
 PROBE_BATCH = 300
@@ -100,10 +107,11 @@ class Step:
     hyper: HyperGrads | None = None
 
 
-def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True):
+def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=None):
     """Generate the mainnet parameters (unless carried ``params`` are given),
     run forward, stop if diverged, then backpropagate through the mainnet and,
-    for generated parameters, through the hypernet."""
+    for generated parameters, through the hypernet. ``out`` holds mainnet
+    gradient buffers, as ``mainnet.backward`` takes them."""
     gtrace = None
     if params is None:
         params, gtrace = net.generate()
@@ -111,10 +119,17 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True):
     diverged = _diverged(trace, loss)
     if diverged and stop_on_divergence:
         return Step(params, trace, loss, diverged)
-    grads = backward(mspec, params, trace, y)
+    grads = backward(mspec, params, trace, y, out=out)
     hyper = None if gtrace is None else net.backward(
         gtrace, grads.weight, grads.bias if net.bias_targets else None)
     return Step(params, trace, loss, diverged, grads, hyper)
+
+
+def probe_step(net, mspec, x, y):
+    """A pipeline step on freshly generated parameters, never stopped, and
+    the head feature gradients of it, without a hypernet parameter gradient."""
+    s = pipeline_step(net, mspec, x, y, net.generate()[0], stop_on_divergence=False)
+    return s, net.feature_grads(s.grads.weight, s.grads.bias)
 
 
 class _HeadSpaceSgd:
@@ -122,6 +137,7 @@ class _HeadSpaceSgd:
     flat parameter vector."""
 
     carried = None   # no carried parameters: pipeline_step generates them
+    grads = None     # no gradient buffers: mainnet.backward allocates
 
     def __init__(self, net: Hypernet):
         self.net = net
@@ -140,7 +156,13 @@ class _HeadSpaceSgd:
 class _FixedHeadFastPath:
     """Updater that carries the generated parameters of identity-trunk,
     fixed-embedding hypernets through SGD, reconstructing the heads exactly on
-    demand."""
+    demand.
+
+    Each head owns a (T, n) stack of its targets' carried parameters, one row
+    per target, and a gradient stack of the same shape. ``grads`` holds row
+    views of the gradient stacks for ``mainnet.backward`` to write into, so
+    ``update`` reads every gradient where backward left it.
+    """
 
     @staticmethod
     def applicable(net: Hypernet):
@@ -151,38 +173,46 @@ class _FixedHeadFastPath:
 
     def __init__(self, net: Hypernet):
         self.carried, trace = net.generate()
+        n_layers = len(net.mspec.layers)
+        self.grads = MainnetGrads(weight=[None] * n_layers, bias=[None] * n_layers, acts=None)
+        buffers = {"W": self.grads.weight, "b": self.grads.bias}
         self.heads = []
         for head in net.heads:
             emb = trace.feats[head.source][list(head.rows)]
-            stack = np.stack([self.carried[t][head.slot.param].ravel() for t in head.targets])
-            for i, t in enumerate(head.targets):
-                self.carried[t][head.slot.param] = stack[i].reshape(head.shape)
+            stack = np.empty((len(head.targets), int(np.prod(head.shape))), dtype=DTYPE)
+            grad = np.zeros_like(stack)
+            for row, t in enumerate(head.targets):
+                stack[row] = self.carried[t][head.slot.param].ravel()
+                self.carried[t][head.slot.param] = stack[row].reshape(head.shape)
+                buffers[head.slot.param][t] = grad[row].reshape(head.shape)
             self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
-                               "stack": stack, "base": stack.copy()})
+                               "stack": stack, "base": stack.copy(), "grad": grad,
+                               "tmp": np.empty_like(stack)})
 
     def current_params(self):
         return self.carried
 
     def update(self, step, lr):
-        grads = {"W": step.grads.weight, "b": step.grads.bias}
+        """Step every head from the gradients in ``grads``; if any entry is
+        non-finite, refuse the step before touching any head."""
+        if not all(np.isfinite(rec["grad"]).all() for rec in self.heads):
+            return False
         for rec in self.heads:
-            head = rec["head"]
-            d = np.stack([grads[head.slot.param][t].ravel() for t in head.targets])
-            if not np.all(np.isfinite(d)):
-                return False
-            rec["stack"] -= lr * (rec["gram"] @ d)
+            np.matmul(rec["gram"], rec["grad"], out=rec["tmp"])
+            rec["tmp"] *= lr
+            rec["stack"] -= rec["tmp"]
         return True
 
     def sync(self):
         """Fold the accumulated weight motion back into the heads (exactly)."""
         for rec in self.heads:
-            delta = rec["base"] - rec["stack"]
+            delta = np.subtract(rec["base"], rec["stack"], out=rec["tmp"])
             if not delta.any():
                 continue
             acc = np.linalg.solve(rec["gram"], delta)
             rec["head"].H -= acc.T @ rec["emb"]
             rec["head"].beta -= acc.sum(axis=0)
-            rec["base"] = rec["stack"].copy()
+            np.copyto(rec["base"], rec["stack"])
 
 
 @dataclass
@@ -422,13 +452,13 @@ def _run(net, mspec, config, schedule, result):
             return
         updater.sync()
         x, y = schedule.probe
-        s = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+        s, feature_grads = probe_step(net, mspec, x, y)
         lin = linear_activation_variances(mspec, s.params, x)
         if not result.reports:   # the first probe measures the initial state
             result.init_loss = s.loss
             result.init_linear_vars = [float(np.var(a)) for a in lin]
         result.reports.append(snapshot(step, s.trace, s.params, s.grads,
-                                       head_feature_grads=s.hyper.head_feature_grads,
+                                       head_feature_grads=feature_grads,
                                        linear_acts=lin))
 
     take_probe(0)
@@ -438,7 +468,7 @@ def _run(net, mspec, config, schedule, result):
         first = len(losses)
         floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
         for xb, yb in batches:
-            s = pipeline_step(net, mspec, xb, yb, updater.carried)
+            s = pipeline_step(net, mspec, xb, yb, updater.carried, out=updater.grads)
             if not s.diverged:
                 losses.append(s.loss)
             if s.diverged or not updater.update(s, config.learning_rate):
@@ -464,6 +494,7 @@ def _run(net, mspec, config, schedule, result):
             result.epoch_train_loss.append(float(np.mean(segment)))
         if result.diverged:
             break
+    updater.sync()   # the hypernet, and so its checkpoint, holds the last step
     result.steps = step
     if result.init_loss is None and losses:
         result.init_loss = losses[0]

@@ -353,6 +353,34 @@ class TestBackwardGenerate:
         with pytest.raises(mn.SpecError):
             net.backward(trace, dw)
 
+    def test_feature_grads_need_bias_grads(self):
+        net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER, bias=True)
+        params, _ = net.generate()
+        with pytest.raises(mn.SpecError):
+            net.feature_grads([np.zeros_like(p["W"]) for p in params])
+
+    FEATURE_BUILDS = {
+        "per-layer": lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,),
+                                              seed=2)[0],
+        "shared-same-size-bias": lambda: simple_dense_net([3, 4, 4, 4, 2], hg.SHARED_SAME_SIZE,
+                                                          bias=True, seed=3)[0],
+        "chunked": chunked_net,
+    }
+
+    @pytest.mark.parametrize("build", sorted(FEATURE_BUILDS))
+    def test_feature_grads_equal_backward_head_feature_grads(self, build):
+        net = self.FEATURE_BUILDS[build]()
+        params, trace = net.generate()
+        rng = Rng(21)
+        dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
+        db = ([rng.child(10 + t).normal(1.0, p["b"].shape) for t, p in enumerate(params)]
+              if net.bias_targets else None)
+        want = net.backward(trace, dw, db).head_feature_grads
+        got = net.feature_grads(dw, db)
+        assert list(got) == list(want)   # same keys in the same order: probe rows follow it
+        for key, g in want.items():
+            np.testing.assert_array_equal(got[key], g)
+
 
 class TestPipelineGradients:
     def test_full_suite_under_1e5(self):

@@ -278,6 +278,33 @@ class TestConv:
                 worst = max(worst, rel)
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_backward_writes_into_given_arrays(self, conv):
+        rng = Rng(16)
+        if conv:
+            spec = mn.allconv(2, [3, 4], 3, kernel=3, strides=[2, 1])
+            x = rng.child(40).normal(1.0, (2, 2, 5, 7))
+        else:
+            spec = mn.mlp([5, 4, 4, 3], activation="tanh")
+            x = rng.child(40).normal(1.0, (2, 5))
+        params = random_params(spec, rng)
+        y = np.asarray(rng.child(41).integers(3, size=2))
+        trace, _ = mn.forward(spec, params, x, y)
+        want = mn.backward(spec, params, trace, y)
+        # arrays for some entries, None (allocate) for the others
+        out = mn.MainnetGrads(
+            weight=[np.full(l.weight_shape, np.nan) if t % 2 == 0 else None
+                    for t, l in enumerate(spec.layers)],
+            bias=[np.full(l.d_out, np.nan) if t % 2 == 1 else None
+                  for t, l in enumerate(spec.layers)],
+            acts=None)
+        got = mn.backward(spec, params, trace, y, out=out)
+        for given, g, w in zip(out.weight + out.bias, got.weight + got.bias,
+                               want.weight + want.bias):
+            if given is not None:
+                assert g is given
+            np.testing.assert_array_equal(g, w)
+
     def test_global_average_pool_between_conv_and_dense(self):
         spec = mn.allconv(1, [2], 3, kernel=3, strides=[1])
         params = mn.zero_params(spec)

@@ -27,6 +27,33 @@ def tiny_classification(request):
     del tr.PRESETS["tiny-clf"]
 
 
+@pytest.fixture(scope="module")
+def tiny_bias_classification(tiny_classification):
+    """A miniature ``mnist-mlp-bias``: shared same-size heads, generated biases."""
+    preset = tr.Preset(
+        name="tiny-clf-bias", kind="classification",
+        build_mainnet=lambda: mn.mlp([64, 32, 32, 32, 4], activation="tanh",
+                                     bias_source="generated"),
+        build_hspec=lambda: hg.HypernetSpec(
+            embedding_dim=8, head_topology=hg.SHARED_SAME_SIZE, generates_bias=True),
+        defaults=dict(learning_rate=2e-2, batch_size=16, epochs=2,
+                      eval_every=5, probe_every=6))
+    tr.PRESETS["tiny-clf-bias"] = preset
+    yield "tiny-clf-bias", tiny_classification[1]
+    del tr.PRESETS["tiny-clf-bias"]
+
+
+def head_space_only(monkeypatch):
+    """Make every later ``train`` call step the heads by head-space SGD."""
+    monkeypatch.setattr(tr._FixedHeadFastPath, "applicable", staticmethod(lambda net: False))
+
+
+def assert_same_hypernet(got, want, rtol):
+    for key, a in want.param_arrays().items():
+        np.testing.assert_allclose(got.param_arrays()[key], a, rtol=rtol,
+                                   atol=rtol * np.abs(a).max(), err_msg=key)
+
+
 class TestTrainConfig:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
@@ -101,11 +128,36 @@ class TestFastPath:
         deep = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(0))
         assert not tr._FixedHeadFastPath.applicable(deep)
 
+    def build_conv(self, seed=0):
+        mspec = mn.allconv(2, [4, 4], 3, kernel=3, strides=[1, 2])
+        hspec = hg.HypernetSpec(embedding_dim=4, head_topology=hg.PER_LAYER)
+        return mspec, hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"),
+                                       Rng(seed))
+
     @staticmethod
     def step_with(dw, db, hyper=None):
         """A pipeline step carrying the given mainnet (and hypernet) gradients."""
         return tr.Step(params=None, trace=None, loss=0.0, diverged=False,
                        grads=SimpleNamespace(weight=dw, bias=db), hyper=hyper)
+
+    @staticmethod
+    def step_into(fast, dw, db):
+        """Write the given mainnet gradients into the fast path's buffers, as
+        mainnet.backward does, and return a step carrying them."""
+        for buf, g in zip(fast.grads.weight + fast.grads.bias, dw + db):
+            if buf is not None:
+                buf[...] = g
+        return tr.Step(params=None, trace=None, loss=0.0, diverged=False, grads=fast.grads)
+
+    @staticmethod
+    def state(fast, net):
+        """Every array the fast path carries, and the hypernet's parameters."""
+        arrays = [net.flat]
+        for p in fast.carried:
+            arrays += [p["W"], p["b"]]
+        for rec in fast.heads:
+            arrays += [rec["stack"], rec["base"]]
+        return arrays
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_matches_head_space_sgd_exactly(self, bias):
@@ -126,7 +178,7 @@ class TestFastPath:
                   for t, p in enumerate(params)]
             hyper = net_naive.backward(gtrace, dw, db if bias else None)
             assert naive.update(self.step_with(dw, db, hyper), lr)
-            assert fast.update(self.step_with(dw, db), lr)
+            assert fast.update(self.step_into(fast, dw, db), lr)
         fast.sync()
         naive_params = naive.current_params()
         fast_params, _ = net_fast.generate()
@@ -146,7 +198,8 @@ class TestFastPath:
         for step in range(5):
             dw = [rng.child(step * 10 + t).normal(1.0, p["W"].shape)
                   for t, p in enumerate(fast.carried)]
-            fast.update(self.step_with(dw, [np.zeros(l.d_out) for l in mspec.layers]), 0.1)
+            fast.update(self.step_into(fast, dw, [np.zeros(l.d_out) for l in mspec.layers]),
+                        0.1)
         fast.sync()
         regen, _ = net.generate()
         for t in range(len(mspec.layers)):
@@ -157,8 +210,46 @@ class TestFastPath:
         mspec, net = self.build(seed=5)
         fast = tr._FixedHeadFastPath(net)
         dw = [np.full(l.weight_shape, np.nan) for l in mspec.layers]
-        assert not fast.update(self.step_with(dw, [np.zeros(l.d_out) for l in mspec.layers]),
-                               0.1)
+        db = [np.zeros(l.d_out) for l in mspec.layers]
+        assert not fast.update(self.step_into(fast, dw, db), 0.1)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_refused_step_touches_nothing(self, bias):
+        # only the last head's last target holds a NaN: no head may move
+        mspec, net = self.build(seed=6, bias=bias)
+        fast = tr._FixedHeadFastPath(net)
+        rng = Rng(8)
+        dw = [rng.child(t).normal(1.0, l.weight_shape) for t, l in enumerate(mspec.layers)]
+        db = [rng.child(10 + t).normal(1.0, l.d_out) for t, l in enumerate(mspec.layers)]
+        step = self.step_into(fast, dw, db)
+        last = fast.heads[-1]["head"]
+        buffers = {"W": fast.grads.weight, "b": fast.grads.bias}[last.slot.param]
+        buffers[last.targets[-1]].flat[-1] = np.nan
+        before = [a.copy() for a in self.state(fast, net)]
+        assert not fast.update(step, 0.1)
+        fast.sync()
+        for got, want in zip(self.state(fast, net), before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_backward_writes_into_the_gradient_stacks(self, conv):
+        mspec, net = self.build_conv(seed=2) if conv else self.build(seed=2, bias=True)
+        assert tr._FixedHeadFastPath.applicable(net)
+        fast = tr._FixedHeadFastPath(net)
+        assert all(g is not None for g in fast.grads.weight)
+        rng = Rng(31)
+        x = rng.child(0).normal(1.0, (3, 2, 6, 6) if conv else (3, 12))
+        y = np.asarray(rng.child(1).integers(mspec.output_dim, size=3))
+        step = tr.pipeline_step(net, mspec, x, y, fast.carried, out=fast.grads)
+        want = mn.backward(mspec, fast.carried, step.trace, y)
+        stacks = [rec["grad"] for rec in fast.heads]
+        for got, given, ref in zip(step.grads.weight + step.grads.bias,
+                                   fast.grads.weight + fast.grads.bias,
+                                   want.weight + want.bias):
+            if given is not None:
+                assert got is given
+                assert any(np.shares_memory(got, s) for s in stacks)
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestHeadSpaceSgd:
@@ -221,6 +312,36 @@ class TestClassificationLoop:
         assert res.diverged
         assert res.divergence_step is not None
         assert res.steps == res.divergence_step
+
+    def test_diverged_run_keeps_its_last_step(self, tiny_classification, monkeypatch):
+        # the hypernet (and so the checkpoint) of a diverged fast-path run
+        # holds every step the run took, as head-space SGD's does
+        from dataclasses import replace
+        name, data = tiny_classification
+        cfg = replace(tr.config_for(name), learning_rate=1e40)
+        fast = tr.train(name, cfg, data=data)
+        head_space_only(monkeypatch)
+        slow = tr.train(name, cfg, data=data)
+        assert fast.diverged and slow.diverged
+        assert fast.steps == slow.steps >= 1
+        assert_same_hypernet(fast.hypernet, slow.hypernet, rtol=1e-9)
+
+    def test_bias_heads_match_head_space_sgd(self, tiny_bias_classification, monkeypatch):
+        name, data = tiny_bias_classification
+        cfg = tr.config_for(name)
+        fast = tr.train(name, cfg, data=data)
+        head_space_only(monkeypatch)
+        slow = tr.train(name, cfg, data=data)
+        assert not fast.diverged and fast.steps == slow.steps == 16
+        assert [r[:2] for r in fast.curve] == [r[:2] for r in slow.curve]
+        np.testing.assert_allclose([r[2:] for r in fast.curve], [r[2:] for r in slow.curve],
+                                   rtol=1e-9)
+        assert len(fast.reports) == len(slow.reports) == 4
+        for a, b in zip(fast.reports, slow.reports):
+            assert [(r.layer, r.kind) for r in a.rows] == [(r.layer, r.kind) for r in b.rows]
+            np.testing.assert_allclose([r.var for r in a.rows], [r.var for r in b.rows],
+                                       rtol=1e-9)
+        assert_same_hypernet(fast.hypernet, slow.hypernet, rtol=1e-9)
 
     def test_curve_rows_have_metric(self, tiny_classification):
         name, data = tiny_classification
