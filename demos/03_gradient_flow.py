@@ -21,7 +21,7 @@ mspec = mn.mlp([WIDTH] * 6, activation="identity", loss="mse")
 hspec = HypernetSpec(embedding_dim=HEAD, head_topology=PER_LAYER,
                      normalize_embeddings=True)
 net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-out"), Rng(17))
-params, gtrace = net.generate()
+params, _ = net.generate()
 
 rng = Rng(18)
 x = rng.child(0).normal(1.0, (300, WIDTH))
@@ -36,8 +36,8 @@ for t, r in enumerate(probe.gradient_variance_ratios(grads)):
 print()
 print("head-gradient shrink, measured with an isotropic weight cotangent:")
 dw = [rng.child(10 + t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
-hyper = net.backward(gtrace, dw)
+feature_grads = net.feature_grads(dw)
 pred = gradient_shrink_factor(net.geometry(1))
 for t in range(len(params)):
-    measured = np.var(hyper.head_feature_grads[("w", t)]) / np.var(dw[t])
+    measured = np.var(feature_grads[("w", t)]) / np.var(dw[t])
     print(f"  layer {t}: measured {measured:6.2f}   predicted {pred:.2f}")

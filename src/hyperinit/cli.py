@@ -189,8 +189,8 @@ def cmd_variance_check(args):
               f"(ratio {r.ratio:.3f}) [{'ok' if r.passed else 'FAIL'}]")
         all_ok = all_ok and r.passed
     if args.out:
+        _write_manifest(Path(args.out).parent, args)   # makes the directory
         write_json(args.out, [report])
-        _write_manifest(Path(args.out).parent, args)
     print(f"variance-check scheme={args.scheme} depth={args.depth} "
           f"width={args.width}: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1

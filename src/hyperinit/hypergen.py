@@ -18,17 +18,24 @@ Three head topologies are supported:
   (output-block, input-channel) order. Layers the chunk grid cannot cover
   (e.g. a dense classifier) fall back to per-layer heads.
 
-``backward`` pushes mainnet parameter gradients through the heads, the trunk,
-and into the embeddings. For shared heads the head gradient is the sum of the
-per-target contributions, which combats the usual head-gradient shrinkage.
+The linear heads of one slot (weights or biases) form a ``SlotBank``: their H
+(G) matrices are consecutive row blocks of one (N, d) matrix and their beta
+(gamma) offsets consecutive pieces of one (N,) vector. ``generate`` is one GEMM
+per slot, every target's parameter a view of its rows and columns of the
+product; ``backward`` places each target's gradient in one (T, N) matrix and
+takes the head gradients and the feature gradients from it in three whole-slot
+operations. For shared heads the head gradient is the sum of the per-target
+contributions, which combats the usual head-gradient shrinkage.
 ``feature_grads`` returns only the gradients of the heads' input features,
-which the variance probe reads: each head computes them with the same helper
-its ``backward`` uses, from its output matrix and the mainnet gradients alone.
+which the variance probe reads: each source's head computes them with the same
+helper its ``backward`` uses, from its output matrix and the mainnet gradients
+alone.
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``:
-trunks, then heads, then each source's block, so the updatable arrays form the
-prefix ``flat[:n_updatable]``. Each ``backward`` call returns a fresh gradient
-vector with the same layout, so one SGD step is one check and one update.
+trunks, then each source's head arrays, then each source's embedding block, so
+the updatable arrays form the prefix ``flat[:n_updatable]``. ``backward``
+writes a gradient vector with the same layout, fresh or the caller's own, and
+overwrites every entry, so one SGD step is one check and one update.
 The head formulas read the declared embedding variance, ``Var(e)``.
 """
 
@@ -40,7 +47,7 @@ from . import init_schemes as schemes
 from .init_schemes import FanGeometry, InitScheme
 from .mainnet import (CONV, GENERATED_BIAS, RELU, MainnetSpec, SpecError,
                       activate, activation_grad)
-from .tensor import DTYPE, UNIFORM, Distribution, Rng, sample
+from .tensor import DTYPE, UNIFORM, Distribution, Rng, row_chunks, sample
 
 PER_LAYER = "per-layer"
 SHARED_SAME_SIZE = "shared-same-size"
@@ -134,10 +141,12 @@ class Trunk:
 @dataclass
 class Source:
     """``trunk`` over one (rows, d_e) embedding block, the view ``block`` of
-    ``Hypernet.flat[span[0]:span[1]]``. Row i feeds mainnet layer
-    ``targets[i]``; ``shapes`` holds the block's parameter keys in row order."""
+    ``Hypernet.flat[span[0]:span[1]]``, read by ``head`` (a ``SlotBank`` or a
+    ``ChunkedHeadGroup``). Row i feeds mainnet layer ``targets[i]``;
+    ``shapes`` holds the block's parameter keys in row order."""
 
     trunk: Trunk
+    head: object
     shapes: dict
     targets: tuple
     span: tuple = None
@@ -169,7 +178,8 @@ def _classical_kind(scheme):
 class LinearHead:
     """Linear map generating one slot of same-size layers: target ``targets[i]``
     gets ``H x[rows[i]] + beta`` from its source features x. A bias head's
-    parameter keys call H and beta G and gamma."""
+    parameter keys call H and beta G and gamma. Its ``SlotBank`` generates
+    and backpropagates it."""
 
     def __init__(self, slot, key, targets, rows, mspec, d_in):
         self.slot = slot
@@ -183,11 +193,11 @@ class LinearHead:
             raise SpecError(f"head shared across different-size layers {self.targets}; "
                             "only the chunked topology can cover mixed shapes")
         self.shape = shapes.pop()
+        self.n_out = int(np.prod(self.shape))
         self.array_keys = tuple(f"{key}.{name}" for name in slot.names)
 
     def shapes(self):
-        n_out = int(np.prod(self.shape))
-        return dict(zip(self.array_keys, ((n_out, self.d_in), (n_out,))))
+        return dict(zip(self.array_keys, ((self.n_out, self.d_in), (self.n_out,))))
 
     def bind(self, views):
         self.H, self.beta = (views[key] for key in self.array_keys)
@@ -195,36 +205,74 @@ class LinearHead:
     def initialize(self, net, scheme, draw):
         t0 = self.targets[0]
         var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
-        self.H[:] = draw(var, self.H.shape)
+        for rows in row_chunks(*self.H.shape):   # no head-sized temporary
+            self.H[rows] = draw(var, self.H[rows].shape)
         self.beta[:] = (draw(scheme.scale_param ** 2, self.beta.shape)
                         if scheme.kind == schemes.SMALL_RANDOM else 0.0)
 
+
+class SlotBank:
+    """The linear heads of one slot, read from one source, as one matrix.
+
+    Their H (G) arrays are consecutive row blocks of ``H``, (N, d), and their
+    beta (gamma) arrays consecutive pieces of ``beta``, (N,): ``array_keys``
+    lists the matrices, then the offsets, in head order. Target t of a head
+    owns row ``row`` of the source features and the head's columns ``cols`` of
+    the (T, N) slot matrix, so its parameter is ``(x @ H.T + beta)[row, cols]``
+    and its gradient sits at ``D[row, cols]``.
+    """
+
+    def __init__(self, slot, heads):
+        self.slot = slot
+        self.heads = tuple(heads)
+        self.array_keys = (tuple(h.array_keys[0] for h in self.heads)
+                           + tuple(h.array_keys[1] for h in self.heads))
+        self.places = []   # (target, source row, columns, shape), head by head
+        lo = 0
+        for h in self.heads:
+            cols = slice(lo, lo + h.n_out)
+            self.places += [(t, row, cols, h.shape) for t, row in zip(h.targets, h.rows)]
+            lo = cols.stop
+        self.n_out = lo
+
+    def bind(self, flat, span):
+        """Bind ``H`` and ``beta`` to their blocks of ``flat``; ``span(keys)``
+        is the (lo, hi) range of consecutive keys in its layout."""
+        n = len(self.heads)
+        self.spans = (span(self.array_keys[:n]), span(self.array_keys[n:]))
+        self.H, self.beta = self.blocks(flat)
+
+    def blocks(self, vector):
+        """The (N, d) matrix block and the (N,) offset block of a vector laid
+        out like ``Hypernet.flat``."""
+        (h_lo, h_hi), (b_lo, b_hi) = self.spans
+        return vector[h_lo:h_hi].reshape(self.n_out, -1), vector[b_lo:b_hi]
+
     def generate(self, x, params):
-        for t, row in zip(self.targets, self.rows):
-            params[t][self.slot.param] = (self.H @ x[row] + self.beta).reshape(self.shape)
+        y = x @ self.H.T
+        y += self.beta
+        for t, row, cols, shape in self.places:
+            params[t][self.slot.param] = y[row, cols].reshape(shape)
 
     def _slot_and_feature_grads(self, dslot):
-        """(d, dfeat): the slot gradients as (n_out, T) columns and
-        dL/d(features) as (T, d_in) rows, in target order."""
-        if len(self.targets) == 1:
-            d = dslot[self.targets[0]].reshape(-1, 1)
-        else:
-            d = np.stack([dslot[t].ravel() for t in self.targets], axis=1)
-        return d, (self.H.T @ d).T
+        """(D, dfeat): the (T, N) slot gradient matrix, zero outside each
+        target's own columns, and dL/d(features), (T, d)."""
+        d = np.zeros((len(self.places), self.n_out), dtype=DTYPE)
+        for t, row, cols, _ in self.places:
+            d[row, cols] = dslot[t].reshape(-1)
+        return d, d @ self.H
 
     def feature_grads(self, dslot):
         _, dfeat = self._slot_and_feature_grads(dslot)
-        return {(self.slot.tag, t): dfeat[i] for i, t in enumerate(self.targets)}
+        return {(self.slot.tag, t): dfeat[row] for t, row, _, _ in self.places}
 
-    def backward(self, x, cache, dslot, dx, grads):
-        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+    def backward(self, x, cache, dslot, grads):
+        """Write dL/d(head params) into ``grads``; return dL/dx."""
         d, dfeat = self._slot_and_feature_grads(dslot)
-        h, beta = (grads.by_key[key] for key in self.array_keys)
-        np.matmul(d, x[list(self.rows)], out=h)
-        d.sum(axis=1, out=beta)
-        for i, (t, row) in enumerate(zip(self.targets, self.rows)):
-            dx[row] += dfeat[i]
-            grads.head_feature_grads[(self.slot.tag, t)] = dfeat[i]
+        h, beta = self.blocks(grads.flat)
+        np.matmul(d.T, x, out=h)
+        d.sum(axis=0, out=beta)
+        return dfeat
 
 
 class ChunkedHeadGroup:
@@ -332,17 +380,15 @@ class ChunkedHeadGroup:
         _, dalphas = self._chunk_and_feature_grads(dslot)
         return {("w", t): dalphas[slice(*self.layer_rows[t])] for t in self.targets}
 
-    def backward(self, x, alphas, dslot, dx, grads):
-        """Add dL/d(head params) to ``grads`` and dL/dx into ``dx``."""
+    def backward(self, x, alphas, dslot, grads):
+        """Write dL/d(head params) into ``grads``; return dL/dx."""
         dcm, dalphas = self._chunk_and_feature_grads(dslot)
         h, beta, proj, proj_bias = (grads.by_key[key] for key in self.array_keys)
         np.matmul(dcm.T, alphas, out=h)
         dcm.sum(axis=0, out=beta)
         np.einsum("mp,md->mpd", dalphas, x, out=proj)
         proj_bias[...] = dalphas
-        dx += np.einsum("mpd,mp->md", self.proj, dalphas)
-        for t in self.targets:
-            grads.head_feature_grads[("w", t)] = dalphas[slice(*self.layer_rows[t])]
+        return np.einsum("mpd,mp->md", self.proj, dalphas)
 
 
 @dataclass
@@ -355,14 +401,13 @@ class GenTrace:
 
     feats: dict          # source name -> (rows, d) head input features
     trunk_caches: dict   # source name -> trunk forward cache
-    head_caches: list    # per head, whatever its generate() returned
+    head_caches: dict    # source name -> whatever its head's generate() returned
 
 
 @dataclass
 class HyperGrads:
-    flat: np.ndarray           # one gradient vector laid out like Hypernet.flat
-    by_key: dict               # name -> view of flat, keyed like param_arrays()
-    head_feature_grads: dict   # ("w"|"b", layer) -> dL/d(head input features)
+    flat: np.ndarray   # one gradient vector laid out like Hypernet.flat
+    by_key: dict       # name -> view of flat, keyed like param_arrays()
 
 
 class Hypernet:
@@ -402,7 +447,8 @@ class Hypernet:
                             for i, ts in enumerate(by_head.values())]
             if targets:
                 self.sources[slot.tag] = Source(
-                    trunk, {f"emb.{slot.tag}{t}": (d_e,) for t in targets}, tuple(targets))
+                    trunk, SlotBank(slot, groups[slot]),
+                    {f"emb.{slot.tag}{t}": (d_e,) for t in targets}, tuple(targets))
         self.weight_groups = groups[WEIGHT]
         self.bias_groups = groups[BIAS]
         if chunk_targets:
@@ -410,7 +456,7 @@ class Hypernet:
                                     hspec.chunk, d_e)
             self.weight_groups.append(head)
             self.sources[head.source] = Source(
-                Trunk(None, d_e, (), hspec.trunk_activation),
+                Trunk(None, d_e, (), hspec.trunk_activation), head,
                 {head.source: (head.n_chunks, d_e)}, tuple(t for t, _, _ in head.index))
         self.heads = self.weight_groups + self.bias_groups
         self._heads_by_target = {(h.slot.param, t): h for h in self.heads for t in h.targets}
@@ -432,27 +478,37 @@ class Hypernet:
 
     def _allocate(self):
         """Lay every array out in ``self.flat`` and bind its owner to a view:
-        trunks, heads, then each source's embedding block, so the updatable
-        arrays come first. The buffer is allocated once."""
+        trunks, then each source's head arrays (a slot bank's matrices, then
+        its offsets), then each source's embedding block, so the updatable
+        arrays come first. The buffer is allocated once; ``param_arrays``
+        keeps the trunk-then-head key order."""
         shapes = {}
         for part in self.trunks + self.heads:
             shapes.update(part.shapes())
-        lo = n_params = sum(int(np.prod(shape)) for shape in shapes.values())
+        n_params = sum(int(np.prod(shape)) for shape in shapes.values())
         for src in self.sources.values():
-            src.span = (lo, lo + len(src.targets) * self.hspec.embedding_dim)
-            lo = src.span[1]
             shapes.update(src.shapes)
-        self._layout, lo = [], 0
-        for key, shape in shapes.items():
-            hi = lo + int(np.prod(shape))
-            self._layout.append((key, lo, hi, shape))
-            lo = hi
+        order = [key for trunk in self.trunks for key in trunk.shapes()]
+        order += [key for src in self.sources.values() for key in src.head.array_keys]
+        order += [key for src in self.sources.values() for key in src.shapes]
+        spans, lo = {}, 0
+        for key in order:
+            spans[key] = (lo, lo + int(np.prod(shapes[key])))
+            lo = spans[key][1]
+
+        def span(keys):
+            return spans[keys[0]][0], spans[keys[-1]][1]
+
+        self._layout = [(key, *spans[key], shape) for key, shape in shapes.items()]
         self.flat = np.zeros(lo, dtype=DTYPE)
         self._arrays = self._views(self.flat)
         for part in self.trunks + self.heads:
             part.bind(self._arrays)
         for src in self.sources.values():
+            src.span = span(list(src.shapes))
             src.block = self.flat[slice(*src.span)].reshape(len(src.targets), -1)
+            if isinstance(src.head, SlotBank):
+                src.head.bind(self.flat, span)
         self.n_updatable = self.flat.size if self.hspec.embeddings_trainable else n_params
 
     def _views(self, vector):
@@ -462,9 +518,11 @@ class Hypernet:
         """Flat name -> array view of every parameter, embeddings included."""
         return dict(self._arrays)
 
-    def updatable_keys(self):
-        return {key for key in self.param_arrays()
-                if not key.startswith("emb.") or self.hspec.embeddings_trainable}
+    def new_grads(self):
+        """A zeroed gradient vector laid out like ``flat``, for ``backward``'s
+        ``out``."""
+        flat = np.zeros_like(self.flat)
+        return HyperGrads(flat=flat, by_key=self._views(flat))
 
     # ---- initialization ---------------------------------------------------
 
@@ -527,10 +585,10 @@ class Hypernet:
     def generate(self):
         """Produce all mainnet parameters plus the trace needed for backward."""
         params = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.mspec.layers]
-        feats, caches = {}, {}
+        feats, caches, head_caches = {}, {}, {}
         for name, src in self.sources.items():
             feats[name], caches[name] = src.trunk.forward(src.block)
-        head_caches = [head.generate(feats[head.source], params) for head in self.heads]
+            head_caches[name] = src.head.generate(feats[name], params)
         return params, GenTrace(feats, caches, head_caches)
 
     def _slot_grads(self, weight_grads, bias_grads):
@@ -539,28 +597,28 @@ class Hypernet:
         return {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
 
     def feature_grads(self, weight_grads, bias_grads=None):
-        """dL/d(head input features) keyed ("w"|"b", layer), as ``backward``'s
-        ``head_feature_grads``. A feature gradient depends only on the heads'
-        output matrices and the mainnet gradients, so it needs no ``GenTrace``
-        and builds no hypernet parameter gradient."""
+        """dL/d(head input features) keyed ("w"|"b", layer), the one way to
+        get them. A feature gradient depends only on the heads' output
+        matrices and the mainnet gradients, so it needs no ``GenTrace`` and
+        builds no hypernet parameter gradient; each head computes it with the
+        helper its ``backward`` uses."""
         dslots = self._slot_grads(weight_grads, bias_grads)
         out = {}
-        for head in self.heads:
-            out.update(head.feature_grads(dslots[head.slot.param]))
+        for src in self.sources.values():
+            out.update(src.head.feature_grads(dslots[src.head.slot.param]))
         return out
 
-    def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
-        """Map mainnet parameter gradients to hypernet parameter gradients."""
+    def backward(self, trace: GenTrace, weight_grads, bias_grads=None, out=None):
+        """Map mainnet parameter gradients to hypernet parameter gradients,
+        written into ``out`` (a ``HyperGrads`` from ``new_grads``) or, without
+        one, a fresh one. Every entry is overwritten."""
         dslots = self._slot_grads(weight_grads, bias_grads)
-        flat = np.zeros_like(self.flat)   # fresh per call: callers keep by_key arrays
-        grads = HyperGrads(flat=flat, by_key=self._views(flat), head_feature_grads={})
-        dfeats = {name: np.zeros_like(f) for name, f in trace.feats.items()}
-        for head, cache in zip(self.heads, trace.head_caches):
-            head.backward(trace.feats[head.source], cache, dslots[head.slot.param],
-                          dfeats[head.source], grads)
+        grads = self.new_grads() if out is None else out
         for name, src in self.sources.items():
-            demb = src.trunk.backward(trace.trunk_caches[name], dfeats[name], grads)
-            flat[slice(*src.span)] = demb.ravel()
+            dfeat = src.head.backward(trace.feats[name], trace.head_caches[name],
+                                      dslots[src.head.slot.param], grads)
+            demb = src.trunk.backward(trace.trunk_caches[name], dfeat, grads)
+            grads.flat[slice(*src.span)] = demb.ravel()
         return grads
 
 

@@ -142,11 +142,6 @@ def allconv(in_channels, conv_channels, n_classes, kernel=3, strides=None,
     return MainnetSpec(layers=tuple(layers), loss=CROSS_ENTROPY)
 
 
-def zero_params(spec):
-    return [{"W": np.zeros(l.weight_shape, dtype=DTYPE), "b": np.zeros(l.d_out, dtype=DTYPE)}
-            for l in spec.layers]
-
-
 @dataclass
 class ForwardTrace:
     # Conv entries are (B, H, W, C), except inputs[0], the caller's NCHW batch.

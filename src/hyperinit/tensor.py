@@ -80,6 +80,16 @@ def sample(dist, shape, rng):
     return rng.normal(np.sqrt(dist.variance), shape)
 
 
+def row_chunks(n_rows, row_size, entries=1 << 20):
+    """Slices covering rows [0, n_rows) in order, each at most ``entries``
+    entries of ``row_size`` (and at least one row): bounded temporaries for
+    row-wise work on a large matrix. A chunk is a power of two rows, so a BLAS
+    product blocks each chunk as it blocks the whole matrix and gives the
+    same bits."""
+    step = 1 << max(0, (entries // max(1, row_size)).bit_length() - 1)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def empirical_variance(t):
     """Population variance (divide by N) over all elements of the tensor."""
     t = np.asarray(t, dtype=DTYPE)

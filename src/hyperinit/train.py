@@ -11,9 +11,10 @@ schedule: shuffled epochs, or a sequence of tasks of sampled batches.
 Only hypernet parameters and trainable embeddings are ever updated, through
 ``sgd_step`` on the updatable prefix of the hypernet's flat parameter vector
 and the same prefix of the flat gradient: one finiteness check refuses the
-whole step, one in-place update takes it. For identity-trunk, fixed-embedding
-hypernets (the MNIST-style presets) the loop's updater uses an exact
-reparameterization instead: SGD on a linear head (H, beta) with fixed
+whole step, one in-place update takes it. The updater owns that gradient,
+and each step's ``Hypernet.backward`` overwrites it. For identity-trunk,
+fixed-embedding hypernets (the MNIST-style presets) the loop's updater uses an
+exact reparameterization instead: SGD on a linear head (H, beta) with fixed
 embeddings moves the generated weights by
 
     W_s  <-  W_s - lr * sum_t (<e_t, e_s> + 1) * dW_t
@@ -23,9 +24,10 @@ update lazily (solving the small Gram system) whenever the head itself is
 needed: at each probe and when the loop ends, however it ends. This is
 algebraically identical to stepping (H, beta) and orders of magnitude cheaper
 when the head is large. Each head keeps its targets' weights and gradients as
-two preallocated (T, n) stacks; ``mainnet.backward`` writes the gradients into
-their rows in place, and a step is one finiteness check over every head, then
-one Gram GEMM and one in-place update per head.
+two preallocated (T, n) stacks, the weights computed straight from the head;
+``mainnet.backward`` writes the gradients into their rows in place, and a step
+is one finiteness check over every head, then one Gram GEMM and one in-place
+update per head.
 
 Divergence (non-finite or > 1e30 loss/activations, or non-finite gradients)
 halts training and returns partial results with the step recorded; several
@@ -46,8 +48,9 @@ from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
                       ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
                       backward, forward, mlp, mse_loss)
-from .probe import linear_activation_variances, snapshot, write_csv, write_json
-from .tensor import DTYPE, Rng
+from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
+                    write_json)
+from .tensor import DTYPE, Rng, row_chunks
 
 DIVERGENCE_LIMIT = 1e30
 PROBE_BATCH = 300
@@ -107,11 +110,13 @@ class Step:
     hyper: HyperGrads | None = None
 
 
-def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=None):
+def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=None,
+                  hyper_out=None):
     """Generate the mainnet parameters (unless carried ``params`` are given),
     run forward, stop if diverged, then backpropagate through the mainnet and,
     for generated parameters, through the hypernet. ``out`` holds mainnet
-    gradient buffers, as ``mainnet.backward`` takes them."""
+    gradient buffers, as ``mainnet.backward`` takes them, and ``hyper_out`` a
+    hypernet gradient, as ``Hypernet.backward`` takes it."""
     gtrace = None
     if params is None:
         params, gtrace = net.generate()
@@ -121,7 +126,7 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=No
         return Step(params, trace, loss, diverged)
     grads = backward(mspec, params, trace, y, out=out)
     hyper = None if gtrace is None else net.backward(
-        gtrace, grads.weight, grads.bias if net.bias_targets else None)
+        gtrace, grads.weight, grads.bias if net.bias_targets else None, out=hyper_out)
     return Step(params, trace, loss, diverged, grads, hyper)
 
 
@@ -134,13 +139,15 @@ def probe_step(net, mspec, x, y):
 
 class _HeadSpaceSgd:
     """Updater applying ``sgd_step`` to the updatable prefix of the hypernet's
-    flat parameter vector."""
+    flat parameter vector. It owns the hypernet gradient, which every step's
+    ``Hypernet.backward`` overwrites."""
 
     carried = None   # no carried parameters: pipeline_step generates them
-    grads = None     # no gradient buffers: mainnet.backward allocates
+    grads = None     # no mainnet gradient buffers: mainnet.backward allocates
 
     def __init__(self, net: Hypernet):
         self.net = net
+        self.hyper_grads = net.new_grads()
 
     def current_params(self):
         return self.net.generate()[0]
@@ -164,6 +171,8 @@ class _FixedHeadFastPath:
     ``update`` reads every gradient where backward left it.
     """
 
+    hyper_grads = None   # no hypernet gradient: the heads move through the Gram system
+
     @staticmethod
     def applicable(net: Hypernet):
         # A chunked head trains a projection between embedding and head.
@@ -172,17 +181,20 @@ class _FixedHeadFastPath:
                 and net.hspec.head_topology != CHUNKED)
 
     def __init__(self, net: Hypernet):
-        self.carried, trace = net.generate()
-        n_layers = len(net.mspec.layers)
+        layers = net.mspec.layers
+        self.carried = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in layers]
+        n_layers = len(layers)
         self.grads = MainnetGrads(weight=[None] * n_layers, bias=[None] * n_layers, acts=None)
         buffers = {"W": self.grads.weight, "b": self.grads.bias}
         self.heads = []
         for head in net.heads:
-            emb = trace.feats[head.source][list(head.rows)]
-            stack = np.empty((len(head.targets), int(np.prod(head.shape))), dtype=DTYPE)
+            emb = net.sources[head.source].block[list(head.rows)]   # identity trunk
+            stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
             grad = np.zeros_like(stack)
             for row, t in enumerate(head.targets):
-                stack[row] = self.carried[t][head.slot.param].ravel()
+                # straight from the head: no slot-sized product of every source row
+                np.matmul(head.H, emb[row], out=stack[row])
+                stack[row] += head.beta
                 self.carried[t][head.slot.param] = stack[row].reshape(head.shape)
                 buffers[head.slot.param][t] = grad[row].reshape(head.shape)
             self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
@@ -210,7 +222,9 @@ class _FixedHeadFastPath:
             if not delta.any():
                 continue
             acc = np.linalg.solve(rec["gram"], delta)
-            rec["head"].H -= acc.T @ rec["emb"]
+            h = rec["head"].H
+            for rows in row_chunks(*h.shape):   # no head-sized temporary
+                h[rows] -= acc[:, rows].T @ rec["emb"]
             rec["head"].beta -= acc.sum(axis=0)
             np.copyto(rec["base"], rec["stack"])
 
@@ -453,13 +467,12 @@ def _run(net, mspec, config, schedule, result):
         updater.sync()
         x, y = schedule.probe
         s, feature_grads = probe_step(net, mspec, x, y)
-        lin = linear_activation_variances(mspec, s.params, x)
+        report = snapshot(step, s.trace, s.params, s.grads, head_feature_grads=feature_grads,
+                          linear_acts=linear_activation_variances(mspec, s.params, x))
         if not result.reports:   # the first probe measures the initial state
             result.init_loss = s.loss
-            result.init_linear_vars = [float(np.var(a)) for a in lin]
-        result.reports.append(snapshot(step, s.trace, s.params, s.grads,
-                                       head_feature_grads=feature_grads,
-                                       linear_acts=lin))
+            result.init_linear_vars = [row.var for row in report.rows if row.kind == LINEAR_ACT]
+        result.reports.append(report)
 
     take_probe(0)
     step = 0
@@ -468,7 +481,8 @@ def _run(net, mspec, config, schedule, result):
         first = len(losses)
         floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
         for xb, yb in batches:
-            s = pipeline_step(net, mspec, xb, yb, updater.carried, out=updater.grads)
+            s = pipeline_step(net, mspec, xb, yb, updater.carried, out=updater.grads,
+                              hyper_out=updater.hyper_grads)
             if not s.diverged:
                 losses.append(s.loss)
             if s.diverged or not updater.update(s, config.learning_rate):

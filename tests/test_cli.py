@@ -112,6 +112,14 @@ class TestVarianceCheck:
                            "--gen-bias", *self.FAST)
         assert code == 0
 
+    def test_out_in_a_missing_directory_is_created(self, capsys, tmp_path):
+        out_file = tmp_path / "new" / "deeper" / "report.json"
+        code, out, err = run(capsys, "variance-check", "--scheme", "hyperfan-in",
+                             *self.FAST, "--out", str(out_file))
+        assert code == 0, err
+        assert "0" in json.loads(out_file.read_text())
+        assert (out_file.parent / "manifest.json").is_file()
+
 
 class TestGradCheck:
     def test_passes_threshold(self, capsys):

@@ -5,7 +5,10 @@ from hyperinit import hypergen as hg
 from hyperinit import init_schemes as s
 from hyperinit import mainnet as mn
 from hyperinit.gradcheck import run_suite
-from hyperinit.tensor import Distribution, Rng
+from hyperinit import tensor
+from hyperinit.tensor import UNIFORM, Distribution, Rng, sample
+
+from helpers import updatable_keys
 
 
 def simple_dense_net(widths, topology, scheme="hyperfan-in", emb=4, seed=0,
@@ -223,6 +226,141 @@ def chunked_net():
     return hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-in"), Rng(0))
 
 
+# Nets covering each way linear heads share a slot: per-layer heads with a
+# hidden trunk and generated biases, shared same-size heads with generated
+# biases, and a chunked net whose dense classifier falls back to a linear head.
+SLOT_BUILDS = {
+    "per-layer": lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,),
+                                          bias=True, seed=2)[0],
+    "shared-same-size-bias": lambda: simple_dense_net([3, 4, 4, 4, 2], hg.SHARED_SAME_SIZE,
+                                                      bias=True, seed=3)[0],
+    "chunked": chunked_net,
+}
+
+
+def linear_heads(net):
+    return [h for h in net.heads if isinstance(h, hg.LinearHead)]
+
+
+def random_mainnet_grads(net, params, seed):
+    rng = Rng(seed)
+    dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
+    db = ([rng.child(10 + t).normal(1.0, p["b"].shape) for t, p in enumerate(params)]
+          if net.bias_targets else None)
+    return dw, db
+
+
+def per_head_generate(net, trace):
+    """Every linear head's parameters, one matrix-vector product per target."""
+    out = {}
+    for head in linear_heads(net):
+        x = trace.feats[head.source]
+        for t, row in zip(head.targets, head.rows):
+            out[(head.slot.param, t)] = (head.H @ x[row] + head.beta).reshape(head.shape)
+    return out
+
+
+def per_head_backward(net, trace, dw, db):
+    """(head gradients by key, feature gradients by (tag, layer)) of every
+    linear head, computed head by head."""
+    dslots = {"W": dw, "b": db}
+    grads, feats = {}, {}
+    for head in linear_heads(net):
+        x = trace.feats[head.source]
+        d = np.stack([dslots[head.slot.param][t].ravel() for t in head.targets], axis=1)
+        grads[head.array_keys[0]] = d @ x[list(head.rows)]
+        grads[head.array_keys[1]] = d.sum(axis=1)
+        for i, t in enumerate(head.targets):
+            feats[(head.slot.tag, t)] = head.H.T @ d[:, i]
+    return grads, feats
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_each_slot_is_one_block_in_head_order(self, build):
+        net = SLOT_BUILDS[build]()
+        banks = [src.head for src in net.sources.values() if isinstance(src.head, hg.SlotBank)]
+        assert [h for bank in banks for h in bank.heads] == linear_heads(net)
+        for bank in banks:
+            d = bank.heads[0].d_in
+            assert bank.H.shape == (bank.n_out, d) and bank.beta.shape == (bank.n_out,)
+            assert bank.H.flags.c_contiguous
+            assert np.shares_memory(bank.H, net.flat) and np.shares_memory(bank.beta, net.flat)
+            assert address(bank.beta) == address(bank.H) + bank.H.nbytes
+            row = 0
+            for head in bank.heads:
+                item = head.H.itemsize
+                assert address(head.H) == address(bank.H) + row * d * item, head.key
+                assert address(head.beta) == address(bank.beta) + row * item, head.key
+                row += head.n_out
+            assert row == bank.n_out
+
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_param_array_keys_and_identity_unchanged(self, build):
+        net = SLOT_BUILDS[build]()
+        arrays = net.param_arrays()
+        want = [key for part in net.trunks + net.heads for key in part.shapes()]
+        want += [key for src in net.sources.values() for key in src.shapes]
+        assert list(arrays) == want
+        for head in linear_heads(net):
+            assert arrays[head.array_keys[0]] is head.H
+            assert arrays[head.array_keys[1]] is head.beta
+
+    def test_head_draws_in_row_chunks_equal_one_draw(self, monkeypatch):
+        monkeypatch.setattr(hg, "row_chunks",
+                            lambda n, size: tensor.row_chunks(n, size, entries=3 * size))
+        scheme = s.parse_scheme("hyperfan-in")
+        net, _ = simple_dense_net([5, 7, 3], hg.PER_LAYER, emb=4, seed=9)
+        assert len(hg.row_chunks(*net.heads[0].H.shape)) > 1
+        rng = Rng(9).child(2)   # init_hypernet's initialization stream
+        for head in net.heads:   # identity trunk, hyperfan-in: only H is drawn
+            t = head.targets[0]
+            var = head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
+            np.testing.assert_array_equal(head.H, sample(Distribution(UNIFORM, var),
+                                                         head.H.shape, rng))
+
+
+class TestSlotPath:
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_generate_matches_per_head_reference(self, build):
+        net = SLOT_BUILDS[build]()
+        params, trace = net.generate()
+        want = per_head_generate(net, trace)
+        assert want
+        for (param, t), w in want.items():
+            np.testing.assert_allclose(params[t][param], w, rtol=1e-12)
+
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_backward_matches_per_head_reference(self, build):
+        net = SLOT_BUILDS[build]()
+        params, trace = net.generate()
+        dw, db = random_mainnet_grads(net, params, 21)
+        want, _ = per_head_backward(net, trace, dw, db)
+        got = net.backward(trace, dw, db).by_key
+        for key, w in want.items():
+            np.testing.assert_allclose(got[key], w, rtol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_backward_into_out_equals_fresh_calls(self, build):
+        # a reused gradient is overwritten entry by entry, steps apart
+        net = SLOT_BUILDS[build]()
+        out = net.new_grads()
+        out.flat[:] = np.nan
+        for step in range(3):
+            params, trace = net.generate()
+            dw, db = random_mainnet_grads(net, params, 40 + step)
+            fresh = net.backward(trace, dw, db)
+            assert net.backward(trace, dw, db, out=out) is out
+            np.testing.assert_array_equal(out.flat, fresh.flat)
+            for key, g in fresh.by_key.items():
+                np.testing.assert_array_equal(out.by_key[key], g)
+            net.flat[:net.n_updatable] -= 0.01 * fresh.flat[:net.n_updatable]
+
+
 class TestFlatLayout:
     BUILDS = [
         lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,), bias=True,
@@ -241,7 +379,7 @@ class TestFlatLayout:
             assert np.shares_memory(a, net.flat), key
         prefix = net.flat[:net.n_updatable]
         updatable = {k for k, a in arrays.items() if np.shares_memory(a, prefix)}
-        assert updatable == net.updatable_keys()
+        assert updatable == updatable_keys(net)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_each_source_is_one_block_of_its_embeddings(self, build):
@@ -359,27 +497,21 @@ class TestBackwardGenerate:
         with pytest.raises(mn.SpecError):
             net.feature_grads([np.zeros_like(p["W"]) for p in params])
 
-    FEATURE_BUILDS = {
-        "per-layer": lambda: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, hidden=(3,),
-                                              seed=2)[0],
-        "shared-same-size-bias": lambda: simple_dense_net([3, 4, 4, 4, 2], hg.SHARED_SAME_SIZE,
-                                                          bias=True, seed=3)[0],
-        "chunked": chunked_net,
-    }
-
-    @pytest.mark.parametrize("build", sorted(FEATURE_BUILDS))
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_feature_grads_equal_backward_head_feature_grads(self, build):
-        net = self.FEATURE_BUILDS[build]()
+        # the linear heads against the per-head reference; the chunked head
+        # keeps its own formula
+        net = SLOT_BUILDS[build]()
         params, trace = net.generate()
-        rng = Rng(21)
-        dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
-        db = ([rng.child(10 + t).normal(1.0, p["b"].shape) for t, p in enumerate(params)]
-              if net.bias_targets else None)
-        want = net.backward(trace, dw, db).head_feature_grads
+        dw, db = random_mainnet_grads(net, params, 21)
+        _, want = per_head_backward(net, trace, dw, db)
+        for head in net.heads:
+            if isinstance(head, hg.ChunkedHeadGroup):
+                want.update(head.feature_grads(dw))
         got = net.feature_grads(dw, db)
-        assert list(got) == list(want)   # same keys in the same order: probe rows follow it
+        assert sorted(got) == sorted(want)
         for key, g in want.items():
-            np.testing.assert_array_equal(got[key], g)
+            np.testing.assert_allclose(got[key], g, rtol=1e-12, err_msg=str(key))
 
 
 class TestPipelineGradients:
@@ -406,13 +538,13 @@ class TestGradientShrink:
                                 normalize_embeddings=True)
         net = hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-out"),
                                Rng(17))
-        params, trace = net.generate()
+        params, _ = net.generate()
         rng = Rng(18)
         dw = [rng.child(t).normal(1.0, p["W"].shape)
               for t, p in enumerate(params)]
-        hyper = net.backward(trace, dw)
+        feature_grads = net.feature_grads(dw)
         pred = hg.gradient_shrink_factor(net.geometry(1))
-        ratios = [np.var(hyper.head_feature_grads[("w", t)]) / np.var(dw[t])
+        ratios = [np.var(feature_grads[("w", t)]) / np.var(dw[t])
                   for t in range(3)]
         assert np.mean(ratios) == pytest.approx(pred, rel=0.2)
 
@@ -420,13 +552,13 @@ class TestGradientShrink:
 class TestEmbeddings:
     def test_fixed_embeddings_not_updatable(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER)
-        keys = net.updatable_keys()
+        keys = updatable_keys(net)
         assert not any(k.startswith("emb.") for k in keys)
 
     def test_trainable_embeddings_updatable(self):
         net, _ = simple_dense_net([3, 4, 2], hg.PER_LAYER,
                                   embeddings_trainable=True)
-        keys = net.updatable_keys()
+        keys = updatable_keys(net)
         assert any(k.startswith("emb.") for k in keys)
 
     def test_declared_uniform_distribution_bound(self):

@@ -5,6 +5,8 @@ from hyperinit import mainnet as mn
 from hyperinit.gradcheck import gradient_errors, numeric_gradient
 from hyperinit.tensor import Rng
 
+from helpers import zero_params
+
 
 def conv_oracle(x, w, b, kernel):
     """Six nested loops, no tricks."""
@@ -68,7 +70,7 @@ class TestSpecValidation:
         spec = mn.MainnetSpec(layers=(
             mn.LayerSpec("conv", 1, 1, kernel=(5, 5, 1, 0)),
             mn.LayerSpec("dense", 1, 1)), loss="mse")
-        params = mn.zero_params(spec)
+        params = zero_params(spec)
         with pytest.raises(mn.SpecError):
             mn.forward(spec, params, np.zeros((1, 1, 3, 3)))
 
@@ -76,7 +78,7 @@ class TestSpecValidation:
 class TestForward:
     def test_zero_net_zero_mse(self):
         spec = mn.mlp([3, 2], activation="identity", loss="mse")
-        params = mn.zero_params(spec)
+        params = zero_params(spec)
         _, loss = mn.forward(spec, params, np.ones((4, 3)), np.zeros((4, 2)))
         assert loss == 0.0
 
@@ -307,7 +309,7 @@ class TestConv:
 
     def test_global_average_pool_between_conv_and_dense(self):
         spec = mn.allconv(1, [2], 3, kernel=3, strides=[1])
-        params = mn.zero_params(spec)
+        params = zero_params(spec)
         params[0]["W"][:] = 0.0
         params[0]["b"][:] = np.array([1.0, 2.0])
         params[1]["W"][:] = np.eye(3, 2)

@@ -9,6 +9,8 @@ from hyperinit import probe
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
 
+from helpers import zero_params
+
 
 def small_setup(scheme="hyperfan-in", width=40, depth=3, emb=8, seed=0,
                 activation="identity", bias=False):
@@ -35,7 +37,7 @@ class TestSnapshot:
 
     def test_constant_activations_have_zero_variance(self):
         spec = mn.mlp([3, 2], activation="identity", loss="mse")
-        params = mn.zero_params(spec)
+        params = zero_params(spec)
         trace, _ = mn.forward(spec, params, np.ones((4, 3)))
         rep = probe.snapshot(0, trace)
         for row in rep.rows:
@@ -45,7 +47,7 @@ class TestSnapshot:
     def test_rows_cover_expected_kinds(self):
         net, mspec, params, trace, grads, hyper = small_setup()
         rep = probe.snapshot(3, trace, params, grads,
-                             head_feature_grads=hyper.head_feature_grads)
+                             head_feature_grads=net.feature_grads(grads.weight))
         kinds = rep.kinds()
         for kind in (probe.INPUT, probe.PREACT, probe.ACT, probe.WEIGHT,
                      probe.GRAD_ACT, probe.GRAD_WEIGHT,
@@ -63,7 +65,7 @@ class TestSnapshot:
 
     def test_singleton_arrays_skipped(self):
         spec = mn.mlp([3, 1], activation="identity", loss="mse")
-        params = mn.zero_params(spec)
+        params = zero_params(spec)
         trace, _ = mn.forward(spec, params, np.ones((1, 3)))
         rep = probe.snapshot(0, trace)
         assert rep.find(0, probe.ACT) is None  # one element only

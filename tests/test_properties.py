@@ -5,7 +5,8 @@ generated biases on or off, a trunk of depth 0 or 1 and fixed or trainable
 embeddings. Every case
 must pass the whole-pipeline finite-difference check, every chunked head
 must map its chunk slots one-to-one onto weight entries, and the head-space
-SGD updater must step exactly like plain per-array SGD.
+SGD updater, stepping from the one gradient it owns, must step exactly like
+plain per-array SGD on fresh gradients.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
 from hyperinit.train import _HeadSpaceSgd as HeadSpaceSgd
 from hyperinit.train import pipeline_step
+
+from helpers import updatable_keys
 
 # Central differences straddle a ReLU kink now and then (the chunked layout
 # runs ReLU conv layers); a fixed example set keeps the suite deterministic.
@@ -92,7 +95,7 @@ def test_chunk_assembly_is_a_bijection(case):
 
 def reference_sgd_step(net, grads, lr):
     """Per-array SGD: refuse the step if any updatable gradient is non-finite."""
-    arrays, keys = net.param_arrays(), net.updatable_keys()
+    arrays, keys = net.param_arrays(), updatable_keys(net)
     if not all(np.isfinite(grads[k]).all() for k in keys):
         return False
     for k in keys:
@@ -107,7 +110,8 @@ def test_head_space_sgd_matches_per_array_reference(case):
     net, ref = build(), build()
     updater = HeadSpaceSgd(net)
     for _ in range(3):
-        step = pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+        step = pipeline_step(net, mspec, x, y, stop_on_divergence=False,
+                             hyper_out=updater.hyper_grads)
         ref_step = pipeline_step(ref, mspec, x, y, stop_on_divergence=False)
         assert updater.update(step, 0.05) == reference_sgd_step(ref, ref_step.hyper.by_key, 0.05)
     want = ref.param_arrays()

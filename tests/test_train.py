@@ -6,6 +6,7 @@ import pytest
 from hyperinit import data as dt
 from hyperinit import hypergen as hg
 from hyperinit import mainnet as mn
+from hyperinit import tensor
 from hyperinit import train as tr
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
@@ -213,6 +214,27 @@ class TestFastPath:
         db = [np.zeros(l.d_out) for l in mspec.layers]
         assert not fast.update(self.step_into(fast, dw, db), 0.1)
 
+    def test_sync_in_row_chunks_is_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(tr, "row_chunks",
+                            lambda n, size: tensor.row_chunks(n, size, entries=8 * size))
+        mspec, net = self.build(seed=5)
+        fast = tr._FixedHeadFastPath(net)
+        assert len(tr.row_chunks(*fast.heads[0]["head"].H.shape)) > 1
+        rng = Rng(7)
+        for step in range(3):
+            dw = [rng.child(step * 10 + t).normal(1.0, l.weight_shape)
+                  for t, l in enumerate(mspec.layers)]
+            fast.update(self.step_into(fast, dw, [np.zeros(l.d_out) for l in mspec.layers]),
+                        0.1)
+        want = []
+        for rec in fast.heads:   # the whole-matrix fold
+            acc = np.linalg.solve(rec["gram"], rec["base"] - rec["stack"])
+            want.append((rec["head"].H - acc.T @ rec["emb"], rec["head"].beta - acc.sum(axis=0)))
+        fast.sync()
+        for rec, (h, beta) in zip(fast.heads, want):
+            np.testing.assert_array_equal(rec["head"].H, h)
+            np.testing.assert_array_equal(rec["head"].beta, beta)
+
     @pytest.mark.parametrize("bias", [False, True])
     def test_refused_step_touches_nothing(self, bias):
         # only the last head's last target holds a NaN: no head may move
@@ -269,8 +291,45 @@ class TestHeadSpaceSgd:
         for key in ("trunk_h.W0", "wg0.H"):   # the rest of the step was taken
             assert not np.array_equal(after[key], before[key])
 
+    def test_steps_reuse_one_hypernet_gradient(self, tiny_bias_classification, monkeypatch):
+        # every step's Hypernet.backward writes into the updater's own gradient
+        head_space_only(monkeypatch)
+        made, seen = [], set()
+        new_grads, backward = hg.Hypernet.new_grads, hg.Hypernet.backward
+
+        def counted_new_grads(net):
+            made.append(new_grads(net))
+            return made[-1]
+
+        def recorded_backward(net, *args, **kwargs):
+            grads = backward(net, *args, **kwargs)
+            seen.add(id(grads))
+            return grads
+
+        monkeypatch.setattr(hg.Hypernet, "new_grads", counted_new_grads)
+        monkeypatch.setattr(hg.Hypernet, "backward", recorded_backward)
+        name, data = tiny_bias_classification
+        res = tr.train(name, tr.config_for(name), data=data)
+        assert res.steps > 0 and not res.diverged
+        assert len(made) == 1 and seen == {id(made[0])}
+
 
 class TestClassificationLoop:
+    def test_init_linear_vars_equal_np_var(self, tiny_classification, monkeypatch):
+        # read from the first probe's rows, they are the variances np.var gives
+        replays = []
+        replay = tr.linear_activation_variances
+
+        def recorded(*args):
+            replays.append(replay(*args))
+            return replays[-1]
+
+        monkeypatch.setattr(tr, "linear_activation_variances", recorded)
+        name, data = tiny_classification
+        res = tr.train(name, tr.config_for(name), data=data)
+        assert res.init_linear_vars == [float(np.var(a)) for a in replays[0]]
+        assert len(res.init_linear_vars) == len(res.mspec.layers)
+
     def test_deterministic_curves(self, tiny_classification):
         name, data = tiny_classification
         cfg = tr.config_for(name)
