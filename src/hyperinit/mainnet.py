@@ -9,11 +9,11 @@ A conv stack is followed by an implicit global average pool when the next
 layer is dense. Conv activations are channels-last inside the net: the
 (B, C, H, W) input batch is viewed as (B, H, W, C) once, every conv entry of
 the trace (inputs after the first, pre-activations, activations, patch
-matrices) and of ``MainnetGrads.acts`` is (B, H, W, C), and so is the output
-of a net that ends in a conv layer. The caller-facing layouts stay NCHW/OIHW:
-``trace.inputs[0]`` and ``conv2d_forward`` use (B, C, H, W), and conv weights
-and their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient
-for the input batch: nothing trains it.
+matrices) and of ``MainnetGrads.acts`` and ``preacts`` is (B, H, W, C), and so
+is the output of a net that ends in a conv layer. The caller-facing layouts
+stay NCHW/OIHW: ``trace.inputs[0]`` is (B, C, H, W), and conv weights and
+their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient for
+the input batch: nothing trains it.
 Overflowing activations (|y| > 1e30 or non-finite) are
 reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
@@ -22,6 +22,7 @@ can be measured instead of crashing.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import DTYPE
 
@@ -185,17 +186,21 @@ def _conv_out_hw(h, w, kernel):
 
 def _im2col(x, kernel):
     """Patch matrix of shape (B*oh*ow, kh*kw*C) of an NHWC batch: one GEMM
-    drives the conv. Each patch is one contiguous run of kh*kw*C values."""
+    drives the conv. Each patch is one contiguous run of kh*kw*C values: in a
+    C-contiguous (padded) batch the kw*C values of one kernel row are already
+    adjacent, so one strided view covers every patch and one copy packs them."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x.shape
     oh, ow = _conv_out_hw(h, w, kernel)
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    patches = np.empty((b, oh, ow, kh, kw, c), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            patches[:, :, :, i, j] = x[:, i:i + stride * oh:stride,
-                                       j:j + stride * ow:stride]
+    x = np.ascontiguousarray(x)   # layer 0 gets a transposed view of the NCHW batch
+    # strides from the shape: numpy may give a length-1 axis any stride
+    sw = c * x.itemsize
+    sh = x.shape[2] * sw
+    patches = as_strided(x, (b, oh, ow, kh, kw * c),
+                         (x.shape[1] * sh, stride * sh, stride * sw, sh, x.itemsize),
+                         writeable=False)
     return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
 
 
@@ -222,19 +227,9 @@ def _weight_matrix(weight):
 def _conv_forward(x, weight, bias, kernel):
     """NHWC conv: returns the (B, oh, ow, C_out) output and the patch matrix."""
     cols, out_hw = _im2col(x, kernel)
-    y = cols @ _weight_matrix(weight).T + bias
+    y = cols @ _weight_matrix(weight).T
+    y += bias
     return y.reshape(x.shape[0], *out_hw, -1), cols
-
-
-def _conv_backward(cols, weight, dy, dw=None, db=None):
-    """OIHW weight and bias gradients of an NHWC conv from its patch matrix,
-    written into ``dw`` and ``db`` when given."""
-    c_out, c_in, kh, kw = weight.shape
-    dy_mat = dy.reshape(-1, c_out)
-    if dw is None:
-        dw = np.empty(weight.shape, dtype=DTYPE)
-    dw[...] = (dy_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-    return dw, dy_mat.sum(axis=0, out=db)
 
 
 def _conv_input_grad(x_shape, weight, kernel, dy):
@@ -242,11 +237,29 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
     return _col2im(dy_mat @ _weight_matrix(weight), x_shape, kernel, dy.shape[1:3])
 
 
-def conv2d_forward(x, weight, bias, kernel):
-    """Cross-correlation of (B, C, H, W) with (C_out, C, kh, kw) weights."""
-    y, _ = _conv_forward(np.asarray(x, dtype=DTYPE).transpose(0, 2, 3, 1),
-                         weight, bias, kernel)
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+def weight_factors(trace, t, dy):
+    """The two factors of layer t's weight gradient: its pre-activation
+    gradient ``dy`` as a (K, C_out) matrix and its input as a (K, fan_in)
+    matrix (a conv layer's patch matrix, K = B*oh*ow), so that the gradient
+    is ``dy.T @ x``."""
+    if t in trace.conv_cols:
+        return dy.reshape(-1, dy.shape[-1]), trace.conv_cols[t][0]
+    return dy, trace.inputs[t]
+
+
+def weight_grad(layer, trace, t, dy, rows=slice(None), out=None):
+    """Rows ``rows`` (output units or channels) of layer t's weight gradient,
+    in the weight's own layout (OIHW for conv), from the factors of
+    ``weight_factors``; written into ``out`` when given."""
+    dy_mat, x = weight_factors(trace, t, dy)
+    if layer.kind == DENSE:
+        return np.matmul(dy_mat[:, rows].T, x, out=out)
+    _, c_in, kh, kw = layer.weight_shape
+    g = (dy_mat[:, rows].T @ x).reshape(-1, kh, kw, c_in).transpose(0, 3, 1, 2)
+    if out is None:
+        out = np.empty(g.shape, dtype=DTYPE)
+    out[...] = g
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -332,33 +345,38 @@ def accuracy(output, labels):
 class MainnetGrads:
     weight: list
     bias: list
-    acts: list   # acts[t] = dL/d(activation output of layer t), NHWC for conv
+    acts: list             # acts[t] = dL/d(activation output of layer t), NHWC for conv
+    preacts: list | None   # preacts[t] = dL/dy[t], kept only when no weight gradient is formed
 
 
-def backward(spec, params, trace, labels, out=None):
+def backward(spec, params, trace, labels, weights=True):
     """Exact gradients of the batch loss for every parameter and activation.
 
-    ``out`` is an optional ``MainnetGrads`` whose ``weight`` and ``bias``
-    entries are arrays or None: a layer's gradient is written into its array
-    in place, and the returned gradients hold that same array.
+    Each layer's weight gradient is the product ``dy.T @ x`` of two factors
+    the walk already holds, its pre-activation gradient and its input (see
+    ``weight_factors``). With ``weights=False`` no weight gradient is formed:
+    every ``weight`` entry is None and ``preacts`` keeps each layer's ``dy``
+    instead. The fixed-head fast path takes them so: it forms each head's
+    gradient block by block with ``weight_grad`` and applies the block at
+    once, so a whole weight gradient is never written.
     """
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
         raise SpecError("trace does not match the spec")
-    dW = [None] * n_layers if out is None else list(out.weight)
-    db = [None] * n_layers if out is None else list(out.bias)
+    dW = [None] * n_layers
+    db = [None] * n_layers
+    dys = [None] * n_layers
     dacts = [None] * n_layers
     dx = loss_output_grad(spec, trace.output, labels)
     for t in range(n_layers - 1, -1, -1):
         layer = spec.layers[t]
         dacts[t] = dx
         dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
-        if layer.kind == DENSE:
-            dW[t] = np.matmul(dy.T, trace.inputs[t], out=dW[t])
-            db[t] = dy.sum(axis=0, out=db[t])
+        if weights:
+            dW[t] = weight_grad(layer, trace, t, dy)
         else:
-            dW[t], db[t] = _conv_backward(trace.conv_cols[t][0], params[t]["W"], dy,
-                                          dW[t], db[t])
+            dys[t] = dy
+        db[t] = dy.reshape(-1, layer.d_out).sum(axis=0)
         if t == 0:
             break   # the input batch is not trained: no gradient for it
         if layer.kind == DENSE:
@@ -369,4 +387,4 @@ def backward(spec, params, trace, labels, out=None):
             shape = trace.pool_shape[t]
             dx = np.broadcast_to(
                 dx[:, None, None, :] / (shape[1] * shape[2]), shape).copy()
-    return MainnetGrads(weight=dW, bias=db, acts=dacts)
+    return MainnetGrads(weight=dW, bias=db, acts=dacts, preacts=None if weights else dys)

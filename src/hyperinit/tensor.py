@@ -89,10 +89,3 @@ def row_chunks(n_rows, row_size, entries=1 << 20):
     step = 1 << max(0, (entries // max(1, row_size)).bit_length() - 1)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
-
-def empirical_variance(t):
-    """Population variance (divide by N) over all elements of the tensor."""
-    t = np.asarray(t, dtype=DTYPE)
-    if t.size < 2:
-        raise ValueError("variance needs at least 2 elements")
-    return float(np.var(t))

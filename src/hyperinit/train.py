@@ -23,11 +23,21 @@ so it can carry the generated weights directly and reconstruct the head
 update lazily (solving the small Gram system) whenever the head itself is
 needed: at each probe and when the loop ends, however it ends. This is
 algebraically identical to stepping (H, beta) and orders of magnitude cheaper
-when the head is large. Each head keeps its targets' weights and gradients as
-two preallocated (T, n) stacks, the weights computed straight from the head;
-``mainnet.backward`` writes the gradients into their rows in place, and a step
-is one finiteness check over every head, then one Gram GEMM and one in-place
-update per head.
+when the head is large. Each head keeps its targets' weights as one (T, n)
+stack, computed straight from the head. A weight gradient is the product
+``dW_t = dy_t.T @ x_t`` of two factors backward already holds, the layer's
+pre-activation gradient and its input (the patch matrix of a conv layer), so
+the loop asks ``mainnet.backward`` for those factors and no ``dW``. The update
+walks each head's rows in blocks that fit in L2: it forms the block of every
+target's gradient (one small GEMM each) in one reused buffer, multiplies it by
+the head's Gram matrix, scales it by lr and subtracts it from the stack's
+matching block. Each step reads and writes each stack once.
+
+A step is refused, before any head moves, exactly when some gradient entry
+would be non-finite: when a factor has a non-finite entry, or, if the
+factors' bound K max|dy| max|x| (K the batch, or B*oh*ow for a conv layer)
+reaches 1e300, when one of the head's blocks, computed first without being
+applied, does.
 
 Divergence (non-finite or > 1e30 loss/activations, or non-finite gradients)
 halts training and returns partial results with the step recorded; several
@@ -47,13 +57,16 @@ from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, HyperGra
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
                       ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
-                      backward, forward, mlp, mse_loss)
+                      backward, forward, mlp, mse_loss, weight_factors, weight_grad)
 from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
                     write_json)
 from .tensor import DTYPE, Rng, row_chunks
 
 DIVERGENCE_LIMIT = 1e30
 PROBE_BATCH = 300
+BLOCK_ENTRIES = 1 << 16   # a 512 KiB gradient block: it, its Gram product and the
+                          # stack's block stay within a 2 MiB per-core L2 cache
+SAFE_PRODUCT = 1e300      # K max|dy| max|x| below this cannot overflow
 
 
 class DataNotFoundError(FileNotFoundError):
@@ -110,13 +123,13 @@ class Step:
     hyper: HyperGrads | None = None
 
 
-def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=None,
+def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weights=True,
                   hyper_out=None):
     """Generate the mainnet parameters (unless carried ``params`` are given),
     run forward, stop if diverged, then backpropagate through the mainnet and,
-    for generated parameters, through the hypernet. ``out`` holds mainnet
-    gradient buffers, as ``mainnet.backward`` takes them, and ``hyper_out`` a
-    hypernet gradient, as ``Hypernet.backward`` takes it."""
+    for generated parameters, through the hypernet. ``weights`` is passed to
+    ``mainnet.backward`` and ``hyper_out``, a hypernet gradient, to
+    ``Hypernet.backward``."""
     gtrace = None
     if params is None:
         params, gtrace = net.generate()
@@ -124,7 +137,7 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, out=No
     diverged = _diverged(trace, loss)
     if diverged and stop_on_divergence:
         return Step(params, trace, loss, diverged)
-    grads = backward(mspec, params, trace, y, out=out)
+    grads = backward(mspec, params, trace, y, weights=weights)
     hyper = None if gtrace is None else net.backward(
         gtrace, grads.weight, grads.bias if net.bias_targets else None, out=hyper_out)
     return Step(params, trace, loss, diverged, grads, hyper)
@@ -143,7 +156,7 @@ class _HeadSpaceSgd:
     ``Hypernet.backward`` overwrites."""
 
     carried = None   # no carried parameters: pipeline_step generates them
-    grads = None     # no mainnet gradient buffers: mainnet.backward allocates
+    weights = True   # Hypernet.backward reads the mainnet weight gradients
 
     def __init__(self, net: Hypernet):
         self.net = net
@@ -166,12 +179,13 @@ class _FixedHeadFastPath:
     demand.
 
     Each head owns a (T, n) stack of its targets' carried parameters, one row
-    per target, and a gradient stack of the same shape. ``grads`` holds row
-    views of the gradient stacks for ``mainnet.backward`` to write into, so
-    ``update`` reads every gradient where backward left it.
+    per target. ``update`` steps it in blocks of rows (output units) of at
+    most ``BLOCK_ENTRIES`` entries, from the gradient factors backward left on
+    the step (see the module docstring).
     """
 
     hyper_grads = None   # no hypernet gradient: the heads move through the Gram system
+    weights = False      # update forms the weight gradients from the step's factors
 
     @staticmethod
     def applicable(net: Hypernet):
@@ -181,44 +195,89 @@ class _FixedHeadFastPath:
                 and net.hspec.head_topology != CHUNKED)
 
     def __init__(self, net: Hypernet):
-        layers = net.mspec.layers
-        self.carried = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in layers]
-        n_layers = len(layers)
-        self.grads = MainnetGrads(weight=[None] * n_layers, bias=[None] * n_layers, acts=None)
-        buffers = {"W": self.grads.weight, "b": self.grads.bias}
+        self.layers = net.mspec.layers
+        self.carried = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.layers]
         self.heads = []
+        size = 0
         for head in net.heads:
             emb = net.sources[head.source].block[list(head.rows)]   # identity trunk
             stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
-            grad = np.zeros_like(stack)
             for row, t in enumerate(head.targets):
                 # straight from the head: no slot-sized product of every source row
                 np.matmul(head.H, emb[row], out=stack[row])
                 stack[row] += head.beta
                 self.carried[t][head.slot.param] = stack[row].reshape(head.shape)
-                buffers[head.slot.param][t] = grad[row].reshape(head.shape)
+            n_rows = head.shape[0]
+            width = head.n_out // n_rows   # entries per row of one target
+            blocks = [(rows, slice(rows.start * width, min(rows.stop, n_rows) * width))
+                      for rows in row_chunks(n_rows, stack.shape[0] * width, BLOCK_ENTRIES)]
+            size = max(size, stack.shape[0] * (blocks[0][1].stop - blocks[0][1].start))
             self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
-                               "stack": stack, "base": stack.copy(), "grad": grad,
-                               "tmp": np.empty_like(stack)})
+                               "stack": stack, "base": stack.copy(), "blocks": blocks})
+        self.block, self.prod = np.empty(size, dtype=DTYPE), np.empty(size, dtype=DTYPE)
 
     def current_params(self):
         return self.carried
 
+    def _gradient_block(self, rec, step, rows, cols):
+        """Rows ``rows`` of every target's gradient, target i in row i of the
+        returned view of ``self.block`` (its columns ``cols`` of the stack)."""
+        head = rec["head"]
+        block = self.block[:len(head.targets) * (cols.stop - cols.start)]
+        block = block.reshape(len(head.targets), -1)
+        for i, t in enumerate(head.targets):
+            if head.slot.param == "W":
+                weight_grad(self.layers[t], step.trace, t, step.grads.preacts[t], rows,
+                            out=block[i].reshape(-1, *head.shape[1:]))
+            else:
+                block[i] = step.grads.bias[t][rows]
+        return block
+
+    def _surely_finite(self, rec, step):
+        """Whether every gradient entry of the head is finite: True or False
+        when the factors decide it, None when only the entries can.
+
+        A non-finite factor entry makes a non-finite gradient entry. With
+        finite factors, no entry of ``dy.T @ x`` exceeds K max|dy| max|x| for
+        K rows of the factors, so below ``SAFE_PRODUCT`` none overflows."""
+        head = rec["head"]
+        if head.slot.param == "b":
+            return all(np.isfinite(step.grads.bias[t]).all() for t in head.targets)
+        sure = True
+        for t in head.targets:
+            dy, x = weight_factors(step.trace, t, step.grads.preacts[t])
+            a, b = float(np.abs(dy).max()), float(np.abs(x).max())
+            if not (np.isfinite(a) and np.isfinite(b)):
+                return False
+            if len(x) * a * b >= SAFE_PRODUCT:
+                sure = None
+        return sure
+
+    @np.errstate(over="ignore", invalid="ignore")   # the refusal rule judges overflow
     def update(self, step, lr):
-        """Step every head from the gradients in ``grads``; if any entry is
-        non-finite, refuse the step before touching any head."""
-        if not all(np.isfinite(rec["grad"]).all() for rec in self.heads):
-            return False
+        """Step every head from the gradient factors of ``step``; if any
+        gradient entry would be non-finite, refuse the step before touching
+        any head."""
         for rec in self.heads:
-            np.matmul(rec["gram"], rec["grad"], out=rec["tmp"])
-            rec["tmp"] *= lr
-            rec["stack"] -= rec["tmp"]
+            finite = self._surely_finite(rec, step)
+            if finite is None:   # only the entries can tell: compute them, apply none
+                finite = all(np.isfinite(self._gradient_block(rec, step, *b)).all()
+                             for b in rec["blocks"])
+            if not finite:
+                return False
+        for rec in self.heads:
+            for rows, cols in rec["blocks"]:
+                block = self._gradient_block(rec, step, rows, cols)
+                prod = self.prod[:block.size].reshape(block.shape)
+                np.matmul(rec["gram"], block, out=prod)
+                prod *= lr
+                rec["stack"][:, cols] -= prod
         return True
 
     def sync(self):
         """Fold the accumulated weight motion back into the heads (exactly)."""
         for rec in self.heads:
-            delta = np.subtract(rec["base"], rec["stack"], out=rec["tmp"])
+            delta = rec["base"] - rec["stack"]
             if not delta.any():
                 continue
             acc = np.linalg.solve(rec["gram"], delta)
@@ -408,9 +467,23 @@ def _sampled_batches(rng, x, y, count, size):
         yield x[idx], y[idx]
 
 
+def _check_finite(arrays):
+    """FormatError for the first named array that holds a non-finite value,
+    naming the index of its first example that does."""
+    for name, a in arrays:
+        bad = np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1))
+        if bad.size:
+            raise FormatError(f"{name}: non-finite value at index {bad[0]}")
+
+
 def _classification_schedule(preset, config, rng, mspec, data_dir, data):
     train_raw, test_raw = preset.load(data_dir) if data is None else data
-    train_ds, stats = standardize(train_raw.take(config.subset), preset.standardize_mode)
+    train_raw = train_raw.take(config.subset)
+    if data is not None:   # checked once, before step 1; loaded bytes are finite
+        _check_finite((f"{split} {name}", getattr(ds, name))
+                      for split, ds in (("train", train_raw), ("test", test_raw))
+                      for name in ("inputs", "labels"))
+    train_ds, stats = standardize(train_raw, preset.standardize_mode)
     test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
     x, y = _flatten_inputs(mspec, train_ds.inputs), train_ds.labels
     x_test, y_test = _flatten_inputs(mspec, test_ds.inputs), test_ds.labels
@@ -426,7 +499,13 @@ def _classification_schedule(preset, config, rng, mspec, data_dir, data):
 
 def _regression_schedule(preset, config, rng, mspec, data_dir, data):
     """Tasks in sequence, ``iterations`` (default 400) sampled batches each."""
-    tasks = data if data is not None else make_regression_tasks(config.seed)
+    if data is None:
+        tasks = make_regression_tasks(config.seed)
+    else:   # checked once, before step 1
+        tasks = data
+        _check_finite((f"task {i} {name}", getattr(task, name))
+                      for i, task in enumerate(tasks.tasks)
+                      for name in ("train_x", "train_y", "test_x", "test_y"))
     count = 400 if config.iterations is None else config.iterations
     return Schedule(((i, _sampled_batches(rng.child(200 + i), task.train_x, task.train_y,
                                           count, config.batch_size),
@@ -481,7 +560,7 @@ def _run(net, mspec, config, schedule, result):
         first = len(losses)
         floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
         for xb, yb in batches:
-            s = pipeline_step(net, mspec, xb, yb, updater.carried, out=updater.grads,
+            s = pipeline_step(net, mspec, xb, yb, updater.carried, weights=updater.weights,
                               hyper_out=updater.hyper_grads)
             if not s.diverged:
                 losses.append(s.loss)

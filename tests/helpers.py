@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from hyperinit import mainnet as mn
+
 
 def zero_params(spec):
     """All-zero mainnet parameters for a spec, one {"W", "b"} dict per layer."""
@@ -12,3 +14,18 @@ def updatable_keys(net):
     """Keys of the hypernet arrays SGD moves: embeddings only when trainable."""
     return {key for key in net.param_arrays()
             if not key.startswith("emb.") or net.hspec.embeddings_trainable}
+
+
+def empirical_variance(t):
+    """Population variance (divide by N) over all elements of the tensor."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.size < 2:
+        raise ValueError("variance needs at least 2 elements")
+    return float(np.var(t))
+
+
+def conv2d_forward(x, weight, bias, kernel):
+    """Cross-correlation of (B, C, H, W) with (C_out, C, kh, kw) weights."""
+    y, _ = mn._conv_forward(np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1),
+                            weight, bias, kernel)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))

@@ -19,7 +19,9 @@ from hyperinit import probe
 from hyperinit import train as tr
 from hyperinit.gradcheck import run_suite
 from hyperinit.init_schemes import parse_scheme
-from hyperinit.tensor import Distribution, Rng, empirical_variance, sample
+from hyperinit.tensor import Distribution, Rng, sample
+
+from helpers import empirical_variance
 
 
 def report(num, ok, detail):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperinit import init_schemes as s
-from hyperinit.tensor import Distribution, Rng, empirical_variance, sample
+from hyperinit.tensor import Distribution, Rng, sample
+
+from helpers import empirical_variance
 
 REL = 1e-15
 

@@ -5,7 +5,7 @@ from hyperinit import mainnet as mn
 from hyperinit.gradcheck import gradient_errors, numeric_gradient
 from hyperinit.tensor import Rng
 
-from helpers import zero_params
+from helpers import conv2d_forward, zero_params
 
 
 def conv_oracle(x, w, b, kernel):
@@ -191,14 +191,14 @@ class TestConv:
         x = rng.normal(1.0, (2, 3, 4, 4))
         w = rng.normal(1.0, (5, 3, 1, 1))
         b = rng.normal(1.0, 5)
-        out = mn.conv2d_forward(x, w, b, (1, 1, 1, 0))
+        out = conv2d_forward(x, w, b, (1, 1, 1, 0))
         want = np.einsum("nchw,oc->nohw", x, w[:, :, 0, 0]) + b[None, :, None, None]
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
     def test_all_ones_valid_conv(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        out = mn.conv2d_forward(x, w, np.zeros(1), (3, 3, 1, 0))
+        out = conv2d_forward(x, w, np.zeros(1), (3, 3, 1, 0))
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == 9.0
 
@@ -210,7 +210,7 @@ class TestConv:
         x = rng.child(0).normal(1.0, (2, 3, 6, 6))
         w = rng.child(1).normal(1.0, (4, 3, kernel[0], kernel[1]))
         b = rng.child(2).normal(1.0, 4)
-        got = mn.conv2d_forward(x, w, b, kernel)
+        got = conv2d_forward(x, w, b, kernel)
         want = conv_oracle(x, w, b, kernel)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -221,7 +221,7 @@ class TestConv:
         x = rng.child(0).normal(1.0, (2, 3, 5, 7))
         w = rng.child(1).normal(1.0, (4, 3, kernel[0], kernel[1]))
         b = rng.child(2).normal(1.0, 4)
-        got = mn.conv2d_forward(x, w, b, kernel)
+        got = conv2d_forward(x, w, b, kernel)
         want = conv_oracle(x, w, b, kernel)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -281,31 +281,32 @@ class TestConv:
         assert worst < 1e-5
 
     @pytest.mark.parametrize("conv", [False, True])
-    def test_backward_writes_into_given_arrays(self, conv):
+    def test_weight_factors_give_the_weight_gradients(self, conv):
         rng = Rng(16)
         if conv:
-            spec = mn.allconv(2, [3, 4], 3, kernel=3, strides=[2, 1])
+            spec = mn.allconv(2, [5, 4], 3, kernel=3, strides=[2, 1])
             x = rng.child(40).normal(1.0, (2, 2, 5, 7))
         else:
-            spec = mn.mlp([5, 4, 4, 3], activation="tanh")
+            spec = mn.mlp([5, 7, 4, 3], activation="tanh")
             x = rng.child(40).normal(1.0, (2, 5))
         params = random_params(spec, rng)
         y = np.asarray(rng.child(41).integers(3, size=2))
         trace, _ = mn.forward(spec, params, x, y)
         want = mn.backward(spec, params, trace, y)
-        # arrays for some entries, None (allocate) for the others
-        out = mn.MainnetGrads(
-            weight=[np.full(l.weight_shape, np.nan) if t % 2 == 0 else None
-                    for t, l in enumerate(spec.layers)],
-            bias=[np.full(l.d_out, np.nan) if t % 2 == 1 else None
-                  for t, l in enumerate(spec.layers)],
-            acts=None)
-        got = mn.backward(spec, params, trace, y, out=out)
-        for given, g, w in zip(out.weight + out.bias, got.weight + got.bias,
-                               want.weight + want.bias):
-            if given is not None:
-                assert g is given
-            np.testing.assert_array_equal(g, w)
+        assert want.preacts is None
+        got = mn.backward(spec, params, trace, y, weights=False)
+        assert got.weight == [None] * len(spec.layers)
+        for t, layer in enumerate(spec.layers):
+            np.testing.assert_array_equal(got.bias[t], want.bias[t])
+            np.testing.assert_array_equal(got.acts[t], want.acts[t])
+            dy = got.preacts[t]
+            np.testing.assert_array_equal(mn.weight_grad(layer, trace, t, dy), want.weight[t])
+            # row blocks, the last one partial, into given arrays
+            for lo in range(0, layer.d_out, 2):
+                rows = slice(lo, lo + 2)
+                out = np.full(want.weight[t][rows].shape, np.nan)
+                assert mn.weight_grad(layer, trace, t, dy, rows, out=out) is out
+                np.testing.assert_allclose(out, want.weight[t][rows], rtol=1e-12, atol=1e-15)
 
     def test_global_average_pool_between_conv_and_dense(self):
         spec = mn.allconv(1, [2], 3, kernel=3, strides=[1])
@@ -315,6 +316,38 @@ class TestConv:
         params[1]["W"][:] = np.eye(3, 2)
         trace, _ = mn.forward(spec, params, np.zeros((1, 1, 4, 4)))
         np.testing.assert_allclose(trace.output, [[1.0, 2.0, 0.0]])
+
+
+def im2col_per_tap(x, kernel):
+    """The patch matrix built one kernel tap at a time from an np.pad copy."""
+    kh, kw, stride, pad = kernel
+    b, h, w, c = x.shape
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    patches = np.empty((b, oh, ow, kh, kw, c))
+    for i in range(kh):
+        for j in range(kw):
+            patches[:, :, :, i, j] = x[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("kernel", [
+        (3, 3, 1, 1), (3, 3, 2, 1), (1, 1, 1, 0), (3, 3, 1, 0), (2, 2, 2, 0), (3, 2, 2, 2),
+    ])
+    @pytest.mark.parametrize("nchw_view", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 1, 3, 3)])
+    def test_matches_per_tap_reference(self, kernel, nchw_view, shape):
+        # a transposed NCHW batch is what layer 0 receives: not C-contiguous,
+        # and with length-1 axes it may pass for C-contiguous anyway
+        b, c, h, w = shape
+        x = Rng(3).normal(1.0, shape if nchw_view else (b, h, w, c))
+        if nchw_view:
+            x = x.transpose(0, 2, 3, 1)
+        got, hw = mn._im2col(x, kernel)
+        want, want_hw = im2col_per_tap(x, kernel)
+        assert hw == want_hw
+        np.testing.assert_array_equal(got, want)
 
 
 class TestVarianceRecursion:

@@ -9,7 +9,7 @@ from hyperinit import probe
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
 
-from helpers import zero_params
+from helpers import conv2d_forward, zero_params
 
 
 def small_setup(scheme="hyperfan-in", width=40, depth=3, emb=8, seed=0,
@@ -177,7 +177,7 @@ class TestConvLayout:
             preacts, acts, h = [], [], x
             for layer, p in zip(mspec.layers, params):
                 if layer.kind == "conv":
-                    y = mn.conv2d_forward(h, p["W"], p["b"], layer.kernel)
+                    y = conv2d_forward(h, p["W"], p["b"], layer.kernel)
                 else:
                     y = h.mean(axis=(2, 3)) @ p["W"].T + p["b"]
                 h = mn.activate(layer.activation if activations else "identity", y)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinit.tensor import Distribution, Rng, empirical_variance, sample
+from hyperinit.tensor import Distribution, Rng, sample
+
+from helpers import empirical_variance
 
 
 class TestRng:

@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +123,7 @@ class TestFastPath:
     def test_applicable_conditions(self):
         _, net = self.build()
         assert tr._FixedHeadFastPath.applicable(net)
+        assert tr._FixedHeadFastPath.applicable(self.build_conv()[1])
         mspec = mn.mlp([4, 3, 2], activation="tanh")
         hspec = hg.HypernetSpec(embedding_dim=2, hidden_layers=(6,),
                                 head_topology=hg.PER_LAYER)
@@ -135,20 +136,23 @@ class TestFastPath:
         return mspec, hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"),
                                        Rng(seed))
 
-    @staticmethod
-    def step_with(dw, db, hyper=None):
-        """A pipeline step carrying the given mainnet (and hypernet) gradients."""
-        return tr.Step(params=None, trace=None, loss=0.0, diverged=False,
-                       grads=SimpleNamespace(weight=dw, bias=db), hyper=hyper)
+    def build_kind(self, kind, seed=0):
+        return self.build_conv(seed) if kind == "conv" else self.build(seed, kind == "bias")
 
     @staticmethod
-    def step_into(fast, dw, db):
-        """Write the given mainnet gradients into the fast path's buffers, as
-        mainnet.backward does, and return a step carrying them."""
-        for buf, g in zip(fast.grads.weight + fast.grads.bias, dw + db):
-            if buf is not None:
-                buf[...] = g
-        return tr.Step(params=None, trace=None, loss=0.0, diverged=False, grads=fast.grads)
+    def batch(mspec, rng, size=3):
+        first = mspec.layers[0]
+        shape = (size, first.d_in, 6, 6) if first.kind == "conv" else (size, first.d_in)
+        x = rng.child(0).normal(1.0, shape)
+        return x, np.asarray(rng.child(1).integers(mspec.output_dim, size=size))
+
+    def fast_step(self, net, mspec, fast, rng):
+        """A real pipeline step on the fast path's carried parameters, as the
+        training loop takes it: gradient factors and no weight gradient."""
+        step = tr.pipeline_step(net, mspec, *self.batch(mspec, rng), fast.carried,
+                                weights=fast.weights)
+        assert not step.diverged and step.grads.weight == [None] * len(mspec.layers)
+        return step
 
     @staticmethod
     def state(fast, net):
@@ -160,26 +164,37 @@ class TestFastPath:
             arrays += [rec["stack"], rec["base"]]
         return arrays
 
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_matches_head_space_sgd_exactly(self, bias):
-        # feed the same gradient sequence to the head-space updater and the
+    @staticmethod
+    def dense_update(fast, mspec, step, y, lr):
+        """Every head's stack after a whole-gradient update: stack minus
+        lr * gram @ (the targets' gradients: ``dy.T @ x`` of the step's own
+        factors for a dense layer, mainnet.backward's for a conv layer)."""
+        want = mn.backward(mspec, step.params, step.trace, y)
+        weight = [step.grads.preacts[t].T @ step.trace.inputs[t] if layer.kind == "dense"
+                  else want.weight[t] for t, layer in enumerate(mspec.layers)]
+        grads = {"W": weight, "b": step.grads.bias}
+        out = []
+        for rec in fast.heads:
+            head = rec["head"]
+            grad = np.stack([grads[head.slot.param][t].ravel() for t in head.targets])
+            out.append(rec["stack"] - lr * (rec["gram"] @ grad))
+        return out
+
+    def assert_matches_head_space_sgd(self, kind):
+        # the same batches through the head-space updater and the
         # reparameterized fast path; weights and heads must agree
-        mspec, net_fast = self.build(seed=3, bias=bias)
-        _, net_naive = self.build(seed=3, bias=bias)
+        mspec, net_fast = self.build_kind(kind, seed=3)
+        _, net_naive = self.build_kind(kind, seed=3)
         fast = tr._FixedHeadFastPath(net_fast)
         naive = tr._HeadSpaceSgd(net_naive)
         assert naive.carried is None and fast.carried is not None
-        rng = Rng(44)
         lr = 0.05
         for step in range(25):
-            params, gtrace = net_naive.generate()
-            dw = [rng.child(100 * step + t).normal(1.0, p["W"].shape)
-                  for t, p in enumerate(params)]
-            db = [rng.child(900 + 100 * step + t).normal(1.0, p["b"].shape)
-                  for t, p in enumerate(params)]
-            hyper = net_naive.backward(gtrace, dw, db if bias else None)
-            assert naive.update(self.step_with(dw, db, hyper), lr)
-            assert fast.update(self.step_into(fast, dw, db), lr)
+            rng = Rng(44).child(step)
+            x, y = self.batch(mspec, rng)
+            s = tr.pipeline_step(net_naive, mspec, x, y, hyper_out=naive.hyper_grads)
+            assert naive.update(s, lr)
+            assert fast.update(self.fast_step(net_fast, mspec, fast, rng), lr)
         fast.sync()
         naive_params = naive.current_params()
         fast_params, _ = net_fast.generate()
@@ -188,44 +203,47 @@ class TestFastPath:
                                        rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(fast_params[t]["W"], naive_params[t]["W"],
                                        rtol=1e-9, atol=1e-12)
-            if bias:
+            if kind == "bias":
                 np.testing.assert_allclose(fast.current_params()[t]["b"],
                                            naive_params[t]["b"], rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matches_head_space_sgd_exactly(self, bias):
+        self.assert_matches_head_space_sgd("bias" if bias else "dense")
+
+    def test_conv_matches_head_space_sgd_exactly(self):
+        self.assert_matches_head_space_sgd("conv")
+
     def test_sync_makes_regeneration_idempotent(self):
-        mspec, net = self.build(seed=5)
-        fast = tr._FixedHeadFastPath(net)
-        rng = Rng(7)
-        for step in range(5):
-            dw = [rng.child(step * 10 + t).normal(1.0, p["W"].shape)
-                  for t, p in enumerate(fast.carried)]
-            fast.update(self.step_into(fast, dw, [np.zeros(l.d_out) for l in mspec.layers]),
-                        0.1)
-        fast.sync()
-        regen, _ = net.generate()
-        for t in range(len(mspec.layers)):
-            np.testing.assert_allclose(regen[t]["W"], fast.carried[t]["W"],
-                                       rtol=1e-10, atol=1e-13)
+        for kind in ("dense", "bias", "conv"):
+            mspec, net = self.build_kind(kind, seed=5)
+            fast = tr._FixedHeadFastPath(net)
+            for step in range(5):
+                assert fast.update(self.fast_step(net, mspec, fast, Rng(7).child(step)), 0.1)
+            fast.sync()
+            regen, _ = net.generate()
+            for t in range(len(mspec.layers)):
+                np.testing.assert_allclose(regen[t]["W"], fast.carried[t]["W"],
+                                           rtol=1e-10, atol=1e-13, err_msg=kind)
+                np.testing.assert_allclose(regen[t]["b"], fast.carried[t]["b"],
+                                           rtol=1e-10, atol=1e-13, err_msg=kind)
 
     def test_nonfinite_gradient_rejected(self):
         mspec, net = self.build(seed=5)
         fast = tr._FixedHeadFastPath(net)
-        dw = [np.full(l.weight_shape, np.nan) for l in mspec.layers]
-        db = [np.zeros(l.d_out) for l in mspec.layers]
-        assert not fast.update(self.step_into(fast, dw, db), 0.1)
+        step = self.fast_step(net, mspec, fast, Rng(7))
+        step.grads.preacts[1][...] = np.nan
+        assert not fast.update(step, 0.1)
 
     def test_sync_in_row_chunks_is_bit_identical(self, monkeypatch):
         monkeypatch.setattr(tr, "row_chunks",
-                            lambda n, size: tensor.row_chunks(n, size, entries=8 * size))
+                            lambda n, size, entries=1 << 20:
+                            tensor.row_chunks(n, size, entries=8 * size))
         mspec, net = self.build(seed=5)
         fast = tr._FixedHeadFastPath(net)
         assert len(tr.row_chunks(*fast.heads[0]["head"].H.shape)) > 1
-        rng = Rng(7)
         for step in range(3):
-            dw = [rng.child(step * 10 + t).normal(1.0, l.weight_shape)
-                  for t, l in enumerate(mspec.layers)]
-            fast.update(self.step_into(fast, dw, [np.zeros(l.d_out) for l in mspec.layers]),
-                        0.1)
+            assert fast.update(self.fast_step(net, mspec, fast, Rng(7).child(step)), 0.1)
         want = []
         for rec in fast.heads:   # the whole-matrix fold
             acc = np.linalg.solve(rec["gram"], rec["base"] - rec["stack"])
@@ -237,41 +255,90 @@ class TestFastPath:
 
     @pytest.mark.parametrize("bias", [False, True])
     def test_refused_step_touches_nothing(self, bias):
-        # only the last head's last target holds a NaN: no head may move
+        # only the last head's last target is bad: no head may move
         mspec, net = self.build(seed=6, bias=bias)
         fast = tr._FixedHeadFastPath(net)
-        rng = Rng(8)
-        dw = [rng.child(t).normal(1.0, l.weight_shape) for t, l in enumerate(mspec.layers)]
-        db = [rng.child(10 + t).normal(1.0, l.d_out) for t, l in enumerate(mspec.layers)]
-        step = self.step_into(fast, dw, db)
-        last = fast.heads[-1]["head"]
-        buffers = {"W": fast.grads.weight, "b": fast.grads.bias}[last.slot.param]
-        buffers[last.targets[-1]].flat[-1] = np.nan
-        before = [a.copy() for a in self.state(fast, net)]
-        assert not fast.update(step, 0.1)
-        fast.sync()
-        for got, want in zip(self.state(fast, net), before):
-            np.testing.assert_array_equal(got, want)
+        weight_head = [rec["head"] for rec in fast.heads if rec["head"].slot.param == "W"][-1]
+        t = weight_head.targets[-1]
 
-    @pytest.mark.parametrize("conv", [False, True])
-    def test_backward_writes_into_the_gradient_stacks(self, conv):
-        mspec, net = self.build_conv(seed=2) if conv else self.build(seed=2, bias=True)
+        def nan_in_dy(step):
+            step.grads.preacts[t].flat[-1] = np.nan
+
+        def inf_in_x(step):
+            step.trace.inputs[t].flat[0] = np.inf
+
+        def product_overflows(step):
+            # finite factors, K max|dy| max|x| far past 1e300: decided by the blocks
+            step.grads.preacts[t][...] *= 1e160
+            step.trace.inputs[t][...] *= 1e160
+
+        def nan_in_bias_grad(step):
+            step.grads.bias[fast.heads[-1]["head"].targets[-1]][-1] = np.nan
+
+        spoilers = [nan_in_dy, inf_in_x, product_overflows] + ([nan_in_bias_grad] if bias else [])
+        for i, spoil in enumerate(spoilers):
+            step = self.fast_step(net, mspec, fast, Rng(8).child(i))
+            spoil(step)
+            before = [a.copy() for a in self.state(fast, net)]
+            assert not fast.update(step, 0.1), spoil.__name__
+            fast.sync()
+            for got, want in zip(self.state(fast, net), before):
+                np.testing.assert_array_equal(got, want)
+
+    def test_huge_but_safe_step_is_accepted(self):
+        # K max|dy| max|x| reaches 1e300, yet every gradient entry is finite:
+        # the blocks decide, and the step is taken as the dense update takes it
+        mspec, net = self.build(seed=6)
+        fast = tr._FixedHeadFastPath(net)
+        rng = Rng(9)
+        x, y = self.batch(mspec, rng)
+        step = tr.pipeline_step(net, mspec, x, y, fast.carried, weights=False)
+        t = fast.heads[0]["head"].targets[0]
+        dy, xin = step.grads.preacts[t], step.trace.inputs[t]
+        dy[...] = 0.0
+        dy[0, 0] = 1e150
+        xin *= 1e150 / np.abs(xin).max()
+        assert len(xin) * np.abs(dy).max() * np.abs(xin).max() >= tr.SAFE_PRODUCT
+        want = self.dense_update(fast, mspec, step, y, 1e-3)
+        assert fast.update(step, 1e-3)
+        for rec, w in zip(fast.heads, want):
+            assert np.isfinite(rec["stack"]).all()
+            np.testing.assert_allclose(rec["stack"], w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["dense", "bias", "conv"])
+    @pytest.mark.parametrize("entries", [None, 16])
+    def test_update_matches_the_dense_gram_update(self, kind, entries, monkeypatch):
+        # blocks of the default size, and blocks of a few rows, the last partial
+        if entries is not None:
+            monkeypatch.setattr(tr, "BLOCK_ENTRIES", entries)
+        mspec, net = self.build_kind(kind, seed=2)
         assert tr._FixedHeadFastPath.applicable(net)
         fast = tr._FixedHeadFastPath(net)
-        assert all(g is not None for g in fast.grads.weight)
-        rng = Rng(31)
-        x = rng.child(0).normal(1.0, (3, 2, 6, 6) if conv else (3, 12))
-        y = np.asarray(rng.child(1).integers(mspec.output_dim, size=3))
-        step = tr.pipeline_step(net, mspec, x, y, fast.carried, out=fast.grads)
-        want = mn.backward(mspec, fast.carried, step.trace, y)
-        stacks = [rec["grad"] for rec in fast.heads]
-        for got, given, ref in zip(step.grads.weight + step.grads.bias,
-                                   fast.grads.weight + fast.grads.bias,
-                                   want.weight + want.bias):
-            if given is not None:
-                assert got is given
-                assert any(np.shares_memory(got, s) for s in stacks)
-            np.testing.assert_array_equal(got, ref)
+        if entries is not None:
+            assert any(len(rec["blocks"]) > 1 for rec in fast.heads)
+        x, y = self.batch(mspec, Rng(31))
+        step = tr.pipeline_step(net, mspec, x, y, fast.carried, weights=False)
+        want = self.dense_update(fast, mspec, step, y, 0.1)
+        assert fast.update(step, 0.1)
+        for rec, w in zip(fast.heads, want):
+            np.testing.assert_allclose(rec["stack"], w, rtol=1e-12, atol=1e-15)
+
+    def test_update_allocates_less_than_one_head(self):
+        # the blocks reuse one buffer: no gradient-sized array is made
+        mspec = mn.mlp([16, 400, 400, 4], activation="tanh")
+        hspec = hg.HypernetSpec(embedding_dim=4, head_topology=hg.SHARED_SAME_SIZE)
+        net = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(4))
+        fast = tr._FixedHeadFastPath(net)
+        head_bytes = max(rec["stack"].nbytes for rec in fast.heads)
+        assert head_bytes >= 1 << 20
+        step = self.fast_step(net, mspec, fast, Rng(5))
+        tracemalloc.start()
+        try:
+            assert fast.update(step, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < head_bytes
 
 
 class TestHeadSpaceSgd:
@@ -504,6 +571,33 @@ class TestLabelCheck:
         which = ("train", "test")[split]
         with pytest.raises(dt.FormatError, match=f"{which} label {label} at index 5"):
             tr.train(name, tr.config_for(name), data=data)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("split,field,value", [
+        (0, "inputs", np.nan), (1, "inputs", -np.inf), (0, "labels", np.nan)])
+    def test_classification_arrays_rejected_before_step_one(self, tiny_classification,
+                                                            split, field, value):
+        from dataclasses import replace
+        name, data = tiny_classification
+        arr = getattr(data[split], field).astype(float)
+        arr.reshape(len(arr), -1)[7, -1] = value   # one entry of example 7
+        data = tuple(replace(ds, **{field: arr}) if i == split else ds
+                     for i, ds in enumerate(data))
+        which = ("train", "test")[split]
+        with pytest.raises(dt.FormatError, match=f"{which} {field}: non-finite value at index 7"):
+            tr.train(name, tr.config_for(name), data=data)
+
+    @pytest.mark.parametrize("field", ["train_x", "train_y", "test_x"])
+    def test_regression_task_arrays_rejected_before_step_one(self, field):
+        # a NaN in task 1's train_x used to end the run as a divergence
+        from dataclasses import replace
+        tasks = dt.make_regression_tasks(0)
+        arr = getattr(tasks.tasks[1], field).copy()
+        arr[55] = np.nan
+        tasks.tasks[1] = replace(tasks.tasks[1], **{field: arr})
+        with pytest.raises(dt.FormatError, match=f"task 1 {field}: non-finite value at index 55"):
+            tr.train("regression-seq", tr.config_for("regression-seq"), data=tasks)
 
 
 class TestDataLoading:
