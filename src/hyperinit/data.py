@@ -1,8 +1,8 @@
 """Dataset ingestion and synthesis.
 
 Readers for the two on-disk formats the experiments use (IDX images/labels
-and the 3073-byte-record CIFAR-10 binary), matching writers so fixtures can
-be produced in-process, standardization, and the synthetic regression task
+and the 3073-byte-record CIFAR-10 binary), an IDX writer so fixtures can be
+produced in-process, standardization, and the synthetic regression task
 sequence. Loaders are byte-deterministic and never touch the network.
 """
 
@@ -18,7 +18,6 @@ IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 GLOBAL = "global"
-PER_FEATURE = "per-feature"
 
 
 class FormatError(ValueError):
@@ -74,18 +73,8 @@ def read_idx(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
-def _labels_path_for(images_path):
-    p = str(images_path)
-    guess = p.replace("images", "labels").replace("idx3", "idx1")
-    if guess == p:
-        raise FormatError(f"cannot infer labels path from {p}; pass labels_path")
-    return guess
-
-
-def load_idx(images_path, labels_path=None):
+def load_idx(images_path, labels_path):
     """IDX image+label pair as a Dataset with float pixels in [0, 1]."""
-    if labels_path is None:
-        labels_path = _labels_path_for(images_path)
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -129,36 +118,16 @@ def load_cifar10_binary(path):
     return Dataset(inputs=images, labels=labels)
 
 
-def write_cifar10_binary(path, images, labels):
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    if images.dtype != np.uint8 or labels.dtype != np.uint8:
-        raise ValueError("CIFAR binary files store uint8 data")
-    n = len(labels)
-    records = np.empty((n, CIFAR_RECORD), dtype=np.uint8)
-    records[:, 0] = labels
-    records[:, 1:] = images.reshape(n, -1)
-    with open(path, "wb") as f:
-        f.write(records.tobytes())
-
-
 def standardize(ds, mode=GLOBAL, stats=None):
-    """Center/scale inputs; returns (dataset, stats) so test splits reuse train stats.
-
-    Per-feature mode leaves zero-variance features centered but unscaled.
-    """
+    """Center/scale inputs by their global mean and standard deviation (1 when
+    zero); returns (dataset, stats) so test splits reuse train stats."""
     x = ds.inputs
     if stats is None:
-        if mode == GLOBAL:
-            mean, std = float(x.mean()), float(x.std())
-            if std == 0.0:
-                std = 1.0
-        elif mode == PER_FEATURE:
-            mean = x.mean(axis=0)
-            std = x.std(axis=0)
-            std = np.where(std == 0.0, 1.0, std)
-        else:
+        if mode != GLOBAL:
             raise ValueError(f"unknown standardization mode {mode!r}")
+        mean, std = float(x.mean()), float(x.std())
+        if std == 0.0:
+            std = 1.0
         stats = (mean, std)
     mean, std = stats
     out = replace(ds, inputs=(x - mean) / std, mean=mean, std=std)

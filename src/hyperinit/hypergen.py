@@ -1,13 +1,13 @@
 """Hypernetwork engines: generate mainnet parameters from embeddings.
 
-A hypernet owns sources and generator heads. A source is one (rows, d_e)
-block of embeddings, a row per target, read through its own trunk (a dense
-stack, identity when empty): ``"w"`` through trunk_h, ``"b"`` through
-trunk_g, and each chunked head's ``emb.c<i>`` through an identity trunk.
-Heads share one interface: ``generate`` writes mainnet parameters from source
-features, ``backward`` maps their gradients back. Weights and biases share
-one ``LinearHead`` class (``W = H h(e) + beta``, ``b = G g(e) + gamma``).
-Three head topologies are supported:
+A hypernet owns sources. A source is one (rows, d_e) block of embeddings, a
+row per target, read through its own trunk (a dense stack, identity when
+empty) by its own head: ``"w"`` through trunk_h, ``"b"`` through trunk_g, and
+each chunked head's ``emb.c<i>`` through an identity trunk. The head is the
+one object that owns a source's generator arrays: it draws them, ``generate``
+writes mainnet parameters from the source features, ``backward`` maps their
+gradients back, and ``feature_grads`` returns only the features' gradients,
+which the variance probe reads. Three head topologies are supported:
 
 * ``per-layer``: every target layer gets its own linear head.
 * ``shared-same-size``: layers with identical weight shapes share one head,
@@ -18,27 +18,29 @@ Three head topologies are supported:
   (output-block, input-channel) order. Layers the chunk grid cannot cover
   (e.g. a dense classifier) fall back to per-layer heads.
 
-The linear heads of one slot (weights or biases) form a ``SlotBank``: their H
-(G) matrices are consecutive row blocks of one (N, d) matrix and their beta
-(gamma) offsets consecutive pieces of one (N,) vector. ``generate`` is one GEMM
-per slot, every target's parameter a view of its rows and columns of the
-product; ``backward`` places each target's gradient in one (T, N) matrix and
-takes the head gradients and the feature gradients from it in three whole-slot
-operations. For shared heads the head gradient is the sum of the per-target
-contributions, which combats the usual head-gradient shrinkage.
-``feature_grads`` returns only the gradients of the heads' input features,
-which the variance probe reads: each source's head computes them with the same
-helper its ``backward`` uses, from its output matrix and the mainnet gradients
-alone.
+The linear heads of one slot (weights or biases) are one ``SlotBank``, and
+each ``LinearHead`` (``W = H h(e) + beta``, ``b = G g(e) + gamma``) is a row
+range of it: their H (G) matrices are consecutive row blocks of one (N, d)
+matrix and their beta (gamma) offsets consecutive pieces of one (N,) vector.
+``generate`` is one GEMM per slot, every target's parameter a view of its rows
+and columns of the product; ``backward`` places each target's gradient in one
+(T, N) matrix and takes the head gradients and the feature gradients from it
+in three whole-slot operations; ``feature_grads`` multiplies each target's
+gradient by its own head's rows. For shared heads the head gradient is the sum
+of the per-target contributions, which combats the usual head-gradient
+shrinkage.
 
-Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``:
-trunks, then each source's head arrays, then each source's embedding block, so
-the updatable arrays form the prefix ``flat[:n_updatable]``. ``backward``
-writes a gradient vector with the same layout, fresh or the caller's own, and
-overwrites every entry, so one SGD step is one check and one update.
-The head formulas read the declared embedding variance, ``Var(e)``.
+Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``,
+laid out in one order: trunks, then each source's head, then each source's
+embedding block, so the updatable arrays form the prefix ``flat[:n_updatable]``.
+Each of these parts declares its arrays in layout order, binds itself to its
+one segment of ``flat`` and reaches its gradient through the same segment of a
+vector laid out like it. ``backward`` writes such a vector, fresh or the
+caller's own, and overwrites every entry, so one SGD step is one check and one
+update. The head formulas read the declared embedding variance, ``Var(e)``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,27 +91,49 @@ class HypernetSpec:
             raise SpecError("chunked topology requires a ChunkPlan")
 
 
-class Trunk:
-    """Dense stack mapping embeddings to head features; identity when empty."""
+
+class Segment:
+    """Arrays laid out back to back in one segment of ``Hypernet.flat``, named
+    by ``keys`` and sized by ``shapes`` in layout order. ``Hypernet._allocate``
+    sets ``span``, the segment's slice, then calls ``bind``."""
+
+    span = slice(0, 0)
+
+    @property
+    def size(self):
+        return sum(math.prod(shape) for shape in self.shapes)
+
+    def arrays(self, vector):
+        """The arrays, in layout order, as views of this segment of ``vector``
+        (``Hypernet.flat`` or a vector laid out like it)."""
+        out, lo = [], self.span.start
+        for shape in self.shapes:
+            out.append(vector[lo:lo + math.prod(shape)].reshape(shape))
+            lo += math.prod(shape)
+        return out
+
+    def named(self, vector):
+        return dict(zip(self.keys, self.arrays(vector)))
+
+
+class Trunk(Segment):
+    """Dense stack mapping embeddings to head features; identity when empty.
+    Its arrays are W0, b0, W1, b1, ..."""
 
     def __init__(self, name, in_dim, widths, activation):
-        self.name = name
         self.in_dim = in_dim
         self.widths = tuple(widths)
         self.activation = activation
+        dims = (in_dim,) + self.widths
+        self.keys = tuple(f"{name}.{p}{i}" for i in range(len(self.widths)) for p in "Wb")
+        self.shapes = tuple(s for a, b in zip(dims, dims[1:]) for s in ((b, a), (b,)))
         self.weights, self.biases = [], []   # views set by bind()
 
-    def shapes(self):
-        dims = (self.in_dim,) + self.widths
-        out = {}
-        for i, (a, b) in enumerate(zip(dims, dims[1:])):
-            out[f"{self.name}.W{i}"] = (b, a)
-            out[f"{self.name}.b{i}"] = (b,)
-        return out
-
-    def bind(self, views):
-        self.weights = [views[f"{self.name}.W{i}"] for i in range(len(self.widths))]
-        self.biases = [views[f"{self.name}.b{i}"] for i in range(len(self.widths))]
+    def bind(self, flat):
+        views = self.named(flat)
+        arrays = list(views.values())
+        self.weights, self.biases = arrays[0::2], arrays[1::2]
+        return views
 
     @property
     def out_dim(self):
@@ -126,31 +150,32 @@ class Trunk:
             xs.append(x)
         return x, (xs, ys)
 
-    def backward(self, cache, dfeat, grads):
-        """Write dL/d(trunk params) into ``grads``; return dL/d(embeddings)."""
+    def backward(self, cache, dfeat, grad):
+        """Write dL/d(trunk arrays) into ``grad``, its arrays of a gradient
+        vector; return dL/d(embeddings)."""
         xs, ys = cache
         dx = dfeat
         for i in range(len(self.weights) - 1, -1, -1):
             dy = activation_grad(self.activation, ys[i], xs[i + 1], dx)
-            np.matmul(dy.T, xs[i], out=grads.by_key[f"{self.name}.W{i}"])
-            dy.sum(axis=0, out=grads.by_key[f"{self.name}.b{i}"])
+            np.matmul(dy.T, xs[i], out=grad[2 * i])
+            dy.sum(axis=0, out=grad[2 * i + 1])
             dx = dy @ self.weights[i]
         return dx
 
 
-@dataclass
-class Source:
-    """``trunk`` over one (rows, d_e) embedding block, the view ``block`` of
-    ``Hypernet.flat[span[0]:span[1]]``, read by ``head`` (a ``SlotBank`` or a
-    ``ChunkedHeadGroup``). Row i feeds mainnet layer ``targets[i]``;
-    ``shapes`` holds the block's parameter keys in row order."""
+class Source(Segment):
+    """One (rows, d_e) embedding block, ``block``, read through ``trunk`` by
+    ``head`` (a ``SlotBank`` or a ``ChunkedHeadGroup``). Row i feeds mainnet
+    layer ``targets[i]``; ``keys`` and ``shapes`` name the block's arrays in
+    row order."""
 
-    trunk: Trunk
-    head: object
-    shapes: dict
-    targets: tuple
-    span: tuple = None
-    block: np.ndarray = None
+    def __init__(self, trunk, head, keys, shapes, targets):
+        self.trunk, self.head = trunk, head
+        self.keys, self.shapes, self.targets = tuple(keys), tuple(shapes), tuple(targets)
+
+    def bind(self, flat):
+        self.block = flat[self.span].reshape(len(self.targets), -1)
+        return self.named(flat)
 
 
 @dataclass(frozen=True)
@@ -176,15 +201,14 @@ def _classical_kind(scheme):
 
 
 class LinearHead:
-    """Linear map generating one slot of same-size layers: target ``targets[i]``
-    gets ``H x[rows[i]] + beta`` from its source features x. A bias head's
-    parameter keys call H and beta G and gamma. Its ``SlotBank`` generates
-    and backpropagates it."""
+    """Rows ``cols`` of its ``SlotBank``: a linear map generating one slot of
+    same-size layers, target ``targets[i]`` getting ``H x[rows[i]] + beta``
+    from its source features x. ``keys`` name its H and beta arrays (G and
+    gamma for a bias head); the bank sets ``cols``, ``H`` and ``beta``."""
 
     def __init__(self, slot, key, targets, rows, mspec, d_in):
         self.slot = slot
         self.key = key
-        self.source = slot.tag
         self.targets = tuple(targets)
         self.rows = tuple(rows)
         self.d_in = d_in
@@ -193,60 +217,53 @@ class LinearHead:
             raise SpecError(f"head shared across different-size layers {self.targets}; "
                             "only the chunked topology can cover mixed shapes")
         self.shape = shapes.pop()
-        self.n_out = int(np.prod(self.shape))
-        self.array_keys = tuple(f"{key}.{name}" for name in slot.names)
-
-    def shapes(self):
-        return dict(zip(self.array_keys, ((self.n_out, self.d_in), (self.n_out,))))
-
-    def bind(self, views):
-        self.H, self.beta = (views[key] for key in self.array_keys)
-
-    def initialize(self, net, scheme, draw):
-        t0 = self.targets[0]
-        var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
-        for rows in row_chunks(*self.H.shape):   # no head-sized temporary
-            self.H[rows] = draw(var, self.H[rows].shape)
-        self.beta[:] = (draw(scheme.scale_param ** 2, self.beta.shape)
-                        if scheme.kind == schemes.SMALL_RANDOM else 0.0)
+        self.n_out = math.prod(self.shape)
+        self.keys = tuple(f"{key}.{name}" for name in slot.names)
 
 
-class SlotBank:
-    """The linear heads of one slot, read from one source, as one matrix.
+class SlotBank(Segment):
+    """The linear heads of one slot, read from one source, as one head.
 
-    Their H (G) arrays are consecutive row blocks of ``H``, (N, d), and their
-    beta (gamma) arrays consecutive pieces of ``beta``, (N,): ``array_keys``
-    lists the matrices, then the offsets, in head order. Target t of a head
-    owns row ``row`` of the source features and the head's columns ``cols`` of
-    the (T, N) slot matrix, so its parameter is ``(x @ H.T + beta)[row, cols]``
-    and its gradient sits at ``D[row, cols]``.
+    Its segment holds ``H``, (N, d), then ``beta``, (N,); each head owns the
+    rows ``cols`` of both, so every head's matrix is laid out before any
+    head's offset. Target t of a head owns row ``row`` of the source features
+    and the head's columns ``cols`` of the (T, N) slot matrix, so its
+    parameter is ``(x @ H.T + beta)[row, cols]`` and its gradient sits at
+    ``D[row, cols]``.
     """
 
     def __init__(self, slot, heads):
         self.slot = slot
         self.heads = tuple(heads)
-        self.array_keys = (tuple(h.array_keys[0] for h in self.heads)
-                           + tuple(h.array_keys[1] for h in self.heads))
         self.places = []   # (target, source row, columns, shape), head by head
         lo = 0
         for h in self.heads:
-            cols = slice(lo, lo + h.n_out)
-            self.places += [(t, row, cols, h.shape) for t, row in zip(h.targets, h.rows)]
-            lo = cols.stop
+            h.cols = slice(lo, lo + h.n_out)
+            self.places += [(t, row, h.cols, h.shape) for t, row in zip(h.targets, h.rows)]
+            lo = h.cols.stop
         self.n_out = lo
+        self.shapes = ((lo, self.heads[0].d_in), (lo,))
 
-    def bind(self, flat, span):
-        """Bind ``H`` and ``beta`` to their blocks of ``flat``; ``span(keys)``
-        is the (lo, hi) range of consecutive keys in its layout."""
-        n = len(self.heads)
-        self.spans = (span(self.array_keys[:n]), span(self.array_keys[n:]))
-        self.H, self.beta = self.blocks(flat)
+    def named(self, vector):
+        """Every head's rows of the matrix, then of the offsets, by key."""
+        blocks = self.arrays(vector)
+        return {h.keys[i]: blocks[i][h.cols] for i in (0, 1) for h in self.heads}
 
-    def blocks(self, vector):
-        """The (N, d) matrix block and the (N,) offset block of a vector laid
-        out like ``Hypernet.flat``."""
-        (h_lo, h_hi), (b_lo, b_hi) = self.spans
-        return vector[h_lo:h_hi].reshape(self.n_out, -1), vector[b_lo:b_hi]
+    def bind(self, flat):
+        self.H, self.beta = self.arrays(flat)
+        views = self.named(flat)
+        for h in self.heads:
+            h.H, h.beta = (views[key] for key in h.keys)
+        return views
+
+    def initialize(self, net, scheme, draw):
+        for h in self.heads:
+            t0 = h.targets[0]
+            var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
+            for rows in row_chunks(*h.H.shape):   # no head-sized temporary
+                h.H[rows] = draw(var, h.H[rows].shape)
+            h.beta[:] = (draw(schemes.BASELINE_SCALE[scheme.kind] ** 2, h.beta.shape)
+                         if scheme.kind == schemes.SMALL_RANDOM else 0.0)
 
     def generate(self, x, params):
         y = x @ self.H.T
@@ -254,34 +271,34 @@ class SlotBank:
         for t, row, cols, shape in self.places:
             params[t][self.slot.param] = y[row, cols].reshape(shape)
 
-    def _slot_and_feature_grads(self, dslot):
-        """(D, dfeat): the (T, N) slot gradient matrix, zero outside each
-        target's own columns, and dL/d(features), (T, d)."""
+    def feature_grads(self, dslot):
+        """Each target's gradient times its own head's rows alone: one GEMM
+        per head, over a row per target, and no (T, N) matrix."""
+        out = {}
+        for h in self.heads:
+            d = np.stack([dslot[t].reshape(-1) for t in h.targets])
+            out.update(zip([(self.slot.tag, t) for t in h.targets], d @ h.H))
+        return out
+
+    def backward(self, x, cache, dslot, grad):
+        """Write dL/d(head arrays) into ``grad``, its arrays of a gradient
+        vector; return dL/dx."""
         d = np.zeros((len(self.places), self.n_out), dtype=DTYPE)
         for t, row, cols, _ in self.places:
             d[row, cols] = dslot[t].reshape(-1)
-        return d, d @ self.H
-
-    def feature_grads(self, dslot):
-        _, dfeat = self._slot_and_feature_grads(dslot)
-        return {(self.slot.tag, t): dfeat[row] for t, row, _, _ in self.places}
-
-    def backward(self, x, cache, dslot, grads):
-        """Write dL/d(head params) into ``grads``; return dL/dx."""
-        d, dfeat = self._slot_and_feature_grads(dslot)
-        h, beta = self.blocks(grads.flat)
+        h, beta = grad
         np.matmul(d.T, x, out=h)
         d.sum(axis=0, out=beta)
-        return dfeat
+        return d @ self.H
 
 
-class ChunkedHeadGroup:
+class ChunkedHeadGroup(Segment):
     """Shared output layer over (K, n, n) chunks with per-chunk input projections.
 
     Chunks for a layer of shape (out, in, n, n) are indexed row-major by
     (block = out // K, input channel); the global chunk list concatenates the
     per-layer grids in target order. The head reads its own embedding matrix,
-    one row per chunk.
+    one row per chunk, and is the one head of every layer it generates.
     """
 
     slot = WEIGHT
@@ -310,16 +327,18 @@ class ChunkedHeadGroup:
                       for cin in range(layer.d_in)]
             self.layer_rows[t] = (start, len(index))
         self.index = tuple(index)
-        self.n_chunks = len(index)
-        self.array_keys = tuple(f"{self.key}.{name}"
-                                for name in ("H", "beta", "proj", "proj_bias"))
+        self.n_chunks = m = len(index)
+        self.keys = tuple(f"{self.key}.{name}" for name in ("H", "beta", "proj", "proj_bias"))
+        self.shapes = ((k * n * n, emb_dim), (k * n * n,), (m, emb_dim, emb_dim), (m, emb_dim))
 
-    def shapes(self):
-        width, d, m = self.plan.K * self.plan.n ** 2, self.proj_dim, self.n_chunks
-        return dict(zip(self.array_keys, ((width, d), (width,), (m, d, d), (m, d))))
+    @property
+    def heads(self):   # a property: a stored (self,) would be a reference cycle
+        return (self,)
 
-    def bind(self, views):
-        self.H, self.beta, self.proj, self.proj_bias = (views[key] for key in self.array_keys)
+    def bind(self, flat):
+        views = self.named(flat)
+        self.H, self.beta, self.proj, self.proj_bias = views.values()
+        return views
 
     def assemble(self, chunk_mat, t, layer):
         k, n = self.plan.K, self.plan.n
@@ -340,7 +359,7 @@ class ChunkedHeadGroup:
         # the hyperfan variance of their target layer.
         k, n = self.plan.K, self.plan.n
         if scheme.kind == schemes.SMALL_RANDOM:
-            var = scheme.scale_param ** 2
+            var = schemes.BASELINE_SCALE[scheme.kind] ** 2
             for a in (self.H, self.beta, self.proj, self.proj_bias):
                 a[:] = draw(var, a.shape)
             return
@@ -348,7 +367,7 @@ class ChunkedHeadGroup:
         var_h = schemes.classical_variance(
             kind, FanGeometry(d_i=k * n * n, d_j=self.proj_dim, d_k=1), False)
         if scheme.kind == schemes.SCALED_OUTPUT:
-            var_h *= scheme.scale_param ** 2
+            var_h *= schemes.BASELINE_SCALE[scheme.kind] ** 2
         self.H[:] = draw(var_h, self.H.shape)
         self.beta[:] = 0.0
         proj_geom = FanGeometry(d_i=self.proj_dim, d_j=self.d_in, d_k=1)
@@ -367,23 +386,19 @@ class ChunkedHeadGroup:
             params[t]["W"] = self.assemble(chunk_mat, t, layer)
         return alphas
 
-    def _chunk_and_feature_grads(self, dslot):
-        """(dcm, dalphas): the chunk-matrix gradient, one row per chunk, and
-        dL/d(alphas), the gradient of the shared layer's input features."""
+    def feature_grads(self, dslot):
+        """dL/d(alphas), the shared layer's input features, layer by layer."""
+        return {(self.slot.tag, t): self.disassemble(dslot[t], t, layer) @ self.H
+                for t, layer in self.layers.items()}
+
+    def backward(self, x, alphas, dslot, grad):
+        """Write dL/d(head arrays) into ``grad``, its arrays of a gradient
+        vector; return dL/dx."""
         dcm = np.zeros((self.n_chunks, self.H.shape[0]), dtype=DTYPE)
         for t, layer in self.layers.items():
-            lo, hi = self.layer_rows[t]
-            dcm[lo:hi] = self.disassemble(dslot[t], t, layer)
-        return dcm, dcm @ self.H
-
-    def feature_grads(self, dslot):
-        _, dalphas = self._chunk_and_feature_grads(dslot)
-        return {("w", t): dalphas[slice(*self.layer_rows[t])] for t in self.targets}
-
-    def backward(self, x, alphas, dslot, grads):
-        """Write dL/d(head params) into ``grads``; return dL/dx."""
-        dcm, dalphas = self._chunk_and_feature_grads(dslot)
-        h, beta, proj, proj_bias = (grads.by_key[key] for key in self.array_keys)
+            dcm[slice(*self.layer_rows[t])] = self.disassemble(dslot[t], t, layer)
+        dalphas = dcm @ self.H
+        h, beta, proj, proj_bias = grad
         np.matmul(dcm.T, alphas, out=h)
         dcm.sum(axis=0, out=beta)
         np.einsum("mp,md->mpd", dalphas, x, out=proj)
@@ -408,13 +423,15 @@ class GenTrace:
 class HyperGrads:
     flat: np.ndarray   # one gradient vector laid out like Hypernet.flat
     by_key: dict       # name -> view of flat, keyed like param_arrays()
+    parts: dict        # part of the hypernet -> its arrays, views of its segment
 
 
 class Hypernet:
     """Generates and backpropagates through all mainnet parameters.
 
     ``sources`` maps each source name (``"w"``, ``"b"``, ``emb.c<i>``) to its
-    ``Source``; trunk_g never shares trunk_h's arrays.
+    ``Source``, and ``heads`` lists their heads in the same order; trunk_g
+    never shares trunk_h's arrays.
     """
 
     def __init__(self, mspec: MainnetSpec, hspec: HypernetSpec, rng: Rng):
@@ -435,31 +452,26 @@ class Hypernet:
         self.trunks = [Trunk(name, d_e, hspec.hidden_layers, hspec.trunk_activation)
                        for name in (("trunk_h", "trunk_g") if bias_layers else ("trunk_h",))]
         self.sources = {}
-        groups = {BIAS: []}
         shared = hspec.head_topology == SHARED_SAME_SIZE
         for slot, trunk, targets in zip((WEIGHT, BIAS), self.trunks,
                                         (plain_targets, bias_layers)):
             by_head = {}   # one head per target, or per same-size group when shared
             for t in targets:
                 by_head.setdefault(slot.shape(mspec.layers[t]) if shared else t, []).append(t)
-            groups[slot] = [LinearHead(slot, f"{slot.tag}g{i}", ts,
-                                       [targets.index(t) for t in ts], mspec, trunk.out_dim)
-                            for i, ts in enumerate(by_head.values())]
-            if targets:
-                self.sources[slot.tag] = Source(
-                    trunk, SlotBank(slot, groups[slot]),
-                    {f"emb.{slot.tag}{t}": (d_e,) for t in targets}, tuple(targets))
-        self.weight_groups = groups[WEIGHT]
-        self.bias_groups = groups[BIAS]
-        if chunk_targets:
-            head = ChunkedHeadGroup(len(self.weight_groups), chunk_targets, mspec,
-                                    hspec.chunk, d_e)
-            self.weight_groups.append(head)
+            heads = [LinearHead(slot, f"{slot.tag}g{i}", ts, [targets.index(t) for t in ts],
+                                mspec, trunk.out_dim) for i, ts in enumerate(by_head.values())]
+            if heads:
+                self.sources[slot.tag] = Source(trunk, SlotBank(slot, heads),
+                                                [f"emb.{slot.tag}{t}" for t in targets],
+                                                [(d_e,)] * len(targets), targets)
+        if chunk_targets:   # cg<n> follows the per-layer heads wg0 .. wg<n-1>
+            head = ChunkedHeadGroup(len(plain_targets), chunk_targets, mspec, hspec.chunk, d_e)
             self.sources[head.source] = Source(
-                Trunk(None, d_e, (), hspec.trunk_activation), head,
-                {head.source: (head.n_chunks, d_e)}, tuple(t for t, _, _ in head.index))
-        self.heads = self.weight_groups + self.bias_groups
-        self._heads_by_target = {(h.slot.param, t): h for h in self.heads for t in h.targets}
+                Trunk(None, d_e, (), hspec.trunk_activation), head, [head.source],
+                [(head.n_chunks, d_e)], [t for t, _, _ in head.index])
+        self.heads = [src.head for src in self.sources.values()]
+        self._heads_by_target = {(h.slot.param, t): h for head in self.heads
+                                 for h in head.heads for t in h.targets}
         self._allocate()
 
         dist = hspec.embedding_distribution
@@ -476,43 +488,24 @@ class Hypernet:
 
     # ---- parameter access -------------------------------------------------
 
+    def _parts(self):
+        """Every part laid out in ``flat``, in layout order."""
+        return self.trunks + self.heads + list(self.sources.values())
+
     def _allocate(self):
-        """Lay every array out in ``self.flat`` and bind its owner to a view:
-        trunks, then each source's head arrays (a slot bank's matrices, then
-        its offsets), then each source's embedding block, so the updatable
-        arrays come first. The buffer is allocated once; ``param_arrays``
-        keeps the trunk-then-head key order."""
-        shapes = {}
-        for part in self.trunks + self.heads:
-            shapes.update(part.shapes())
-        n_params = sum(int(np.prod(shape)) for shape in shapes.values())
-        for src in self.sources.values():
-            shapes.update(src.shapes)
-        order = [key for trunk in self.trunks for key in trunk.shapes()]
-        order += [key for src in self.sources.values() for key in src.head.array_keys]
-        order += [key for src in self.sources.values() for key in src.shapes]
-        spans, lo = {}, 0
-        for key in order:
-            spans[key] = (lo, lo + int(np.prod(shapes[key])))
-            lo = spans[key][1]
-
-        def span(keys):
-            return spans[keys[0]][0], spans[keys[-1]][1]
-
-        self._layout = [(key, *spans[key], shape) for key, shape in shapes.items()]
+        """Lay the parts out back to back in ``self.flat``: trunks, then each
+        source's head, then each source's embedding block, so the updatable
+        arrays come first. The buffer is allocated once, each part binds
+        itself to its segment, and ``param_arrays`` keeps the layout order."""
+        lo = 0
+        for part in self._parts():
+            part.span = slice(lo, lo + part.size)
+            lo = part.span.stop
         self.flat = np.zeros(lo, dtype=DTYPE)
-        self._arrays = self._views(self.flat)
-        for part in self.trunks + self.heads:
-            part.bind(self._arrays)
-        for src in self.sources.values():
-            src.span = span(list(src.shapes))
-            src.block = self.flat[slice(*src.span)].reshape(len(src.targets), -1)
-            if isinstance(src.head, SlotBank):
-                src.head.bind(self.flat, span)
-        self.n_updatable = self.flat.size if self.hspec.embeddings_trainable else n_params
-
-    def _views(self, vector):
-        return {key: vector[lo:hi].reshape(shape) for key, lo, hi, shape in self._layout}
+        self._arrays = {}
+        for part in self._parts():
+            self._arrays.update(part.bind(self.flat))
+        self.n_updatable = lo if self.hspec.embeddings_trainable else self.heads[-1].span.stop
 
     def param_arrays(self):
         """Flat name -> array view of every parameter, embeddings included."""
@@ -521,8 +514,9 @@ class Hypernet:
     def new_grads(self):
         """A zeroed gradient vector laid out like ``flat``, for ``backward``'s
         ``out``."""
-        flat = np.zeros_like(self.flat)
-        return HyperGrads(flat=flat, by_key=self._views(flat))
+        flat, parts = np.zeros_like(self.flat), self._parts()
+        return HyperGrads(flat, {k: v for part in parts for k, v in part.named(flat).items()},
+                          {part: part.arrays(flat) for part in parts})
 
     # ---- initialization ---------------------------------------------------
 
@@ -536,7 +530,8 @@ class Hypernet:
                            var_e1=var_e, var_e2=var_e2, receptive_field=layer.receptive_field)
 
     def head_of(self, t, param=WEIGHT.param):
-        """The head generating ``param`` ("W" or "b") of mainnet layer t, or None."""
+        """The head generating ``param`` ("W" or "b") of mainnet layer t, or None:
+        a ``LinearHead`` or a ``ChunkedHeadGroup``."""
         return self._heads_by_target.get((param, t))
 
     def layer_scheme(self, scheme, t):
@@ -549,11 +544,11 @@ class Hypernet:
         """Sample every hypernet parameter according to the scheme.
 
         Trunks receive fan-in init with their own activation's gain (the
-        baselines override this: small-random draws everything at
-        scale_param^2, classical schemes apply their formula to each trunk
-        matrix as well). Heads receive the scheme's weight/bias variance on
-        their target geometry; beta and gamma start at zero. Every draw is
-        uniform.
+        baselines override this: small-random draws everything at its
+        baseline scale squared, classical schemes apply their formula to each
+        trunk matrix as well). Heads receive the scheme's weight/bias variance
+        on their target geometry; beta and gamma start at zero. Every draw is
+        uniform, in one order: trunks, weight heads, bias heads.
         """
         def draw(var, shape):
             return sample(Distribution(UNIFORM, var), shape, rng)
@@ -562,7 +557,7 @@ class Hypernet:
             trunk_relu = scheme.relu_gain and trunk.activation == RELU
             for w, b in zip(trunk.weights, trunk.biases):
                 if scheme.kind == schemes.SMALL_RANDOM:
-                    var = scheme.scale_param ** 2
+                    var = schemes.BASELINE_SCALE[scheme.kind] ** 2
                     b[:] = draw(var, b.shape)
                 else:
                     var = schemes.classical_variance(
@@ -571,7 +566,7 @@ class Hypernet:
                     b[:] = 0.0
                 w[:] = draw(var, w.shape)
 
-        for head in self.heads:
+        for head in sorted(self.heads, key=lambda head: head.slot is BIAS):
             head.initialize(self, scheme, draw)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
@@ -598,14 +593,13 @@ class Hypernet:
 
     def feature_grads(self, weight_grads, bias_grads=None):
         """dL/d(head input features) keyed ("w"|"b", layer), the one way to
-        get them. A feature gradient depends only on the heads' output
-        matrices and the mainnet gradients, so it needs no ``GenTrace`` and
-        builds no hypernet parameter gradient; each head computes it with the
-        helper its ``backward`` uses."""
+        get them. A feature gradient depends only on the heads' arrays and the
+        mainnet gradients, so it needs no ``GenTrace`` and builds no hypernet
+        parameter gradient."""
         dslots = self._slot_grads(weight_grads, bias_grads)
         out = {}
-        for src in self.sources.values():
-            out.update(src.head.feature_grads(dslots[src.head.slot.param]))
+        for head in self.heads:
+            out.update(head.feature_grads(dslots[head.slot.param]))
         return out
 
     def backward(self, trace: GenTrace, weight_grads, bias_grads=None, out=None):
@@ -616,9 +610,10 @@ class Hypernet:
         grads = self.new_grads() if out is None else out
         for name, src in self.sources.items():
             dfeat = src.head.backward(trace.feats[name], trace.head_caches[name],
-                                      dslots[src.head.slot.param], grads)
-            demb = src.trunk.backward(trace.trunk_caches[name], dfeat, grads)
-            grads.flat[slice(*src.span)] = demb.ravel()
+                                      dslots[src.head.slot.param], grads.parts[src.head])
+            demb = src.trunk.backward(trace.trunk_caches[name], dfeat,
+                                      grads.parts.get(src.trunk))   # None: identity trunk
+            grads.flat[src.span] = demb.ravel()
         return grads
 
 

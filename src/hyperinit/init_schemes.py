@@ -41,7 +41,7 @@ HYPERFAN_KINDS = (HYPERFAN_IN, HYPERFAN_OUT)
 BASELINE_KINDS = (SMALL_RANDOM, SCALED_OUTPUT, CONST_EMBEDDING)
 ALL_KINDS = CLASSICAL_KINDS + HYPERFAN_KINDS + BASELINE_KINDS
 
-DEFAULT_SCALE = {SMALL_RANDOM: 0.01, SCALED_OUTPUT: 0.1}
+BASELINE_SCALE = {SMALL_RANDOM: 0.01, SCALED_OUTPUT: 0.1}   # the baselines' fixed scales
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,17 @@ class InitScheme:
     ``relu_gain`` enables the factor 2 for targets followed by a ReLU (layers
     with other activations never receive it); ``hypernet_bias`` marks that the
     hypernet also generates biases, which splits the hyperfan-in weight
-    variance in half; ``scale_param`` feeds the small-random and scaled-output
-    baselines.
+    variance in half. The small-random and scaled-output baselines take their
+    scale from ``BASELINE_SCALE``.
     """
 
     kind: str
     relu_gain: bool = True
     hypernet_bias: bool = False
-    scale_param: float | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown init scheme {self.kind!r}; expected one of {ALL_KINDS}")
-        if self.scale_param is None and self.kind in DEFAULT_SCALE:
-            object.__setattr__(self, "scale_param", DEFAULT_SCALE[self.kind])
 
     def with_flags(self, **kw):
         return replace(self, **kw)
@@ -179,10 +176,10 @@ def scheme_weight_variance(scheme, geom):
     if kind in CLASSICAL_KINDS:
         return classical_variance(kind, _head_geometry(geom), scheme.relu_gain)
     if kind == SMALL_RANDOM:
-        return scheme.scale_param ** 2
+        return BASELINE_SCALE[kind] ** 2
     if kind == SCALED_OUTPUT:
         base = classical_variance(FAN_IN, _head_geometry(geom), scheme.relu_gain)
-        return base * scheme.scale_param ** 2
+        return base * BASELINE_SCALE[kind] ** 2
     if kind == CONST_EMBEDDING:
         return classical_variance(FAN_IN, _head_geometry(geom), scheme.relu_gain)
     raise ValueError(f"unknown scheme kind {kind!r}")
@@ -198,10 +195,10 @@ def scheme_bias_variance(scheme, geom):
     if kind in CLASSICAL_KINDS:
         return classical_variance(kind, _bias_head_geometry(geom), scheme.relu_gain)
     if kind == SMALL_RANDOM:
-        return scheme.scale_param ** 2
+        return BASELINE_SCALE[kind] ** 2
     if kind == SCALED_OUTPUT:
         base = classical_variance(FAN_IN, _bias_head_geometry(geom), scheme.relu_gain)
-        return base * scheme.scale_param ** 2
+        return base * BASELINE_SCALE[kind] ** 2
     if kind == CONST_EMBEDDING:
         return classical_variance(FAN_IN, _bias_head_geometry(geom), scheme.relu_gain)
     raise ValueError(f"unknown scheme kind {kind!r}")

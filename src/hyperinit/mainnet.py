@@ -302,12 +302,10 @@ def forward(spec, params, batch, labels=None):
     return trace, loss
 
 
-def softmax_cross_entropy(logits, labels, reduction="mean"):
+def softmax_cross_entropy(logits, labels):
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     picked = logp[np.arange(len(labels)), np.asarray(labels, dtype=np.intp)]
-    if reduction == "sum":
-        return float(-picked.sum())
     return float(-picked.mean())
 
 

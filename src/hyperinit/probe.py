@@ -50,12 +50,6 @@ class VarianceReport:
     step: int
     rows: list
 
-    def find(self, layer, kind):
-        for row in self.rows:
-            if row.layer == layer and row.kind == kind:
-                return row
-        return None
-
     def kinds(self):
         return sorted({r.kind for r in self.rows})
 

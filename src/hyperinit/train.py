@@ -199,8 +199,8 @@ class _FixedHeadFastPath:
         self.carried = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.layers]
         self.heads = []
         size = 0
-        for head in net.heads:
-            emb = net.sources[head.source].block[list(head.rows)]   # identity trunk
+        for head in (h for bank in net.heads for h in bank.heads):
+            emb = net.sources[head.slot.tag].block[list(head.rows)]   # identity trunk
             stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
             for row, t in enumerate(head.targets):
                 # straight from the head: no slot-sized product of every source row
@@ -606,7 +606,8 @@ def _run(net, mspec, config, schedule, result):
             metric = _test_metric(mspec, updater.current_params(), *test)
             result.curve.append((step, index,
                                  float(np.mean(window)) if window else float("nan"), metric))
-        take_probe(step)
+        if not result.reports or result.reports[-1].step != step:   # not probed yet
+            take_probe(step)
     result.final_metric = result.curve[-1][3] if result.curve else None
 
 

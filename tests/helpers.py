@@ -3,6 +3,7 @@
 import numpy as np
 
 from hyperinit import mainnet as mn
+from hyperinit.data import CIFAR_RECORD
 
 
 def zero_params(spec):
@@ -29,3 +30,17 @@ def conv2d_forward(x, weight, bias, kernel):
     y, _ = mn._conv_forward(np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1),
                             weight, bias, kernel)
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+
+
+def write_cifar10_binary(path, images, labels):
+    """A CIFAR-10 binary batch file: one label byte, then the pixels, per record."""
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    if images.dtype != np.uint8 or labels.dtype != np.uint8:
+        raise ValueError("CIFAR binary files store uint8 data")
+    n = len(labels)
+    records = np.empty((n, CIFAR_RECORD), dtype=np.uint8)
+    records[:, 0] = labels
+    records[:, 1:] = images.reshape(n, -1)
+    with open(path, "wb") as f:
+        f.write(records.tobytes())

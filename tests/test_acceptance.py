@@ -21,7 +21,7 @@ from hyperinit.gradcheck import run_suite
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Distribution, Rng, sample
 
-from helpers import empirical_variance
+from helpers import empirical_variance, write_cifar10_binary
 
 
 def report(num, ok, detail):
@@ -55,10 +55,10 @@ def cifar_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cifar")
     train_ds, test_ds = dt.make_synthetic_images(5000, 500, (3, 32, 32), 10,
                                                  seed=321)
-    dt.write_cifar10_binary(root / "data_batch_1.bin",
+    write_cifar10_binary(root / "data_batch_1.bin",
                             (train_ds.inputs * 255).astype(np.uint8),
                             train_ds.labels.astype(np.uint8))
-    dt.write_cifar10_binary(root / "test_batch.bin",
+    write_cifar10_binary(root / "test_batch.bin",
                             (test_ds.inputs * 255).astype(np.uint8),
                             test_ds.labels.astype(np.uint8))
     return root
@@ -204,7 +204,7 @@ def test_c04_explosion_vs_preservation():
     x = rng.child(2).normal(1.0, (300, 500))
 
     net, mspec = _stack_hypernet("fan-in")
-    head_var = float(np.var(net.weight_groups[0].H))
+    head_var = float(np.var(net.head_of(0).H))
     params, _ = net.generate()
     trace, _ = mn.forward(mspec, params, x)
     ratios = probe.activation_variance_ratios(trace)
@@ -376,14 +376,13 @@ def test_c11_shared_head_gradient_sum():
     params, trace = net.generate()
     rng = Rng(55)
     dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
-    shared = [g for g in net.weight_groups if len(g.targets) > 1][0]
-    gi = net.weight_groups.index(shared)
-    full = net.backward(trace, dw).by_key[f"wg{gi}.H"]
+    shared = [h for h in net.heads[0].heads if len(h.targets) > 1][0]
+    full = net.backward(trace, dw).by_key[shared.keys[0]]
     total = np.zeros_like(full)
     for t in shared.targets:
         solo = [np.zeros_like(p["W"]) for p in params]
         solo[t] = dw[t]
-        total += net.backward(trace, solo).by_key[f"wg{gi}.H"]
+        total += net.backward(trace, solo).by_key[shared.keys[0]]
     err = float(np.abs(full - total).max())
     report(11, err < 1e-12, f"max |shared - sum of per-layer| = {err:.2e} "
                             f"over {len(shared.targets)} shared layers")
@@ -396,7 +395,7 @@ def test_c12_chunk_assembly_and_variance():
     hspec_small = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
                                   chunk=hg.ChunkPlan(K=2, n=1))
     net = hg.Hypernet(mspec_small, hspec_small, Rng(0))
-    group = [g for g in net.weight_groups if isinstance(g, hg.ChunkedHeadGroup)][0]
+    group = net.head_of(0)   # every conv layer comes from the chunked head
     bijective = True
     for t in (0, 1):
         layer = mspec_small.layers[t]

@@ -6,6 +6,8 @@ import pytest
 from hyperinit import data as dt
 from hyperinit.cli import main
 
+from helpers import write_cifar10_binary
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -176,9 +178,9 @@ class TestTrainCommand:
 
     def test_bad_cifar_label_is_io_error(self, capsys, tmp_path):
         images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
-        dt.write_cifar10_binary(tmp_path / "data_batch_1.bin", images,
+        write_cifar10_binary(tmp_path / "data_batch_1.bin", images,
                                 np.array([1, 12], dtype=np.uint8))
-        dt.write_cifar10_binary(tmp_path / "test_batch.bin", images,
+        write_cifar10_binary(tmp_path / "test_batch.bin", images,
                                 np.array([0, 1], dtype=np.uint8))
         code, _, err = run(capsys, "train", "--preset", "cifar-allconv",
                            "--data-dir", str(tmp_path))

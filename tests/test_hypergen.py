@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,12 +27,12 @@ def simple_dense_net(widths, topology, scheme="hyperfan-in", emb=4, seed=0,
 class TestTopologyConstruction:
     def test_per_layer_heads(self):
         net, _ = simple_dense_net([3, 4, 4, 2], hg.PER_LAYER)
-        assert len(net.weight_groups) == 3
-        assert all(len(g.targets) == 1 for g in net.weight_groups)
+        assert len(slot_heads(net)) == 3
+        assert all(len(g.targets) == 1 for g in slot_heads(net))
 
     def test_shared_same_size_groups_by_shape(self):
         net, _ = simple_dense_net([3, 4, 4, 4, 2], hg.SHARED_SAME_SIZE)
-        sizes = sorted(len(g.targets) for g in net.weight_groups)
+        sizes = sorted(len(g.targets) for g in slot_heads(net))
         assert sizes == [1, 1, 2]
 
     def test_shared_head_rejects_mixed_shapes(self):
@@ -40,7 +43,7 @@ class TestTopologyConstruction:
             hg.LinearHead(hg.BIAS, "bg0", [0, 1], [0, 1], mspec, 4)
         # grouping by shape never mixes sizes, so each layer here gets its own head
         net, _ = simple_dense_net([3, 4, 5], hg.SHARED_SAME_SIZE)
-        assert all(len(g.targets) == 1 for g in net.weight_groups)
+        assert all(len(g.targets) == 1 for g in slot_heads(net))
 
     def test_chunked_requires_plan(self):
         with pytest.raises(mn.SpecError):
@@ -71,7 +74,7 @@ class TestGenerate:
     def test_identity_trunk_hand_example(self):
         # h = identity, H manual, e = ones: W entries are row sums of H
         net, mspec = simple_dense_net([2, 2, 2], hg.PER_LAYER, emb=2)
-        g = net.weight_groups[0]
+        g = net.head_of(0)
         g.H[:] = np.arange(8.0).reshape(4, 2)
         g.beta[:] = 0.0
         net.param_arrays()["emb.w0"][:] = 1.0
@@ -81,9 +84,9 @@ class TestGenerate:
     def test_beta_gamma_zero_at_init(self):
         net, _ = simple_dense_net([3, 4, 4, 2], hg.SHARED_SAME_SIZE, bias=True)
         arrays = net.param_arrays()
-        for gi in range(len(net.weight_groups)):
+        for gi in range(len(slot_heads(net))):
             assert not arrays[f"wg{gi}.beta"].any()
-        for gi, g in enumerate(net.bias_groups):
+        for gi, g in enumerate(slot_heads(net, hg.BIAS)):
             assert arrays[f"bg{gi}.gamma"] is g.beta
             assert not g.beta.any()
 
@@ -132,7 +135,7 @@ class TestGenerate:
         net, mspec = simple_dense_net([784, 500, 10], hg.PER_LAYER,
                                       scheme="fan-in", emb=50,
                                       activation="identity")
-        for g in net.weight_groups:
+        for g in slot_heads(net):
             assert np.var(g.H) == pytest.approx(1 / 50, rel=0.05)
 
     def test_hyperfan_in_head_variance_for_first_layer(self):
@@ -140,7 +143,7 @@ class TestGenerate:
         net, _ = simple_dense_net([784, 500, 10], hg.PER_LAYER,
                                   scheme="hyperfan-in", emb=50,
                                   activation="identity")
-        head = net.weight_groups[0]
+        head = net.head_of(0)
         assert np.var(head.H) == pytest.approx(1 / 39200, rel=2e-3)
         assert 1 / 39200 == pytest.approx(2.551e-5, rel=1e-3)
 
@@ -155,8 +158,7 @@ class TestChunked:
 
     def test_chunk_grid_shape(self):
         net, mspec = self.make()
-        group = [g for g in net.weight_groups
-                 if isinstance(g, hg.ChunkedHeadGroup)][0]
+        group = net.head_of(0)
         # layer (4, 3, 1, 1): 2 blocks * 3 channels; layer (4, 4, 1, 1): 2 * 4
         assert group.n_chunks == 6 + 8
         assert group.layer_rows[0] == (0, 6)
@@ -165,8 +167,7 @@ class TestChunked:
     def test_assembly_round_trip_positions(self):
         # every weight entry maps to exactly one chunk slot
         net, mspec = self.make()
-        group = [g for g in net.weight_groups
-                 if isinstance(g, hg.ChunkedHeadGroup)][0]
+        group = net.head_of(0)
         k, n = group.plan.K, group.plan.n
         for t in (0, 1):
             layer = mspec.layers[t]
@@ -192,8 +193,7 @@ class TestChunked:
         hspec = hg.HypernetSpec(embedding_dim=50, head_topology=hg.CHUNKED,
                                 chunk=hg.ChunkPlan(K=8, n=3))
         net = hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-in"), Rng(2))
-        group = [g for g in net.weight_groups
-                 if isinstance(g, hg.ChunkedHeadGroup)][0]
+        group = net.head_of(0)
         # 72 x 50 entries: enough samples to pin the plain 1/d_k variance
         assert np.var(group.H) == pytest.approx(1 / group.proj_dim, rel=0.1)
 
@@ -238,8 +238,20 @@ SLOT_BUILDS = {
 }
 
 
+def slot_heads(net, slot=hg.WEIGHT):
+    """The heads generating one slot, in key order: the linear heads of its
+    bank, then, for weights, the chunked head (its own one head)."""
+    return [h for head in net.heads if head.slot is slot for h in head.heads]
+
+
 def linear_heads(net):
-    return [h for h in net.heads if isinstance(h, hg.LinearHead)]
+    return [h for h in slot_heads(net) + slot_heads(net, hg.BIAS)
+            if isinstance(h, hg.LinearHead)]
+
+
+def banks(net):
+    """The heads of ``net`` made of linear heads."""
+    return [head for head in net.heads if isinstance(head.heads[0], hg.LinearHead)]
 
 
 def random_mainnet_grads(net, params, seed):
@@ -254,7 +266,7 @@ def per_head_generate(net, trace):
     """Every linear head's parameters, one matrix-vector product per target."""
     out = {}
     for head in linear_heads(net):
-        x = trace.feats[head.source]
+        x = trace.feats[head.slot.tag]
         for t, row in zip(head.targets, head.rows):
             out[(head.slot.param, t)] = (head.H @ x[row] + head.beta).reshape(head.shape)
     return out
@@ -266,10 +278,10 @@ def per_head_backward(net, trace, dw, db):
     dslots = {"W": dw, "b": db}
     grads, feats = {}, {}
     for head in linear_heads(net):
-        x = trace.feats[head.source]
+        x = trace.feats[head.slot.tag]
         d = np.stack([dslots[head.slot.param][t].ravel() for t in head.targets], axis=1)
-        grads[head.array_keys[0]] = d @ x[list(head.rows)]
-        grads[head.array_keys[1]] = d.sum(axis=1)
+        grads[head.keys[0]] = d @ x[list(head.rows)]
+        grads[head.keys[1]] = d.sum(axis=1)
         for i, t in enumerate(head.targets):
             feats[(head.slot.tag, t)] = head.H.T @ d[:, i]
     return grads, feats
@@ -283,9 +295,8 @@ class TestSlotLayout:
     @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_each_slot_is_one_block_in_head_order(self, build):
         net = SLOT_BUILDS[build]()
-        banks = [src.head for src in net.sources.values() if isinstance(src.head, hg.SlotBank)]
-        assert [h for bank in banks for h in bank.heads] == linear_heads(net)
-        for bank in banks:
+        assert [h for bank in banks(net) for h in bank.heads] == linear_heads(net)
+        for bank in banks(net):
             d = bank.heads[0].d_in
             assert bank.H.shape == (bank.n_out, d) and bank.beta.shape == (bank.n_out,)
             assert bank.H.flags.c_contiguous
@@ -300,28 +311,76 @@ class TestSlotLayout:
             assert row == bank.n_out
 
     @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
+    def test_dropped_hypernet_leaves_no_reference_cycle(self, build):
+        # a cycle would keep the whole flat vector alive until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            net = SLOT_BUILDS[build]()
+            params, trace = net.generate()
+            net.backward(trace, *random_mainnet_grads(net, params, 3))
+            del net, params, trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_param_array_keys_and_identity_unchanged(self, build):
         net = SLOT_BUILDS[build]()
         arrays = net.param_arrays()
-        want = [key for part in net.trunks + net.heads for key in part.shapes()]
-        want += [key for src in net.sources.values() for key in src.shapes]
-        assert list(arrays) == want
+        want = [key for trunk in net.trunks for key in trunk.keys]
+        want += [key for head in slot_heads(net) + slot_heads(net, hg.BIAS) for key in head.keys]
+        want += [key for src in net.sources.values() for key in src.keys]
+        assert sorted(arrays) == sorted(want)
+        end = address(net.flat)   # in layout order: each array starts where the last ends
+        for key, a in arrays.items():
+            assert address(a) == end, key
+            end += a.nbytes
+        assert end == address(net.flat) + net.flat.nbytes
         for head in linear_heads(net):
-            assert arrays[head.array_keys[0]] is head.H
-            assert arrays[head.array_keys[1]] is head.beta
+            assert arrays[head.keys[0]] is head.H
+            assert arrays[head.keys[1]] is head.beta
 
     def test_head_draws_in_row_chunks_equal_one_draw(self, monkeypatch):
         monkeypatch.setattr(hg, "row_chunks",
                             lambda n, size: tensor.row_chunks(n, size, entries=3 * size))
         scheme = s.parse_scheme("hyperfan-in")
         net, _ = simple_dense_net([5, 7, 3], hg.PER_LAYER, emb=4, seed=9)
-        assert len(hg.row_chunks(*net.heads[0].H.shape)) > 1
+        assert len(hg.row_chunks(*linear_heads(net)[0].H.shape)) > 1
         rng = Rng(9).child(2)   # init_hypernet's initialization stream
-        for head in net.heads:   # identity trunk, hyperfan-in: only H is drawn
+        for head in linear_heads(net):   # identity trunk, hyperfan-in: only H is drawn
             t = head.targets[0]
             var = head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
             np.testing.assert_array_equal(head.H, sample(Distribution(UNIFORM, var),
                                                          head.H.shape, rng))
+
+    def test_heads_draw_weights_then_the_chunked_head_then_biases(self):
+        mspec = mn.allconv(2, [4], 2, kernel=3, bias_source="generated")
+        hspec = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
+                                chunk=hg.ChunkPlan(K=2, n=3), generates_bias=True)
+        scheme = s.parse_scheme("hyperfan-in")
+        net = hg.init_hypernet(hspec, mspec, scheme, Rng(6))
+        rng = Rng(6).child(2)   # init_hypernet's initialization stream
+
+        def draw(var, shape):
+            return sample(Distribution(UNIFORM, var), shape, rng)
+
+        def head_var(head):   # identity trunk, hyperfan-in: only H is drawn
+            t = head.targets[0]
+            return head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
+
+        *linear, group = slot_heads(net)
+        assert linear and group is net.head_of(0) and slot_heads(net, hg.BIAS)
+        for head in linear:
+            np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
+        var_h = s.classical_variance(s.FAN_IN, s.FanGeometry(d_i=group.H.shape[0],
+                                                             d_j=group.proj_dim, d_k=1))
+        np.testing.assert_array_equal(group.H, draw(var_h, group.H.shape))
+        for m, (t, _, _) in enumerate(group.index):
+            var_p = s.scheme_weight_variance(net.layer_scheme(scheme, t), net.geometry(t))
+            np.testing.assert_array_equal(group.proj[m], draw(var_p, group.proj[m].shape))
+        for head in slot_heads(net, hg.BIAS):
+            np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
 
 
 class TestSlotPath:
@@ -387,13 +446,13 @@ class TestFlatLayout:
         arrays = net.param_arrays()
         covered = []
         for name, src in net.sources.items():
-            lo, hi = src.span
+            lo, hi = src.span.start, src.span.stop
             assert src.block.shape == (len(src.targets), net.hspec.embedding_dim), name
             assert np.shares_memory(src.block, net.flat[lo:hi]), name
             assert src.block.size == hi - lo, name
             inside = {k for k, a in arrays.items() if np.shares_memory(a, src.block)}
-            assert inside == set(src.shapes), name
-            covered += src.shapes
+            assert inside == set(src.keys), name
+            covered += src.keys
         assert sorted(covered) == sorted(k for k in arrays if k.startswith("emb."))
 
     def test_gradients_share_the_layout(self):
@@ -438,7 +497,7 @@ class TestBackwardGenerate:
         net, mspec = simple_dense_net([3, 5, 5, 2], hg.SHARED_SAME_SIZE, seed=4)
         params, trace = net.generate()
         rng = Rng(99)
-        group = net.weight_groups[0]
+        group = net.head_of(0)
         dh = rng.child(0).normal(1.0, group.H.shape)
         dw = [rng.child(1 + t).normal(1.0, p["W"].shape)
               for t, p in enumerate(params)]
@@ -457,14 +516,13 @@ class TestBackwardGenerate:
         params, trace = net.generate()
         rng = Rng(55)
         dw = [rng.child(t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
-        shared = [g for g in net.weight_groups if len(g.targets) > 1][0]
-        gi = net.weight_groups.index(shared)
-        full = net.backward(trace, dw).by_key[f"wg{gi}.H"]
+        shared = [g for g in slot_heads(net) if len(g.targets) > 1][0]
+        full = net.backward(trace, dw).by_key[shared.keys[0]]
         total = np.zeros_like(full)
         for t in shared.targets:
             solo = [np.zeros_like(p["W"]) for p in params]
             solo[t] = dw[t]
-            total += net.backward(trace, solo).by_key[f"wg{gi}.H"]
+            total += net.backward(trace, solo).by_key[shared.keys[0]]
         np.testing.assert_allclose(full, total, rtol=1e-12, atol=1e-15)
 
     def test_each_call_returns_fresh_gradients(self):
@@ -496,6 +554,24 @@ class TestBackwardGenerate:
         params, _ = net.generate()
         with pytest.raises(mn.SpecError):
             net.feature_grads([np.zeros_like(p["W"]) for p in params])
+
+    def test_feature_grads_allocate_less_than_the_slot_matrix(self):
+        # heads of different widths: each target's gradient meets its own
+        # head's rows, and no zero-padded (T, N) matrix is built
+        net, _ = simple_dense_net([64, 256, 256, 8], hg.PER_LAYER)
+        bank, = net.heads
+        assert len({h.n_out for h in bank.heads}) == 3
+        slot_bytes = len(bank.places) * bank.n_out * 8
+        params, _ = net.generate()
+        dw = [np.ones_like(p["W"]) for p in params]
+        tracemalloc.start()
+        try:
+            got = net.feature_grads(dw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(got) == [("w", 0), ("w", 1), ("w", 2)]
+        assert peak < slot_bytes / 2
 
     @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_feature_grads_equal_backward_head_feature_grads(self, build):

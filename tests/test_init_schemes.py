@@ -186,7 +186,7 @@ class TestSchemeDispatch:
     def test_small_random_uses_scale_param(self):
         g = geom(500, 500, 50)
         sch = s.parse_scheme("small-random")
-        assert sch.scale_param == 0.01
+        assert s.BASELINE_SCALE[sch.kind] == 0.01
         assert s.scheme_weight_variance(sch, g) == pytest.approx(1e-4, rel=REL)
 
     def test_scaled_output_scales_kaiming_head(self):

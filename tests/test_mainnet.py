@@ -121,13 +121,6 @@ class TestLosses:
         labels = np.arange(5) % 10
         assert mn.softmax_cross_entropy(logits, labels) == pytest.approx(np.log(10))
 
-    def test_sum_vs_mean_reduction(self):
-        logits = np.array([[2.0, -1.0], [0.5, 0.5]])
-        labels = np.array([0, 1])
-        mean = mn.softmax_cross_entropy(logits, labels)
-        total = mn.softmax_cross_entropy(logits, labels, reduction="sum")
-        assert total == pytest.approx(2 * mean)
-
     def test_mse(self):
         assert mn.mse_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])) == 2.5
 

@@ -65,9 +65,8 @@ hypernet_cases = hypernet_builds().map(lambda case: (case[0](),) + case[1:])
 
 
 def chunked_heads(net):
-    """The chunked heads of a hypernet, found through their parameter keys."""
-    return [net.weight_groups[int(key[2:-2])] for key in net.param_arrays()
-            if key.startswith("cg") and key.endswith(".H")]
+    """The chunked heads of a hypernet."""
+    return [head for head in net.heads if isinstance(head, hg.ChunkedHeadGroup)]
 
 
 @given(hypernet_cases)

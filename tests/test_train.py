@@ -469,6 +469,17 @@ class TestClassificationLoop:
                                        rtol=1e-9)
         assert_same_hypernet(fast.hypernet, slow.hypernet, rtol=1e-9)
 
+    @pytest.mark.parametrize("iterations,want", [(10, [0, 5, 10]), (0, [0]),
+                                                 (12, [0, 5, 10, 12])])
+    def test_each_step_is_probed_once(self, tiny_classification, iterations, want):
+        # the closing probe is skipped when the loop already probed its step
+        from dataclasses import replace
+        name, data = tiny_classification
+        cfg = replace(tr.config_for(name), iterations=iterations, probe_every=5)
+        res = tr.train(name, cfg, data=data)
+        assert res.steps == iterations
+        assert [r.step for r in res.reports] == want
+
     def test_curve_rows_have_metric(self, tiny_classification):
         name, data = tiny_classification
         res = tr.train(name, tr.config_for(name), data=data)
