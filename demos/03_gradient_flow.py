@@ -39,5 +39,5 @@ dw = [rng.child(10 + t).normal(1.0, p["W"].shape) for t, p in enumerate(params)]
 feature_grads = net.feature_grads(dw)
 pred = gradient_shrink_factor(net.geometry(1))
 for t in range(len(params)):
-    measured = np.var(feature_grads[("w", t)]) / np.var(dw[t])
+    measured = np.var(feature_grads[t]) / np.var(dw[t])
     print(f"  layer {t}: measured {measured:6.2f}   predicted {pred:.2f}")

@@ -39,9 +39,16 @@ def _positive_int(text):
     return v
 
 
+def _seed(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {v}")
+    return v
+
+
 def _seed_list(text):
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        seeds = [_seed(s) for s in text.split(",") if s.strip()]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
     if not seeds:
@@ -56,10 +63,17 @@ def _learning_rate(text):
     return v
 
 
-def _variance(text):
+def _finite(text):
     v = float(text)
-    if not np.isfinite(v) or v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a finite variance > 0, got {v}")
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {v}")
+    return v
+
+
+def _positive(text):
+    v = _finite(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {v}")
     return v
 
 
@@ -90,13 +104,13 @@ def build_parser():
     vc.add_argument("--width", type=_positive_int, default=500)
     vc.add_argument("--hyper-width", type=_positive_int, default=50)
     vc.add_argument("--batch", type=_positive_int, default=300)
-    vc.add_argument("--seed", type=int, default=42)
+    vc.add_argument("--seed", type=_seed, default=42)
     act = vc.add_mutually_exclusive_group()
     act.add_argument("--relu", action="store_true")
     act.add_argument("--tanh", action="store_true")
     vc.add_argument("--gen-bias", action="store_true")
-    vc.add_argument("--tol-lo", type=float, default=0.8)
-    vc.add_argument("--tol-hi", type=float, default=1.25)
+    vc.add_argument("--tol-lo", type=_finite, default=0.8)
+    vc.add_argument("--tol-hi", type=_finite, default=1.25)
     vc.add_argument("--raw-embeddings", action="store_true",
                     help="keep raw embedding draws instead of pinning their "
                          "empirical variance to the declared value (noisier bands)")
@@ -105,8 +119,8 @@ def build_parser():
     it = sub.add_parser("init-table", help="tabulate every scheme's variances")
     it.add_argument("--geometry", type=_geometry, required=True,
                     metavar="d_i,d_j,d_k,d_l")
-    it.add_argument("--var-e", type=_variance, default=1.0)
-    it.add_argument("--var-e2", type=_variance, default=None)
+    it.add_argument("--var-e", type=_positive, default=1.0)
+    it.add_argument("--var-e2", type=_positive, default=None)
     it.add_argument("--receptive-field", type=_positive_int, default=1)
     it.add_argument("--relu", action="store_true")
     it.add_argument("--gen-bias", action="store_true")
@@ -120,7 +134,7 @@ def build_parser():
     tr.add_argument("--batch", type=_positive_int, default=None)
     tr.add_argument("--subset", type=_positive_int, default=None)
     tr.add_argument("--iterations", type=_positive_int, default=None)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--seeds", type=_seed_list, default=None,
                     help="comma-separated seed list; runs each seed independently")
     tr.add_argument("--probe-every", type=_positive_int, default=None)
@@ -131,8 +145,8 @@ def build_parser():
 
     gc = sub.add_parser("grad-check",
                         help="finite-difference gradient check on reduced architectures")
-    gc.add_argument("--seed", type=int, default=7)
-    gc.add_argument("--threshold", type=float, default=1e-5)
+    gc.add_argument("--seed", type=_seed, default=7)
+    gc.add_argument("--threshold", type=_positive, default=1e-5)
 
     rp = sub.add_parser("report", help="convert or summarize a probe JSON report")
     rp.add_argument("--in", dest="inp", required=True)
@@ -285,6 +299,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "variance-check" and args.tol_lo > args.tol_hi:
+            parser.error(f"argument --tol-lo: expected at most --tol-hi {args.tol_hi:g}, "
+                         f"got {args.tol_lo:g}")
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     handlers = {

@@ -45,12 +45,12 @@ def check_pipeline(net, mspec, x, y, h=1e-5):
         _, loss = forward(mspec, params, x, y)
         return loss
 
-    analytic = pipeline_step(net, mspec, x, y, stop_on_divergence=False).hyper.by_key
+    pipeline_step(net, mspec, x, y, stop_on_divergence=False)
     arrays = net.param_arrays()
     worst_rel, worst_abs = 0.0, 0.0
-    for key, grad in analytic.items():
+    for key, grad in net.grad_arrays().items():
         numeric = numeric_gradient(loss_fn, arrays[key], h)
-        rel, absolute = gradient_errors(np.asarray(grad, dtype=float), numeric)
+        rel, absolute = gradient_errors(grad, numeric)
         worst_rel = max(worst_rel, rel)
         worst_abs = max(worst_abs, absolute)
     return worst_rel, worst_abs

@@ -26,17 +26,18 @@ matrix and their beta (gamma) offsets consecutive pieces of one (N,) vector.
 and columns of the product; ``backward`` places each target's gradient in one
 (T, N) matrix and takes the head gradients and the feature gradients from it
 in three whole-slot operations; ``feature_grads`` multiplies each target's
-gradient by its own head's rows. For shared heads the head gradient is the sum
-of the per-target contributions, which combats the usual head-gradient
+weight gradient by its own head's rows. For shared heads the head gradient is
+the sum of the per-target contributions, which combats the usual head-gradient
 shrinkage.
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``,
 laid out in one order: trunks, then each source's head, then each source's
 embedding block, so the updatable arrays form the prefix ``flat[:n_updatable]``.
-Each of these parts declares its arrays in layout order, binds itself to its
-one segment of ``flat`` and reaches its gradient through the same segment of a
-vector laid out like it. ``backward`` writes such a vector, fresh or the
-caller's own, and overwrites every entry, so one SGD step is one check and one
+Each of these parts declares its arrays in layout order and binds itself to
+its one segment of ``flat``. The hypernet owns its gradient the same way:
+``Hypernet.grad``, laid out like ``flat``, is allocated by the first
+``backward``, which binds each part's ``grads`` to its segment; every
+``backward`` overwrites every entry, so one SGD step is one check and one
 update. The head formulas read the declared embedding variance, ``Var(e)``.
 """
 
@@ -95,9 +96,12 @@ class HypernetSpec:
 class Segment:
     """Arrays laid out back to back in one segment of ``Hypernet.flat``, named
     by ``keys`` and sized by ``shapes`` in layout order. ``Hypernet._allocate``
-    sets ``span``, the segment's slice, then calls ``bind``."""
+    sets ``span``, the segment's slice, then calls ``bind``. The first
+    ``Hypernet.backward`` sets a trunk's or head's ``grads``, its arrays of
+    the same segment of ``Hypernet.grad``, which its ``backward`` writes."""
 
     span = slice(0, 0)
+    grads = ()
 
     @property
     def size(self):
@@ -105,7 +109,7 @@ class Segment:
 
     def arrays(self, vector):
         """The arrays, in layout order, as views of this segment of ``vector``
-        (``Hypernet.flat`` or a vector laid out like it)."""
+        (``Hypernet.flat`` or ``Hypernet.grad``)."""
         out, lo = [], self.span.start
         for shape in self.shapes:
             out.append(vector[lo:lo + math.prod(shape)].reshape(shape))
@@ -150,15 +154,14 @@ class Trunk(Segment):
             xs.append(x)
         return x, (xs, ys)
 
-    def backward(self, cache, dfeat, grad):
-        """Write dL/d(trunk arrays) into ``grad``, its arrays of a gradient
-        vector; return dL/d(embeddings)."""
+    def backward(self, cache, dfeat):
+        """Write dL/d(trunk arrays) into ``grads``; return dL/d(embeddings)."""
         xs, ys = cache
         dx = dfeat
         for i in range(len(self.weights) - 1, -1, -1):
             dy = activation_grad(self.activation, ys[i], xs[i + 1], dx)
-            np.matmul(dy.T, xs[i], out=grad[2 * i])
-            dy.sum(axis=0, out=grad[2 * i + 1])
+            np.matmul(dy.T, xs[i], out=self.grads[2 * i])
+            dy.sum(axis=0, out=self.grads[2 * i + 1])
             dx = dy @ self.weights[i]
         return dx
 
@@ -272,21 +275,20 @@ class SlotBank(Segment):
             params[t][self.slot.param] = y[row, cols].reshape(shape)
 
     def feature_grads(self, dslot):
-        """Each target's gradient times its own head's rows alone: one GEMM
-        per head, over a row per target, and no (T, N) matrix."""
+        """Each target's gradient times its own head's rows alone, by layer:
+        one GEMM per head, over a row per target, and no (T, N) matrix."""
         out = {}
         for h in self.heads:
             d = np.stack([dslot[t].reshape(-1) for t in h.targets])
-            out.update(zip([(self.slot.tag, t) for t in h.targets], d @ h.H))
+            out.update(zip(h.targets, d @ h.H))
         return out
 
-    def backward(self, x, cache, dslot, grad):
-        """Write dL/d(head arrays) into ``grad``, its arrays of a gradient
-        vector; return dL/dx."""
+    def backward(self, x, cache, dslot):
+        """Write dL/d(head arrays) into ``grads``; return dL/dx."""
         d = np.zeros((len(self.places), self.n_out), dtype=DTYPE)
         for t, row, cols, _ in self.places:
             d[row, cols] = dslot[t].reshape(-1)
-        h, beta = grad
+        h, beta = self.grads
         np.matmul(d.T, x, out=h)
         d.sum(axis=0, out=beta)
         return d @ self.H
@@ -387,18 +389,17 @@ class ChunkedHeadGroup(Segment):
         return alphas
 
     def feature_grads(self, dslot):
-        """dL/d(alphas), the shared layer's input features, layer by layer."""
-        return {(self.slot.tag, t): self.disassemble(dslot[t], t, layer) @ self.H
+        """dL/d(alphas), the shared layer's input features, by layer."""
+        return {t: self.disassemble(dslot[t], t, layer) @ self.H
                 for t, layer in self.layers.items()}
 
-    def backward(self, x, alphas, dslot, grad):
-        """Write dL/d(head arrays) into ``grad``, its arrays of a gradient
-        vector; return dL/dx."""
+    def backward(self, x, alphas, dslot):
+        """Write dL/d(head arrays) into ``grads``; return dL/dx."""
         dcm = np.zeros((self.n_chunks, self.H.shape[0]), dtype=DTYPE)
         for t, layer in self.layers.items():
             dcm[slice(*self.layer_rows[t])] = self.disassemble(dslot[t], t, layer)
         dalphas = dcm @ self.H
-        h, beta, proj, proj_bias = grad
+        h, beta, proj, proj_bias = self.grads
         np.matmul(dcm.T, alphas, out=h)
         dcm.sum(axis=0, out=beta)
         np.einsum("mp,md->mpd", dalphas, x, out=proj)
@@ -419,19 +420,13 @@ class GenTrace:
     head_caches: dict    # source name -> whatever its head's generate() returned
 
 
-@dataclass
-class HyperGrads:
-    flat: np.ndarray   # one gradient vector laid out like Hypernet.flat
-    by_key: dict       # name -> view of flat, keyed like param_arrays()
-    parts: dict        # part of the hypernet -> its arrays, views of its segment
-
-
 class Hypernet:
     """Generates and backpropagates through all mainnet parameters.
 
     ``sources`` maps each source name (``"w"``, ``"b"``, ``emb.c<i>``) to its
     ``Source``, and ``heads`` lists their heads in the same order; trunk_g
-    never shares trunk_h's arrays.
+    never shares trunk_h's arrays. ``grad``, the gradient vector laid out
+    like ``flat``, is None until the first ``backward``.
     """
 
     def __init__(self, mspec: MainnetSpec, hspec: HypernetSpec, rng: Rng):
@@ -473,6 +468,7 @@ class Hypernet:
         self._heads_by_target = {(h.slot.param, t): h for head in self.heads
                                  for h in head.heads for t in h.targets}
         self._allocate()
+        self.grad = None
 
         dist = hspec.embedding_distribution
         erng = rng.child(0)
@@ -511,12 +507,9 @@ class Hypernet:
         """Flat name -> array view of every parameter, embeddings included."""
         return dict(self._arrays)
 
-    def new_grads(self):
-        """A zeroed gradient vector laid out like ``flat``, for ``backward``'s
-        ``out``."""
-        flat, parts = np.zeros_like(self.flat), self._parts()
-        return HyperGrads(flat, {k: v for part in parts for k, v in part.named(flat).items()},
-                          {part: part.arrays(flat) for part in parts})
+    def grad_arrays(self):
+        """Flat name -> array view of ``grad``, keyed like ``param_arrays``."""
+        return {k: v for part in self._parts() for k, v in part.named(self.grad).items()}
 
     # ---- initialization ---------------------------------------------------
 
@@ -586,35 +579,33 @@ class Hypernet:
             head_caches[name] = src.head.generate(feats[name], params)
         return params, GenTrace(feats, caches, head_caches)
 
-    def _slot_grads(self, weight_grads, bias_grads):
-        if self.bias_targets and bias_grads is None:
-            raise SpecError("bias gradients required: this hypernet generates biases")
-        return {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
-
-    def feature_grads(self, weight_grads, bias_grads=None):
-        """dL/d(head input features) keyed ("w"|"b", layer), the one way to
-        get them. A feature gradient depends only on the heads' arrays and the
-        mainnet gradients, so it needs no ``GenTrace`` and builds no hypernet
-        parameter gradient."""
-        dslots = self._slot_grads(weight_grads, bias_grads)
+    def feature_grads(self, weight_grads):
+        """dL/d(weight-head input features) keyed by layer, the one way to get
+        them. A feature gradient depends only on the heads' arrays and the
+        mainnet weight gradients, so it needs no ``GenTrace`` and builds no
+        hypernet parameter gradient."""
         out = {}
         for head in self.heads:
-            out.update(head.feature_grads(dslots[head.slot.param]))
+            if head.slot is WEIGHT:
+                out.update(head.feature_grads(weight_grads))
         return out
 
-    def backward(self, trace: GenTrace, weight_grads, bias_grads=None, out=None):
+    def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
         """Map mainnet parameter gradients to hypernet parameter gradients,
-        written into ``out`` (a ``HyperGrads`` from ``new_grads``) or, without
-        one, a fresh one. Every entry is overwritten."""
-        dslots = self._slot_grads(weight_grads, bias_grads)
-        grads = self.new_grads() if out is None else out
+        written into ``grad``: the first call allocates it and binds each
+        part's ``grads`` to it, and every call overwrites every entry."""
+        if self.bias_targets and bias_grads is None:
+            raise SpecError("bias gradients required: this hypernet generates biases")
+        if self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+            for part in self.trunks + self.heads:
+                part.grads = part.arrays(self.grad)
+        dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
         for name, src in self.sources.items():
             dfeat = src.head.backward(trace.feats[name], trace.head_caches[name],
-                                      dslots[src.head.slot.param], grads.parts[src.head])
-            demb = src.trunk.backward(trace.trunk_caches[name], dfeat,
-                                      grads.parts.get(src.trunk))   # None: identity trunk
-            grads.flat[src.span] = demb.ravel()
-        return grads
+                                      dslots[src.head.slot.param])
+            demb = src.trunk.backward(trace.trunk_caches[name], dfeat)
+            self.grad[src.span] = demb.ravel()
 
 
 def init_hypernet(hspec, mspec, scheme, rng):

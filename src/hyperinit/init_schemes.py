@@ -156,52 +156,37 @@ def hyperfan_out_bias_variance(geom, relu_gain=False):
     return max(v, 0.0)
 
 
-def _head_geometry(geom):
-    # The weight head itself, seen as a classical layer: it maps d_k features
-    # to d_i*d_j*r generated entries.
-    return FanGeometry(d_i=geom.d_i * geom.d_j * geom.receptive_field, d_j=geom.d_k, d_k=1)
-
-
-def _bias_head_geometry(geom):
-    return FanGeometry(d_i=geom.d_i, d_j=geom.d_l, d_k=1)
+def _head_variance(scheme, head):
+    """Head variance under a classical or baseline scheme, which sees the head
+    as a classical layer of geometry ``head``: the scheme's own formula (fan-in
+    for the baselines, scaled down for scaled-output), or small-random's fixed
+    scale."""
+    kind = scheme.kind
+    if kind == SMALL_RANDOM:
+        return BASELINE_SCALE[kind] ** 2
+    var = classical_variance(kind if kind in CLASSICAL_KINDS else FAN_IN, head, scheme.relu_gain)
+    return var * BASELINE_SCALE[kind] ** 2 if kind == SCALED_OUTPUT else var
 
 
 def scheme_weight_variance(scheme, geom):
     """Variance assigned to a weight-generating head H under the scheme."""
-    kind = scheme.kind
-    if kind == HYPERFAN_IN:
+    if scheme.kind == HYPERFAN_IN:
         return hyperfan_in_weight_variance(geom, scheme.relu_gain, scheme.hypernet_bias)
-    if kind == HYPERFAN_OUT:
+    if scheme.kind == HYPERFAN_OUT:
         return hyperfan_out_weight_variance(geom, scheme.relu_gain)
-    if kind in CLASSICAL_KINDS:
-        return classical_variance(kind, _head_geometry(geom), scheme.relu_gain)
-    if kind == SMALL_RANDOM:
-        return BASELINE_SCALE[kind] ** 2
-    if kind == SCALED_OUTPUT:
-        base = classical_variance(FAN_IN, _head_geometry(geom), scheme.relu_gain)
-        return base * BASELINE_SCALE[kind] ** 2
-    if kind == CONST_EMBEDDING:
-        return classical_variance(FAN_IN, _head_geometry(geom), scheme.relu_gain)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    # The head maps d_k features to d_i*d_j*r generated entries.
+    return _head_variance(scheme, FanGeometry(d_i=geom.d_i * geom.d_j * geom.receptive_field,
+                                              d_j=geom.d_k, d_k=1))
 
 
 def scheme_bias_variance(scheme, geom):
     """Variance assigned to a bias-generating head G under the scheme."""
-    kind = scheme.kind
-    if kind == HYPERFAN_IN:
+    if scheme.kind == HYPERFAN_IN:
         return hyperfan_in_bias_variance(geom, scheme.relu_gain)
-    if kind == HYPERFAN_OUT:
+    if scheme.kind == HYPERFAN_OUT:
         return hyperfan_out_bias_variance(geom, scheme.relu_gain)
-    if kind in CLASSICAL_KINDS:
-        return classical_variance(kind, _bias_head_geometry(geom), scheme.relu_gain)
-    if kind == SMALL_RANDOM:
-        return BASELINE_SCALE[kind] ** 2
-    if kind == SCALED_OUTPUT:
-        base = classical_variance(FAN_IN, _bias_head_geometry(geom), scheme.relu_gain)
-        return base * BASELINE_SCALE[kind] ** 2
-    if kind == CONST_EMBEDDING:
-        return classical_variance(FAN_IN, _bias_head_geometry(geom), scheme.relu_gain)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    # The head maps d_l features to d_i generated biases.
+    return _head_variance(scheme, FanGeometry(d_i=geom.d_i, d_j=geom.d_l, d_k=1))
 
 
 def generated_weight_variance(scheme, geom):

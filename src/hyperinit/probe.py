@@ -73,8 +73,8 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
     """Deterministic per-layer statistics of one probe batch.
 
     ``trace`` is a mainnet ForwardTrace; ``grads`` a MainnetGrads; the
-    optional ``head_feature_grads`` come from Hypernet.feature_grads and
-    measure the gradient entering the hypernet; ``linear_acts`` are activations of an
+    optional ``head_feature_grads``, by layer, come from Hypernet.feature_grads
+    and measure the gradient entering the hypernet; ``linear_acts`` are activations of an
     identity-activation replay of the same weights (the exploding-variance
     diagnostic, unsquashed by tanh).
     """
@@ -92,9 +92,8 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
             _stat(rows, step, t, GRAD_ACT, grads.acts[t])
             _stat(rows, step, t, GRAD_WEIGHT, grads.weight[t])
     if head_feature_grads is not None:
-        for (side, t), g in head_feature_grads.items():
-            if side == "w":
-                _stat(rows, step, t, HEAD_FEATURE_GRAD, g)
+        for t, g in head_feature_grads.items():
+            _stat(rows, step, t, HEAD_FEATURE_GRAD, g)
     if linear_acts is not None:
         for t, x in enumerate(linear_acts):
             _stat(rows, step, t, LINEAR_ACT, x)

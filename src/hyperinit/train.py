@@ -2,20 +2,21 @@
 
 ``pipeline_step`` (generate, forward, stop if diverged, backward,
 Hypernet.backward) serves the training loop, the probe, the variance check
-and the gradient check. The probe and the variance check read only head
-feature gradients: ``probe_step`` runs the step on freshly generated
-parameters and asks ``Hypernet.feature_grads`` for them, so no hypernet
-parameter gradient is built. ``train`` runs one loop over a preset's batch
-schedule: shuffled epochs, or a sequence of tasks of sampled batches.
+and the gradient check. The probe and the variance check read only the
+weight heads' feature gradients: ``probe_step`` runs the step on freshly
+generated parameters and asks ``Hypernet.feature_grads`` for them, so no
+hypernet parameter gradient is built. ``train`` runs one loop over a preset's
+batch schedule: shuffled epochs, or a sequence of tasks of sampled batches.
 
 Only hypernet parameters and trainable embeddings are ever updated, through
 ``sgd_step`` on the updatable prefix of the hypernet's flat parameter vector
-and the same prefix of the flat gradient: one finiteness check refuses the
-whole step, one in-place update takes it. The updater owns that gradient,
-and each step's ``Hypernet.backward`` overwrites it. For identity-trunk,
-fixed-embedding hypernets (the MNIST-style presets) the loop's updater uses an
-exact reparameterization instead: SGD on a linear head (H, beta) with fixed
-embeddings moves the generated weights by
+and the same prefix of its gradient, ``Hypernet.grad``: one finiteness check
+refuses the whole step, one in-place update takes it. The hypernet owns that
+gradient, and each step's ``Hypernet.backward`` overwrites it. For
+identity-trunk, fixed-embedding hypernets (the MNIST-style presets) the loop's
+updater never calls ``Hypernet.backward``, so it never allocates that
+gradient, and uses an exact reparameterization instead: SGD on a linear head
+(H, beta) with fixed embeddings moves the generated weights by
 
     W_s  <-  W_s - lr * sum_t (<e_t, e_s> + 1) * dW_t
 
@@ -52,8 +53,8 @@ import numpy as np
 
 from .data import (GLOBAL, FormatError, load_cifar10_binary, load_idx,
                    make_regression_tasks, standardize)
-from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, HyperGrads,
-                       Hypernet, HypernetSpec, init_hypernet)
+from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet,
+                       HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
                       ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
@@ -113,23 +114,20 @@ def _diverged(trace, loss):
 
 @dataclass
 class Step:
-    """One pipeline pass; ``grads`` and ``hyper`` stay None when it stopped."""
+    """One pipeline pass; ``grads`` stays None when it stopped."""
 
     params: list
     trace: ForwardTrace
     loss: float
     diverged: bool
     grads: MainnetGrads | None = None
-    hyper: HyperGrads | None = None
 
 
-def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weights=True,
-                  hyper_out=None):
+def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weights=True):
     """Generate the mainnet parameters (unless carried ``params`` are given),
     run forward, stop if diverged, then backpropagate through the mainnet and,
-    for generated parameters, through the hypernet. ``weights`` is passed to
-    ``mainnet.backward`` and ``hyper_out``, a hypernet gradient, to
-    ``Hypernet.backward``."""
+    for generated parameters, through the hypernet into ``net.grad``.
+    ``weights`` is passed to ``mainnet.backward``."""
     gtrace = None
     if params is None:
         params, gtrace = net.generate()
@@ -138,36 +136,35 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weight
     if diverged and stop_on_divergence:
         return Step(params, trace, loss, diverged)
     grads = backward(mspec, params, trace, y, weights=weights)
-    hyper = None if gtrace is None else net.backward(
-        gtrace, grads.weight, grads.bias if net.bias_targets else None, out=hyper_out)
-    return Step(params, trace, loss, diverged, grads, hyper)
+    if gtrace is not None:
+        net.backward(gtrace, grads.weight, grads.bias if net.bias_targets else None)
+    return Step(params, trace, loss, diverged, grads)
 
 
 def probe_step(net, mspec, x, y):
     """A pipeline step on freshly generated parameters, never stopped, and
     the head feature gradients of it, without a hypernet parameter gradient."""
     s = pipeline_step(net, mspec, x, y, net.generate()[0], stop_on_divergence=False)
-    return s, net.feature_grads(s.grads.weight, s.grads.bias)
+    return s, net.feature_grads(s.grads.weight)
 
 
 class _HeadSpaceSgd:
-    """Updater applying ``sgd_step`` to the updatable prefix of the hypernet's
-    flat parameter vector. It owns the hypernet gradient, which every step's
-    ``Hypernet.backward`` overwrites."""
+    """Updater applying ``sgd_step`` to the updatable prefixes of the
+    hypernet's flat parameter vector and of its gradient, ``Hypernet.grad``,
+    which the step's ``Hypernet.backward`` wrote."""
 
     carried = None   # no carried parameters: pipeline_step generates them
     weights = True   # Hypernet.backward reads the mainnet weight gradients
 
     def __init__(self, net: Hypernet):
         self.net = net
-        self.hyper_grads = net.new_grads()
 
     def current_params(self):
         return self.net.generate()[0]
 
     def update(self, step, lr):
         n = self.net.n_updatable
-        return sgd_step(self.net.flat[:n], step.hyper.flat[:n], lr)
+        return sgd_step(self.net.flat[:n], self.net.grad[:n], lr)
 
     def sync(self):
         pass
@@ -184,7 +181,6 @@ class _FixedHeadFastPath:
     the step (see the module docstring).
     """
 
-    hyper_grads = None   # no hypernet gradient: the heads move through the Gram system
     weights = False      # update forms the weight gradients from the step's factors
 
     @staticmethod
@@ -560,8 +556,7 @@ def _run(net, mspec, config, schedule, result):
         first = len(losses)
         floor = first if schedule.tasks else 0   # a task's curve rows see only its losses
         for xb, yb in batches:
-            s = pipeline_step(net, mspec, xb, yb, updater.carried, weights=updater.weights,
-                              hyper_out=updater.hyper_grads)
+            s = pipeline_step(net, mspec, xb, yb, updater.carried, weights=updater.weights)
             if not s.diverged:
                 losses.append(s.loss)
             if s.diverged or not updater.update(s, config.learning_rate):

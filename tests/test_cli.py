@@ -44,13 +44,23 @@ class TestUsageErrors:
         ("init-table", "--var-e", "0"),
         ("init-table", "--var-e", "nan"),
         ("init-table", "--var-e2", "-1"),
+        ("train", "--seeds", "1,-2"),
+        ("train", "--seed", "-1"),
+        ("variance-check", "--seed", "-1"),
+        ("variance-check", "--tol-lo", "nan"),
+        ("variance-check", "--tol-hi", "inf"),
+        ("variance-check", "--tol-lo", "2", "--tol-hi", "1"),
+        ("grad-check", "--seed", "-3"),
+        ("grad-check", "--threshold", "nan"),
+        ("grad-check", "--threshold", "0"),
+        ("grad-check", "--threshold", "-1e-5"),
     ])
     def test_bad_flag_value_rejected(self, capsys, argv):
         command, *flags = argv
-        preset = (("--preset", "regression-seq", "--iterations", "2") if command == "train"
-                  else ("--geometry", "1,1,1,1"))
-        code, _, err = run(capsys, command, *preset, *flags)
-        assert code == 2
+        required = {"train": ("--preset", "regression-seq", "--iterations", "2"),
+                    "init-table": ("--geometry", "1,1,1,1")}
+        code, out, err = run(capsys, command, *required.get(command, ()), *flags)
+        assert code == 2 and not out
         assert f"argument {flags[0]}" in err
 
 

@@ -20,14 +20,13 @@ def small_setup(scheme="hyperfan-in", width=40, depth=3, emb=8, seed=0,
                             head_topology=hg.SHARED_SAME_SIZE,
                             generates_bias=bias, normalize_embeddings=True)
     net = hg.init_hypernet(hspec, mspec, parse_scheme(scheme), Rng(seed))
-    params, gtrace = net.generate()
+    params, _ = net.generate()
     rng = Rng(seed + 1)
     x = rng.child(0).normal(1.0, (64, width))
     y = rng.child(1).normal(1.0, (64, width))
     trace, loss = mn.forward(mspec, params, x, y)
     grads = mn.backward(mspec, params, trace, y)
-    hyper = net.backward(gtrace, grads.weight, grads.bias if bias else None)
-    return net, mspec, params, trace, grads, hyper
+    return net, mspec, params, trace, grads
 
 
 class TestSnapshot:
@@ -45,7 +44,7 @@ class TestSnapshot:
                 assert row.var == 0.0
 
     def test_rows_cover_expected_kinds(self):
-        net, mspec, params, trace, grads, hyper = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(3, trace, params, grads,
                              head_feature_grads=net.feature_grads(grads.weight))
         kinds = rep.kinds()
@@ -57,7 +56,7 @@ class TestSnapshot:
         assert all(row.step == 3 for row in rep.rows)
 
     def test_snapshot_is_deterministic(self):
-        net, mspec, params, trace, grads, hyper = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         r1 = probe.snapshot(0, trace, params, grads)
         r2 = probe.snapshot(0, trace, params, grads)
         for a, b in zip(r1.rows, r2.rows):
@@ -101,7 +100,7 @@ class TestPredict:
 
 class TestCompare:
     def test_identical_values_pass(self):
-        net, mspec, params, trace, grads, hyper = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(0, trace, params, grads)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
         for row in rep.rows:
@@ -112,14 +111,14 @@ class TestCompare:
         assert act_rows and all(r.passed for r in act_rows)
 
     def test_within_band_passes(self):
-        net, mspec, params, trace, grads, _ = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(0, trace, params, grads)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
         comp = probe.compare(rep, pred, band=(0.8, 1.25))
         assert comp.all_passed
 
     def test_large_mismatch_fails_with_ratio(self):
-        net, mspec, params, trace, grads, _ = small_setup("fan-in")
+        net, mspec, params, trace, grads = small_setup("fan-in")
         rep = probe.snapshot(0, trace, params, grads)
         hyper_pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
         comp = probe.compare(rep, hyper_pred, band=(0.8, 1.25))
@@ -128,7 +127,7 @@ class TestCompare:
         assert worst > 30  # exploding net measured against preservation theory
 
     def test_layer_mismatch_rejected(self):
-        net, mspec, params, trace, grads, _ = small_setup(depth=3)
+        net, mspec, params, trace, grads = small_setup(depth=3)
         net2, mspec2, *_ = small_setup(depth=2)
         rep = probe.snapshot(0, trace, params, grads)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec2, net2)
@@ -138,21 +137,21 @@ class TestCompare:
 
 class TestRatios:
     def test_activation_ratios_near_one_for_hyperfan(self):
-        net, mspec, params, trace, grads, _ = small_setup(width=300, emb=20,
+        net, mspec, params, trace, grads = small_setup(width=300, emb=20,
                                                           seed=3)
         ratios = probe.activation_variance_ratios(trace)
         assert all(0.7 < r < 1.4 for r in ratios)
 
     def test_gradient_ratio_count(self):
         # one ratio per adjacent layer pair
-        net, mspec, params, trace, grads, _ = small_setup(depth=4)
+        net, mspec, params, trace, grads = small_setup(depth=4)
         assert len(probe.gradient_variance_ratios(grads)) == 3
 
 
 class TestLinearReplay:
     def test_replay_ignores_saturation(self):
         # tanh squashes the forward trace; the identity replay must not
-        net, mspec, params, trace, grads, _ = small_setup(
+        net, mspec, params, trace, grads = small_setup(
             "fan-in", width=100, activation="tanh", seed=2)
         x = Rng(9).normal(1.0, (32, 100))
         lin = probe.linear_activation_variances(mspec, params, x)
@@ -202,7 +201,7 @@ class TestConvLayout:
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
-        net, mspec, params, trace, grads, hyper = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(5, trace, params, grads)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
         probe.compare(rep, pred)
@@ -218,7 +217,7 @@ class TestSerialization:
             assert row.var == pytest.approx(orig[(row.layer, row.kind)].var)
 
     def test_csv_columns(self, tmp_path):
-        net, mspec, params, trace, grads, _ = small_setup()
+        net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(0, trace, params, grads)
         path = tmp_path / "probe.csv"
         probe.write_csv(path, rep)

@@ -192,7 +192,7 @@ class TestFastPath:
         for step in range(25):
             rng = Rng(44).child(step)
             x, y = self.batch(mspec, rng)
-            s = tr.pipeline_step(net_naive, mspec, x, y, hyper_out=naive.hyper_grads)
+            s = tr.pipeline_step(net_naive, mspec, x, y)
             assert naive.update(s, lr)
             assert fast.update(self.fast_step(net_fast, mspec, fast, rng), lr)
         fast.sync()
@@ -340,6 +340,12 @@ class TestFastPath:
             tracemalloc.stop()
         assert peak < head_bytes
 
+    def test_train_allocates_no_hypernet_gradient(self, tiny_bias_classification):
+        name, data = tiny_bias_classification
+        res = tr.train(name, tr.config_for(name), data=data)
+        assert tr._FixedHeadFastPath.applicable(res.hypernet)
+        assert res.steps > 0 and res.hypernet.grad is None
+
 
 class TestHeadSpaceSgd:
     def test_nonfinite_fixed_embedding_gradient_is_ignored(self):
@@ -350,7 +356,7 @@ class TestHeadSpaceSgd:
         rng = Rng(3)
         step = tr.pipeline_step(net, mspec, rng.child(0).normal(1.0, (5, 3)),
                                 rng.child(1).normal(1.0, (5, 2)))
-        step.hyper.by_key["emb.w0"][...] = np.nan
+        net.grad_arrays()["emb.w0"][...] = np.nan
         before = {key: a.copy() for key, a in net.param_arrays().items()}
         assert tr._HeadSpaceSgd(net).update(step, 0.1)
         after = net.param_arrays()
@@ -359,26 +365,20 @@ class TestHeadSpaceSgd:
             assert not np.array_equal(after[key], before[key])
 
     def test_steps_reuse_one_hypernet_gradient(self, tiny_bias_classification, monkeypatch):
-        # every step's Hypernet.backward writes into the updater's own gradient
+        # every step's Hypernet.backward writes into the hypernet's own gradient
         head_space_only(monkeypatch)
-        made, seen = [], set()
-        new_grads, backward = hg.Hypernet.new_grads, hg.Hypernet.backward
-
-        def counted_new_grads(net):
-            made.append(new_grads(net))
-            return made[-1]
+        seen = []
+        backward = hg.Hypernet.backward
 
         def recorded_backward(net, *args, **kwargs):
-            grads = backward(net, *args, **kwargs)
-            seen.add(id(grads))
-            return grads
+            backward(net, *args, **kwargs)
+            seen.append(net.grad)
 
-        monkeypatch.setattr(hg.Hypernet, "new_grads", counted_new_grads)
         monkeypatch.setattr(hg.Hypernet, "backward", recorded_backward)
         name, data = tiny_bias_classification
         res = tr.train(name, tr.config_for(name), data=data)
         assert res.steps > 0 and not res.diverged
-        assert len(made) == 1 and seen == {id(made[0])}
+        assert len(seen) == res.steps and all(g is seen[0] for g in seen)
 
 
 class TestClassificationLoop:
@@ -479,6 +479,23 @@ class TestClassificationLoop:
         res = tr.train(name, cfg, data=data)
         assert res.steps == iterations
         assert [r.step for r in res.reports] == want
+
+    def test_probe_asks_no_bias_head_for_feature_grads(self, tiny_bias_classification,
+                                                        monkeypatch):
+        # the probe reports the weight heads' feature gradients only
+        slots = []
+        feature_grads = hg.SlotBank.feature_grads
+
+        def recorded(bank, dslot):
+            slots.append(bank.slot)
+            return feature_grads(bank, dslot)
+
+        monkeypatch.setattr(hg.SlotBank, "feature_grads", recorded)
+        name, data = tiny_bias_classification
+        res = tr.train(name, tr.config_for(name), data=data)
+        assert res.reports and hg.WEIGHT in slots and hg.BIAS not in slots
+        layers = [row.layer for row in res.reports[0].rows if row.kind == "head_feature_grad"]
+        assert sorted(layers) == list(range(len(res.mspec.layers)))
 
     def test_curve_rows_have_metric(self, tiny_classification):
         name, data = tiny_classification
