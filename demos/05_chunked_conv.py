@@ -23,14 +23,14 @@ hspec = HypernetSpec(embedding_dim=50, head_topology=CHUNKED,
                      chunk=ChunkPlan(K=96, n=3))
 net = init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(0))
 
-group = net.head_of(0)   # the conv layers' weights all come from the chunked head
-print(f"chunk grid: {group.n_chunks} chunks of shape "
-      f"({group.plan.K}, {group.plan.n}, {group.plan.n})")
-for t, (lo, hi) in sorted(group.layer_rows.items()):
+head = net.head_of(0)   # the conv layers' weights all come from the chunked head
+plan = hspec.chunk
+print(f"chunk grid: {head.rows[-1].stop} chunks of shape ({plan.K}, {plan.n}, {plan.n})")
+for t, rows in zip(head.targets, head.rows):   # each layer owns a range of chunk rows
     layer = mspec.layers[t]
-    print(f"  layer {t} {layer.weight_shape}: chunks {lo}..{hi - 1}")
-print(f"shared head H: {group.H.shape}, Var = {np.var(group.H):.5f} "
-      f"(plain fan-in 1/{group.proj_dim})")
+    print(f"  layer {t} {layer.weight_shape}: chunks {rows.start}..{rows.stop - 1}")
+print(f"shared head H: {head.H.shape}, Var = {np.var(head.H):.5f} "
+      f"(plain fan-in 1/{head.d_in})")
 
 params, _ = net.generate()
 for t in (0, 1, 2):

@@ -1,10 +1,10 @@
 """Hypernetwork engines: generate mainnet parameters from embeddings.
 
-A hypernet owns sources. A source is one (rows, d_e) block of embeddings, a
-row per target, read through its own trunk (a dense stack, identity when
-empty) by its own head: ``"w"`` through trunk_h, ``"b"`` through trunk_g, and
-each chunked head's ``emb.c<i>`` through an identity trunk. The head is the
-one object that owns a source's generator arrays: it draws them, ``generate``
+A hypernet owns sources. A source is one (rows, d_e) block of embeddings read
+through its own trunk by its own head: ``"w"`` through trunk_h, ``"b"`` through
+trunk_g (dense stacks, identity when empty), and the chunked ``"c"`` through a
+``Projection``, an affine map per row. The head, a ``SlotBank``, is the one
+object that owns a source's generator arrays: it draws them, ``generate``
 writes mainnet parameters from the source features, ``backward`` maps their
 gradients back, and ``feature_grads`` returns only the features' gradients,
 which the variance probe reads. Three head topologies are supported:
@@ -12,37 +12,37 @@ which the variance probe reads. Three head topologies are supported:
 * ``per-layer``: every target layer gets its own linear head.
 * ``shared-same-size``: layers with identical weight shapes share one head,
   each layer keeping its own embedding.
-* ``chunked``: one shared output layer emits fixed-size (K, n, n) blocks of
-  conv weights; each block has its own embedding and its own input
-  projection, and blocks are assembled into full weight tensors in
-  (output-block, input-channel) order. Layers the chunk grid cannot cover
-  (e.g. a dense classifier) fall back to per-layer heads.
+* ``chunked``: one shared linear head emits fixed-size (K, n, n) blocks of
+  conv weights, one per source row; each block has its own embedding, read
+  through its own input projection, and a layer's blocks are assembled into
+  its weight tensor in (output-block, input-channel) order. Layers the chunk
+  grid cannot cover (e.g. a dense classifier) fall back to per-layer heads.
 
 The linear heads of one slot (weights or biases) are one ``SlotBank``, and
 each ``LinearHead`` (``W = H h(e) + beta``, ``b = G g(e) + gamma``) is a row
 range of it: their H (G) matrices are consecutive row blocks of one (N, d)
 matrix and their beta (gamma) offsets consecutive pieces of one (N,) vector.
-``generate`` is one GEMM per slot, every target's parameter a view of its rows
-and columns of the product; ``backward`` places each target's gradient in one
-(T, N) matrix and takes the head gradients and the feature gradients from it
-in three whole-slot operations; ``feature_grads`` multiplies each target's
-weight gradient by its own head's rows. For shared heads the head gradient is
-the sum of the per-target contributions, which combats the usual head-gradient
-shrinkage.
+``generate`` is one GEMM per slot, every target's parameter its rows and
+columns of the product (one row, or a chunk grid); ``backward`` places each
+target's gradient in one (rows, N) matrix and takes the head gradients and the
+feature gradients from it in three whole-slot operations; ``feature_grads``
+multiplies each target's weight gradient by its own head's rows. For shared
+heads the head gradient is the sum of the per-target contributions, which
+combats the usual head-gradient shrinkage.
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``,
-laid out in one order: trunks, then each source's head, then each source's
-embedding block, so the updatable arrays form the prefix ``flat[:n_updatable]``.
-Each of these parts declares its arrays in layout order and binds itself to
-its one segment of ``flat``. The hypernet owns its gradient the same way:
-``Hypernet.grad``, laid out like ``flat``, is allocated by the first
-``backward``, which binds each part's ``grads`` to its segment; every
-``backward`` overwrites every entry, so one SGD step is one check and one
-update. The head formulas read the declared embedding variance, ``Var(e)``.
+laid out in one order: shared trunks, then each source's head and projection,
+then each source's embedding block, so the updatable arrays form the prefix
+``flat[:n_updatable]``. Each of these parts declares its arrays in layout
+order and binds itself to its one segment of ``flat``. The hypernet owns its
+gradient the same way: ``Hypernet.grad``, laid out like ``flat``, is allocated
+by the first ``backward``, which binds each part's ``grads`` to its segment;
+every ``backward`` overwrites every entry, so one SGD step is one check and
+one update. The head formulas read the declared embedding variance, ``Var(e)``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +68,25 @@ class ChunkPlan:
     def __post_init__(self):
         if self.K < 1 or self.n < 1:
             raise SpecError("chunk plan needs K >= 1 and n >= 1")
+
+    def n_rows(self, t, layer):
+        """Conv layer t's chunk count: one per (output block, input channel)."""
+        kh, kw = layer.kernel[0], layer.kernel[1]
+        if kh != self.n or kw != self.n:
+            raise SpecError(f"layer {t} kernel {kh}x{kw} does not match chunk side {self.n}")
+        if layer.d_out % self.K != 0:
+            raise SpecError(f"layer {t} has {layer.d_out} output channels, "
+                            f"not divisible by chunk size K={self.K}")
+        return layer.d_out // self.K * layer.d_in
+
+    @property
+    def slot(self):
+        """The chunked head's slot. The head is an interior (K n n, d) linear
+        map, so it takes the scheme's plain rule with no ReLU gain; the
+        projections carry the target layers' variance."""
+        width = self.K * self.n * self.n
+        return replace(WEIGHT, tag="c", variance=lambda scheme, geom: schemes._head_variance(
+            scheme.with_flags(relu_gain=False), FanGeometry(d_i=width, d_j=geom.d_k, d_k=1)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +116,8 @@ class Segment:
     """Arrays laid out back to back in one segment of ``Hypernet.flat``, named
     by ``keys`` and sized by ``shapes`` in layout order. ``Hypernet._allocate``
     sets ``span``, the segment's slice, then calls ``bind``. The first
-    ``Hypernet.backward`` sets a trunk's or head's ``grads``, its arrays of
-    the same segment of ``Hypernet.grad``, which its ``backward`` writes."""
+    ``Hypernet.backward`` sets its ``grads``, its arrays of the same segment
+    of ``Hypernet.grad``, which a trunk's or head's ``backward`` writes."""
 
     span = slice(0, 0)
     grads = ()
@@ -166,15 +185,63 @@ class Trunk(Segment):
         return dx
 
 
+class Projection(Segment):
+    """Per-row affine map of a source's embeddings, the chunked source's
+    trunk: feature row m is ``proj[m] @ e[m] + proj_bias[m]``. Target
+    ``targets[i]`` owns the rows ``rows[i]``."""
+
+    def __init__(self, key, targets, rows, d_e):
+        self.targets, self.rows = tuple(targets), tuple(rows)
+        self.out_dim = d_e
+        self.keys = (f"{key}.proj", f"{key}.proj_bias")
+        self.shapes = ((rows[-1].stop, d_e, d_e), (rows[-1].stop, d_e))
+
+    def bind(self, flat):
+        views = self.named(flat)
+        self.proj, self.proj_bias = views.values()
+        return views
+
+    def initialize(self, net, scheme, draw):
+        """A projection is its row's effective output layer: the target's
+        hyperfan variance, or the scheme's classical rule on a (d, d) layer
+        with the target's ReLU gain; small-random draws all at its scale."""
+        small = scheme.kind == schemes.SMALL_RANDOM
+        geom = FanGeometry(d_i=self.out_dim, d_j=self.out_dim, d_k=1)
+        for t, rows in zip(self.targets, self.rows):
+            eff = net.layer_scheme(scheme, t)
+            if small:
+                var = schemes.BASELINE_SCALE[scheme.kind] ** 2
+            elif scheme.kind in schemes.HYPERFAN_KINDS:
+                var = schemes.scheme_weight_variance(eff, net.geometry(t))
+            else:
+                var = schemes.classical_variance(_classical_kind(scheme), geom, eff.relu_gain)
+            self.proj[rows] = draw(var, self.proj[rows].shape)
+        self.proj_bias[:] = (draw(schemes.BASELINE_SCALE[scheme.kind] ** 2, self.proj_bias.shape)
+                             if small else 0.0)
+
+    def forward(self, emb):
+        """emb: (rows, d_e) embeddings -> (features, cache)."""
+        return np.einsum("mpd,md->mp", self.proj, emb) + self.proj_bias, emb
+
+    def backward(self, emb, dfeat):
+        """Write dL/d(projection arrays) into ``grads``; return dL/d(embeddings)."""
+        proj, proj_bias = self.grads
+        np.einsum("mp,md->mpd", dfeat, emb, out=proj)
+        proj_bias[...] = dfeat
+        return np.einsum("mpd,mp->md", self.proj, dfeat)
+
+
 class Source(Segment):
     """One (rows, d_e) embedding block, ``block``, read through ``trunk`` by
-    ``head`` (a ``SlotBank`` or a ``ChunkedHeadGroup``). Row i feeds mainnet
-    layer ``targets[i]``; ``keys`` and ``shapes`` name the block's arrays in
-    row order."""
+    ``head``, a ``SlotBank``. Row i feeds mainnet layer ``targets[i]``;
+    ``keys`` and ``shapes`` name the block's arrays in row order. ``parts``
+    are what the source lays out after the shared trunks: its head, then its
+    trunk if that is its own projection."""
 
     def __init__(self, trunk, head, keys, shapes, targets):
         self.trunk, self.head = trunk, head
         self.keys, self.shapes, self.targets = tuple(keys), tuple(shapes), tuple(targets)
+        self.parts = (head, trunk) if isinstance(trunk, Projection) else (head,)
 
     def bind(self, flat):
         self.block = flat[self.span].reshape(len(self.targets), -1)
@@ -186,7 +253,7 @@ class Slot:
     """A generated mainnet parameter: what its heads fill and are called."""
 
     param: str          # params[t] entry: "W" or "b"
-    tag: str            # embedding keys emb.<tag><t>, head keys <tag>g<i>
+    tag: str            # source name, embedding keys emb.<tag><t>, head keys <tag>g<i>
     names: tuple        # the head's (matrix, offset) parameter names
     variance: callable  # head variance of a scheme on a target geometry
     shape: callable     # layer -> generated shape
@@ -203,11 +270,35 @@ def _classical_kind(scheme):
     return scheme.kind if scheme.kind in schemes.CLASSICAL_KINDS else schemes.FAN_IN
 
 
+def _assemble(block, shape):
+    """A target's parameter from its rows of a slot matrix: one row reshaped,
+    or a conv kernel's chunk rows, one (K, kh, kw) block per (output block,
+    input channel) in row-major order."""
+    if block.ndim == 1:
+        return block.reshape(shape)
+    d_out, d_in = shape[:2]
+    blocks = len(block) // d_in
+    return block.reshape(blocks, d_in, d_out // blocks, -1).transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _disassemble(grad, row):
+    """The inverse of ``_assemble``: a target's parameter gradient as its
+    rows ``row`` (an index or a range) of a slot matrix."""
+    if not isinstance(row, slice):
+        return grad.reshape(-1)
+    d_out, d_in = grad.shape[:2]
+    blocks = (row.stop - row.start) // d_in
+    d = grad.reshape(blocks, d_out // blocks, d_in, -1).transpose(0, 2, 1, 3)
+    return d.reshape(blocks * d_in, -1)
+
+
 class LinearHead:
     """Rows ``cols`` of its ``SlotBank``: a linear map generating one slot of
-    same-size layers, target ``targets[i]`` getting ``H x[rows[i]] + beta``
-    from its source features x. ``keys`` name its H and beta arrays (G and
-    gamma for a bias head); the bank sets ``cols``, ``H`` and ``beta``."""
+    its targets, each row x of the source features giving ``H x + beta``.
+    Target ``targets[i]`` owns the source rows ``rows[i]``: one row (an
+    index) of its whole parameter, of shape ``shapes[i]``, or a range of its
+    chunks. ``keys`` name its H and beta arrays (G and gamma for a bias head);
+    the bank sets ``cols``, ``H`` and ``beta``."""
 
     def __init__(self, slot, key, targets, rows, mspec, d_in):
         self.slot = slot
@@ -215,12 +306,13 @@ class LinearHead:
         self.targets = tuple(targets)
         self.rows = tuple(rows)
         self.d_in = d_in
-        shapes = {slot.shape(mspec.layers[t]) for t in self.targets}
-        if len(shapes) != 1:
+        self.shapes = tuple(slot.shape(mspec.layers[t]) for t in self.targets)
+        widths = {math.prod(shape) // (row.stop - row.start if isinstance(row, slice) else 1)
+                  for shape, row in zip(self.shapes, self.rows)}
+        if len(widths) != 1:
             raise SpecError(f"head shared across different-size layers {self.targets}; "
                             "only the chunked topology can cover mixed shapes")
-        self.shape = shapes.pop()
-        self.n_out = math.prod(self.shape)
+        self.n_out = widths.pop()
         self.keys = tuple(f"{key}.{name}" for name in slot.names)
 
 
@@ -229,20 +321,21 @@ class SlotBank(Segment):
 
     Its segment holds ``H``, (N, d), then ``beta``, (N,); each head owns the
     rows ``cols`` of both, so every head's matrix is laid out before any
-    head's offset. Target t of a head owns row ``row`` of the source features
-    and the head's columns ``cols`` of the (T, N) slot matrix, so its
-    parameter is ``(x @ H.T + beta)[row, cols]`` and its gradient sits at
-    ``D[row, cols]``.
+    head's offset. Target t of a head owns the rows ``row`` of the source
+    features and the head's columns ``cols`` of the (rows, N) slot matrix, so
+    its parameter is assembled from ``(x @ H.T + beta)[row, cols]`` and its
+    gradient sits at ``D[row, cols]``.
     """
 
     def __init__(self, slot, heads):
         self.slot = slot
         self.heads = tuple(heads)
-        self.places = []   # (target, source row, columns, shape), head by head
+        self.places = []   # (target, source rows, columns, shape), head by head
         lo = 0
         for h in self.heads:
             h.cols = slice(lo, lo + h.n_out)
-            self.places += [(t, row, h.cols, h.shape) for t, row in zip(h.targets, h.rows)]
+            self.places += [(t, row, h.cols, shape)
+                            for t, row, shape in zip(h.targets, h.rows, h.shapes)]
             lo = h.cols.stop
         self.n_out = lo
         self.shapes = ((lo, self.heads[0].d_in), (lo,))
@@ -272,159 +365,49 @@ class SlotBank(Segment):
         y = x @ self.H.T
         y += self.beta
         for t, row, cols, shape in self.places:
-            params[t][self.slot.param] = y[row, cols].reshape(shape)
+            params[t][self.slot.param] = _assemble(y[row, cols], shape)
 
     def feature_grads(self, dslot):
         """Each target's gradient times its own head's rows alone, by layer:
-        one GEMM per head, over a row per target, and no (T, N) matrix."""
+        one GEMM per head, over its targets' rows, and no (T, N) matrix."""
         out = {}
         for h in self.heads:
-            d = np.stack([dslot[t].reshape(-1) for t in h.targets])
-            out.update(zip(h.targets, d @ h.H))
+            d = [_disassemble(dslot[t], row) for t, row in zip(h.targets, h.rows)]
+            g, lo = np.vstack(d) @ h.H, 0
+            for t, dt in zip(h.targets, d):
+                out[t] = g[lo] if dt.ndim == 1 else g[lo:lo + len(dt)]
+                lo += 1 if dt.ndim == 1 else len(dt)
         return out
 
-    def backward(self, x, cache, dslot):
+    def backward(self, x, dslot):
         """Write dL/d(head arrays) into ``grads``; return dL/dx."""
-        d = np.zeros((len(self.places), self.n_out), dtype=DTYPE)
+        d = np.zeros((len(x), self.n_out), dtype=DTYPE)
         for t, row, cols, _ in self.places:
-            d[row, cols] = dslot[t].reshape(-1)
+            d[row, cols] = _disassemble(dslot[t], row)
         h, beta = self.grads
         np.matmul(d.T, x, out=h)
         d.sum(axis=0, out=beta)
         return d @ self.H
 
 
-class ChunkedHeadGroup(Segment):
-    """Shared output layer over (K, n, n) chunks with per-chunk input projections.
-
-    Chunks for a layer of shape (out, in, n, n) are indexed row-major by
-    (block = out // K, input channel); the global chunk list concatenates the
-    per-layer grids in target order. The head reads its own embedding matrix,
-    one row per chunk, and is the one head of every layer it generates.
-    """
-
-    slot = WEIGHT
-
-    def __init__(self, index, targets, mspec, plan, emb_dim):
-        self.key = f"cg{index}"
-        self.source = f"emb.c{index}"
-        self.targets = tuple(targets)
-        self.plan = plan
-        self.d_in = self.proj_dim = emb_dim
-        self.layers = {t: mspec.layers[t] for t in self.targets}
-        k, n = plan.K, plan.n
-        index = []
-        self.layer_rows = {}
-        for t, layer in self.layers.items():
-            if layer.kind != CONV:
-                raise SpecError(f"layer {t} is not a conv layer; cannot chunk")
-            kh, kw = layer.kernel[0], layer.kernel[1]
-            if kh != n or kw != n:
-                raise SpecError(f"layer {t} kernel {kh}x{kw} does not match chunk side {n}")
-            if layer.d_out % k != 0:
-                raise SpecError(f"layer {t} has {layer.d_out} output channels, "
-                                f"not divisible by chunk size K={k}")
-            start = len(index)
-            index += [(t, block, cin) for block in range(layer.d_out // k)
-                      for cin in range(layer.d_in)]
-            self.layer_rows[t] = (start, len(index))
-        self.index = tuple(index)
-        self.n_chunks = m = len(index)
-        self.keys = tuple(f"{self.key}.{name}" for name in ("H", "beta", "proj", "proj_bias"))
-        self.shapes = ((k * n * n, emb_dim), (k * n * n,), (m, emb_dim, emb_dim), (m, emb_dim))
-
-    @property
-    def heads(self):   # a property: a stored (self,) would be a reference cycle
-        return (self,)
-
-    def bind(self, flat):
-        views = self.named(flat)
-        self.H, self.beta, self.proj, self.proj_bias = views.values()
-        return views
-
-    def assemble(self, chunk_mat, t, layer):
-        k, n = self.plan.K, self.plan.n
-        lo, hi = self.layer_rows[t]
-        blocks = layer.d_out // k
-        w = chunk_mat[lo:hi].reshape(blocks, layer.d_in, k, n, n)
-        return np.ascontiguousarray(w.transpose(0, 2, 1, 3, 4)).reshape(layer.weight_shape)
-
-    def disassemble(self, dw, t, layer):
-        k, n = self.plan.K, self.plan.n
-        blocks = layer.d_out // k
-        d = dw.reshape(blocks, k, layer.d_in, n, n).transpose(0, 2, 1, 3, 4)
-        return np.ascontiguousarray(d).reshape(blocks * layer.d_in, k * n * n)
-
-    def initialize(self, net, scheme, draw):
-        # The shared output layer is an interior linear map: plain fan-in.
-        # The per-chunk projections are the effective output layer and carry
-        # the hyperfan variance of their target layer.
-        k, n = self.plan.K, self.plan.n
-        if scheme.kind == schemes.SMALL_RANDOM:
-            var = schemes.BASELINE_SCALE[scheme.kind] ** 2
-            for a in (self.H, self.beta, self.proj, self.proj_bias):
-                a[:] = draw(var, a.shape)
-            return
-        kind = _classical_kind(scheme)
-        var_h = schemes.classical_variance(
-            kind, FanGeometry(d_i=k * n * n, d_j=self.proj_dim, d_k=1), False)
-        if scheme.kind == schemes.SCALED_OUTPUT:
-            var_h *= schemes.BASELINE_SCALE[scheme.kind] ** 2
-        self.H[:] = draw(var_h, self.H.shape)
-        self.beta[:] = 0.0
-        proj_geom = FanGeometry(d_i=self.proj_dim, d_j=self.d_in, d_k=1)
-        for m, (t, _, _) in enumerate(self.index):
-            eff = net.layer_scheme(scheme, t)
-            var_p = (schemes.scheme_weight_variance(eff, net.geometry(t))
-                     if scheme.kind in schemes.HYPERFAN_KINDS
-                     else schemes.classical_variance(kind, proj_geom, eff.relu_gain))
-            self.proj[m] = draw(var_p, (self.proj_dim, self.d_in))
-        self.proj_bias[:] = 0.0
-
-    def generate(self, x, params):
-        alphas = np.einsum("mpd,md->mp", self.proj, x) + self.proj_bias
-        chunk_mat = alphas @ self.H.T + self.beta
-        for t, layer in self.layers.items():
-            params[t]["W"] = self.assemble(chunk_mat, t, layer)
-        return alphas
-
-    def feature_grads(self, dslot):
-        """dL/d(alphas), the shared layer's input features, by layer."""
-        return {t: self.disassemble(dslot[t], t, layer) @ self.H
-                for t, layer in self.layers.items()}
-
-    def backward(self, x, alphas, dslot):
-        """Write dL/d(head arrays) into ``grads``; return dL/dx."""
-        dcm = np.zeros((self.n_chunks, self.H.shape[0]), dtype=DTYPE)
-        for t, layer in self.layers.items():
-            dcm[slice(*self.layer_rows[t])] = self.disassemble(dslot[t], t, layer)
-        dalphas = dcm @ self.H
-        h, beta, proj, proj_bias = self.grads
-        np.matmul(dcm.T, alphas, out=h)
-        dcm.sum(axis=0, out=beta)
-        np.einsum("mp,md->mpd", dalphas, x, out=proj)
-        proj_bias[...] = dalphas
-        return np.einsum("mpd,mp->md", self.proj, dalphas)
-
-
 @dataclass
 class GenTrace:
     """Intermediate activations of one generate() call, kept for backward.
 
-    An identity trunk's features are its source's embedding block itself, a
-    view of ``Hypernet.flat``: a trace is valid only until the next update.
+    A trunk's features and cache may hold its source's embedding block
+    itself, a view of ``Hypernet.flat``: a trace is valid only until the next
+    update.
     """
 
     feats: dict          # source name -> (rows, d) head input features
     trunk_caches: dict   # source name -> trunk forward cache
-    head_caches: dict    # source name -> whatever its head's generate() returned
 
 
 class Hypernet:
     """Generates and backpropagates through all mainnet parameters.
 
-    ``sources`` maps each source name (``"w"``, ``"b"``, ``emb.c<i>``) to its
-    ``Source``, and ``heads`` lists their heads in the same order; trunk_g
+    ``sources`` maps each source name (``"w"``, ``"b"``, ``"c"``), its slot's
+    tag, to its ``Source``, and ``heads`` lists their heads in the same order; trunk_g
     never shares trunk_h's arrays. ``grad``, the gradient vector laid out
     like ``flat``, is None until the first ``backward``.
     """
@@ -460,10 +443,15 @@ class Hypernet:
                                                 [f"emb.{slot.tag}{t}" for t in targets],
                                                 [(d_e,)] * len(targets), targets)
         if chunk_targets:   # cg<n> follows the per-layer heads wg0 .. wg<n-1>
-            head = ChunkedHeadGroup(len(plain_targets), chunk_targets, mspec, hspec.chunk, d_e)
-            self.sources[head.source] = Source(
-                Trunk(None, d_e, (), hspec.trunk_activation), head, [head.source],
-                [(head.n_chunks, d_e)], [t for t, _, _ in head.index])
+            i, slot, rows = len(plain_targets), hspec.chunk.slot, []
+            for t in chunk_targets:
+                lo = rows[-1].stop if rows else 0
+                rows.append(slice(lo, lo + hspec.chunk.n_rows(t, mspec.layers[t])))
+            head = LinearHead(slot, f"cg{i}", chunk_targets, rows, mspec, d_e)
+            self.sources[slot.tag] = Source(
+                Projection(head.key, chunk_targets, rows, d_e), SlotBank(slot, [head]),
+                [f"emb.c{i}"], [(rows[-1].stop, d_e)],
+                [t for t, r in zip(chunk_targets, rows) for _ in range(r.start, r.stop)])
         self.heads = [src.head for src in self.sources.values()]
         self._heads_by_target = {(h.slot.param, t): h for head in self.heads
                                  for h in head.heads for t in h.targets}
@@ -486,13 +474,15 @@ class Hypernet:
 
     def _parts(self):
         """Every part laid out in ``flat``, in layout order."""
-        return self.trunks + self.heads + list(self.sources.values())
+        return (self.trunks + [p for src in self.sources.values() for p in src.parts]
+                + list(self.sources.values()))
 
     def _allocate(self):
-        """Lay the parts out back to back in ``self.flat``: trunks, then each
-        source's head, then each source's embedding block, so the updatable
-        arrays come first. The buffer is allocated once, each part binds
-        itself to its segment, and ``param_arrays`` keeps the layout order."""
+        """Lay the parts out back to back in ``self.flat``: the shared trunks,
+        then each source's head and projection, then each source's embedding
+        block, so the updatable arrays come first. The buffer is allocated
+        once, each part binds itself to its segment, and ``param_arrays``
+        keeps the layout order."""
         lo = 0
         for part in self._parts():
             part.span = slice(lo, lo + part.size)
@@ -501,7 +491,7 @@ class Hypernet:
         self._arrays = {}
         for part in self._parts():
             self._arrays.update(part.bind(self.flat))
-        self.n_updatable = lo if self.hspec.embeddings_trainable else self.heads[-1].span.stop
+        self.n_updatable = lo if self.hspec.embeddings_trainable else next(iter(self.sources.values())).span.start
 
     def param_arrays(self):
         """Flat name -> array view of every parameter, embeddings included."""
@@ -523,8 +513,8 @@ class Hypernet:
                            var_e1=var_e, var_e2=var_e2, receptive_field=layer.receptive_field)
 
     def head_of(self, t, param=WEIGHT.param):
-        """The head generating ``param`` ("W" or "b") of mainnet layer t, or None:
-        a ``LinearHead`` or a ``ChunkedHeadGroup``."""
+        """The ``LinearHead`` generating ``param`` ("W" or "b") of mainnet
+        layer t, or None."""
         return self._heads_by_target.get((param, t))
 
     def layer_scheme(self, scheme, t):
@@ -541,7 +531,8 @@ class Hypernet:
         baseline scale squared, classical schemes apply their formula to each
         trunk matrix as well). Heads receive the scheme's weight/bias variance
         on their target geometry; beta and gamma start at zero. Every draw is
-        uniform, in one order: trunks, weight heads, bias heads.
+        uniform, in one order: trunks, weight heads (each followed by its
+        source's projection), bias heads.
         """
         def draw(var, shape):
             return sample(Distribution(UNIFORM, var), shape, rng)
@@ -559,8 +550,9 @@ class Hypernet:
                     b[:] = 0.0
                 w[:] = draw(var, w.shape)
 
-        for head in sorted(self.heads, key=lambda head: head.slot is BIAS):
-            head.initialize(self, scheme, draw)
+        for src in sorted(self.sources.values(), key=lambda src: src.head.slot is BIAS):
+            for part in src.parts:
+                part.initialize(self, scheme, draw)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
             for src in self.sources.values():
@@ -573,11 +565,11 @@ class Hypernet:
     def generate(self):
         """Produce all mainnet parameters plus the trace needed for backward."""
         params = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.mspec.layers]
-        feats, caches, head_caches = {}, {}, {}
+        feats, caches = {}, {}
         for name, src in self.sources.items():
             feats[name], caches[name] = src.trunk.forward(src.block)
-            head_caches[name] = src.head.generate(feats[name], params)
-        return params, GenTrace(feats, caches, head_caches)
+            src.head.generate(feats[name], params)
+        return params, GenTrace(feats, caches)
 
     def feature_grads(self, weight_grads):
         """dL/d(weight-head input features) keyed by layer, the one way to get
@@ -586,7 +578,7 @@ class Hypernet:
         hypernet parameter gradient."""
         out = {}
         for head in self.heads:
-            if head.slot is WEIGHT:
+            if head.slot.param == WEIGHT.param:
                 out.update(head.feature_grads(weight_grads))
         return out
 
@@ -598,12 +590,11 @@ class Hypernet:
             raise SpecError("bias gradients required: this hypernet generates biases")
         if self.grad is None:
             self.grad = np.zeros_like(self.flat)
-            for part in self.trunks + self.heads:
+            for part in self._parts():
                 part.grads = part.arrays(self.grad)
         dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
         for name, src in self.sources.items():
-            dfeat = src.head.backward(trace.feats[name], trace.head_caches[name],
-                                      dslots[src.head.slot.param])
+            dfeat = src.head.backward(trace.feats[name], dslots[src.head.slot.param])
             demb = src.trunk.backward(trace.trunk_caches[name], dfeat)
             self.grad[src.span] = demb.ravel()
 

@@ -13,7 +13,7 @@ Only hypernet parameters and trainable embeddings are ever updated, through
 and the same prefix of its gradient, ``Hypernet.grad``: one finiteness check
 refuses the whole step, one in-place update takes it. The hypernet owns that
 gradient, and each step's ``Hypernet.backward`` overwrites it. For
-identity-trunk, fixed-embedding hypernets (the MNIST-style presets) the loop's
+empty-trunk, fixed-embedding hypernets (the MNIST-style presets) the loop's
 updater never calls ``Hypernet.backward``, so it never allocates that
 gradient, and uses an exact reparameterization instead: SGD on a linear head
 (H, beta) with fixed embeddings moves the generated weights by
@@ -21,7 +21,8 @@ gradient, and uses an exact reparameterization instead: SGD on a linear head
     W_s  <-  W_s - lr * sum_t (<e_t, e_s> + 1) * dW_t
 
 so it can carry the generated weights directly and reconstruct the head
-update lazily (solving the small Gram system) whenever the head itself is
+update lazily (a least-squares solve of the small Gram system, exact even
+when equal embeddings make it singular) whenever the head itself is
 needed: at each probe and when the loop ends, however it ends. This is
 algebraically identical to stepping (H, beta) and orders of magnitude cheaper
 when the head is large. Each head keeps its targets' weights as one (T, n)
@@ -171,7 +172,7 @@ class _HeadSpaceSgd:
 
 
 class _FixedHeadFastPath:
-    """Updater that carries the generated parameters of identity-trunk,
+    """Updater that carries the generated parameters of empty-trunk,
     fixed-embedding hypernets through SGD, reconstructing the heads exactly on
     demand.
 
@@ -185,10 +186,8 @@ class _FixedHeadFastPath:
 
     @staticmethod
     def applicable(net: Hypernet):
-        # A chunked head trains a projection between embedding and head.
-        return (not net.hspec.hidden_layers
-                and not net.hspec.embeddings_trainable
-                and net.hspec.head_topology != CHUNKED)
+        return (not net.hspec.embeddings_trainable
+                and all(src.trunk.size == 0 for src in net.sources.values()))
 
     def __init__(self, net: Hypernet):
         self.layers = net.mspec.layers
@@ -198,12 +197,13 @@ class _FixedHeadFastPath:
         for head in (h for bank in net.heads for h in bank.heads):
             emb = net.sources[head.slot.tag].block[list(head.rows)]   # identity trunk
             stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
+            shape = head.shapes[0]   # a row per target: chunks come with a projection
             for row, t in enumerate(head.targets):
                 # straight from the head: no slot-sized product of every source row
                 np.matmul(head.H, emb[row], out=stack[row])
                 stack[row] += head.beta
-                self.carried[t][head.slot.param] = stack[row].reshape(head.shape)
-            n_rows = head.shape[0]
+                self.carried[t][head.slot.param] = stack[row].reshape(shape)
+            n_rows = shape[0]
             width = head.n_out // n_rows   # entries per row of one target
             blocks = [(rows, slice(rows.start * width, min(rows.stop, n_rows) * width))
                       for rows in row_chunks(n_rows, stack.shape[0] * width, BLOCK_ENTRIES)]
@@ -224,7 +224,7 @@ class _FixedHeadFastPath:
         for i, t in enumerate(head.targets):
             if head.slot.param == "W":
                 weight_grad(self.layers[t], step.trace, t, step.grads.preacts[t], rows,
-                            out=block[i].reshape(-1, *head.shape[1:]))
+                            out=block[i].reshape(-1, *head.shapes[0][1:]))
             else:
                 block[i] = step.grads.bias[t][rows]
         return block
@@ -271,12 +271,14 @@ class _FixedHeadFastPath:
         return True
 
     def sync(self):
-        """Fold the accumulated weight motion back into the heads (exactly)."""
+        """Fold the accumulated weight motion back into the heads, exactly:
+        with ``A = [E, 1]``, every solution of ``A Aᵀ acc = delta`` moves the
+        head by the same ``Aᵀ acc``, so least squares serves a singular Gram."""
         for rec in self.heads:
             delta = rec["base"] - rec["stack"]
             if not delta.any():
                 continue
-            acc = np.linalg.solve(rec["gram"], delta)
+            acc = np.linalg.lstsq(rec["gram"], delta, rcond=None)[0]
             h = rec["head"].H
             for rows in row_chunks(*h.shape):   # no head-sized temporary
                 h[rows] -= acc[:, rows].T @ rec["emb"]

@@ -397,17 +397,17 @@ def test_c12_chunk_assembly_and_variance():
     hspec_small = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
                                   chunk=hg.ChunkPlan(K=2, n=1))
     net = hg.Hypernet(mspec_small, hspec_small, Rng(0))
-    group = net.head_of(0)   # every conv layer comes from the chunked head
+    head = net.head_of(0)   # every conv layer comes from the chunked head
+    assert head.targets == (0, 1)
     bijective = True
-    for t in (0, 1):
-        layer = mspec_small.layers[t]
-        lo, hi = group.layer_rows[t]
-        marks = np.arange(group.n_chunks * 2, dtype=float).reshape(group.n_chunks, 2)
-        w = group.assemble(marks, t, layer)
-        expected = sorted(marks[lo:hi].ravel().tolist())
+    n_chunks = head.rows[-1].stop
+    marks = np.arange(n_chunks * 2, dtype=float).reshape(n_chunks, 2)
+    for t, rows in zip(head.targets, head.rows):
+        w = hg._assemble(marks[rows], mspec_small.layers[t].weight_shape)
+        expected = sorted(marks[rows].ravel().tolist())
         bijective = bijective and sorted(w.ravel().tolist()) == expected
-        back = group.disassemble(w, t, layer)
-        bijective = bijective and np.array_equal(back, marks[lo:hi])
+        back = hg._disassemble(w, rows)
+        bijective = bijective and np.array_equal(back, marks[rows])
 
     # generated variance over >= 1e5 entries per scheme
     layers = tuple(mn.LayerSpec("conv", 96, 96, kernel=(3, 3, 1, 1),

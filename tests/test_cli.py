@@ -170,16 +170,27 @@ class TestTrainCommand:
         assert (out_dir / "seed1" / "curves.csv").exists()
         assert (out_dir / "seed2" / "curves.csv").exists()
 
+    @staticmethod
+    def write_mnist(root, n_train, n_test):
+        train_ds, test_ds = dt.make_synthetic_images(n_train, n_test, (28, 28), 10, seed=3)
+        dt.write_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte",
+                     (train_ds.inputs * 255).astype(np.uint8), train_ds.labels.astype(np.uint8))
+        dt.write_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte",
+                     (test_ds.inputs * 255).astype(np.uint8), test_ds.labels.astype(np.uint8))
+
+    def test_mnist_const_embedding_via_cli(self, capsys, tmp_path):
+        # equal embeddings make a shared head's Gram matrix singular; the
+        # fast path's probes and closing sync must still fold the heads
+        self.write_mnist(tmp_path, 200, 50)
+        code, out, err = run(capsys, "train", "--preset", "mnist-mlp",
+                             "--init", "const-embedding", "--subset", "200",
+                             "--iterations", "5", "--probe-every", "2",
+                             "--data-dir", str(tmp_path))
+        assert code == 0, err
+        assert "steps=5 " in out
+
     def test_mnist_idx_round_trip_via_cli(self, capsys, tmp_path):
-        train_ds, test_ds = dt.make_synthetic_images(64, 32, (28, 28), 10, seed=3)
-        dt.write_idx(tmp_path / "train-images-idx3-ubyte",
-                     tmp_path / "train-labels-idx1-ubyte",
-                     (train_ds.inputs * 255).astype(np.uint8),
-                     train_ds.labels.astype(np.uint8))
-        dt.write_idx(tmp_path / "t10k-images-idx3-ubyte",
-                     tmp_path / "t10k-labels-idx1-ubyte",
-                     (test_ds.inputs * 255).astype(np.uint8),
-                     test_ds.labels.astype(np.uint8))
+        self.write_mnist(tmp_path, 64, 32)
         code, out, _ = run(capsys, "train", "--preset", "mnist-mlp",
                            "--epochs", "1", "--subset", "64",
                            "--data-dir", str(tmp_path))

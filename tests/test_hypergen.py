@@ -158,23 +158,24 @@ class TestChunked:
 
     def test_chunk_grid_shape(self):
         net, mspec = self.make()
-        group = net.head_of(0)
+        head = net.head_of(0)
         # layer (4, 3, 1, 1): 2 blocks * 3 channels; layer (4, 4, 1, 1): 2 * 4
-        assert group.n_chunks == 6 + 8
-        assert group.layer_rows[0] == (0, 6)
-        assert group.layer_rows[1] == (6, 14)
+        assert len(net.sources[head.slot.tag].targets) == 6 + 8
+        assert head.rows[0] == slice(0, 6)
+        assert head.rows[1] == slice(6, 14)
 
     def test_assembly_round_trip_positions(self):
         # every weight entry maps to exactly one chunk slot
         net, mspec = self.make()
-        group = net.head_of(0)
-        k, n = group.plan.K, group.plan.n
+        head = net.head_of(0)
+        k, n = net.hspec.chunk.K, net.hspec.chunk.n
         for t in (0, 1):
             layer = mspec.layers[t]
-            m = group.layer_rows[t][1] - group.layer_rows[t][0]
+            rows = head.rows[t]
+            m = rows.stop - rows.start
             chunk_mat = np.arange(m * k * n * n, dtype=float).reshape(m, k * n * n)
-            w = group.assemble(np.vstack([np.zeros((group.layer_rows[t][0],
-                                                    k * n * n)), chunk_mat]), t, layer)
+            marks = np.vstack([np.zeros((rows.start, k * n * n)), chunk_mat])
+            w = hg._assemble(marks[rows], layer.weight_shape)
             seen = sorted(w.ravel().tolist())
             assert seen == sorted(chunk_mat.ravel().tolist())
             # block b, input channel c, kernel slot (u, v) comes from chunk
@@ -185,7 +186,7 @@ class TestChunked:
                     row = chunk_mat[b * layer.d_in + c].reshape(k, n, n)
                     np.testing.assert_array_equal(
                         w[b * k:(b + 1) * k, c], row)
-            back = group.disassemble(w, t, layer)
+            back = hg._disassemble(w, rows)
             np.testing.assert_array_equal(back, chunk_mat)
 
     def test_shared_output_layer_gets_plain_fan_in(self):
@@ -193,9 +194,9 @@ class TestChunked:
         hspec = hg.HypernetSpec(embedding_dim=50, head_topology=hg.CHUNKED,
                                 chunk=hg.ChunkPlan(K=8, n=3))
         net = hg.init_hypernet(hspec, mspec, s.parse_scheme("hyperfan-in"), Rng(2))
-        group = net.head_of(0)
+        head = net.head_of(0)
         # 72 x 50 entries: enough samples to pin the plain 1/d_k variance
-        assert np.var(group.H) == pytest.approx(1 / group.proj_dim, rel=0.1)
+        assert np.var(head.H) == pytest.approx(1 / head.d_in, rel=0.1)
 
     @pytest.mark.parametrize("scheme,target_of", [
         ("hyperfan-in", "fan_in"),
@@ -239,19 +240,13 @@ SLOT_BUILDS = {
 
 
 def slot_heads(net, slot=hg.WEIGHT):
-    """The heads generating one slot, in key order: the linear heads of its
-    bank, then, for weights, the chunked head (its own one head)."""
-    return [h for head in net.heads if head.slot is slot for h in head.heads]
+    """The linear heads generating one parameter, in key order: those of its
+    bank, then, for weights, the chunked bank's one head."""
+    return [h for bank in net.heads if bank.slot.param == slot.param for h in bank.heads]
 
 
 def linear_heads(net):
-    return [h for h in slot_heads(net) + slot_heads(net, hg.BIAS)
-            if isinstance(h, hg.LinearHead)]
-
-
-def banks(net):
-    """The heads of ``net`` made of linear heads."""
-    return [head for head in net.heads if isinstance(head.heads[0], hg.LinearHead)]
+    return slot_heads(net) + slot_heads(net, hg.BIAS)
 
 
 def random_mainnet_grads(net, params, seed):
@@ -263,27 +258,29 @@ def random_mainnet_grads(net, params, seed):
 
 
 def per_head_generate(net, trace):
-    """Every linear head's parameters, one matrix-vector product per target."""
+    """Every linear head's parameters, one product per target."""
     out = {}
     for head in linear_heads(net):
         x = trace.feats[head.slot.tag]
-        for t, row in zip(head.targets, head.rows):
-            out[(head.slot.param, t)] = (head.H @ x[row] + head.beta).reshape(head.shape)
+        for t, row, shape in zip(head.targets, head.rows, head.shapes):
+            out[(head.slot.param, t)] = hg._assemble(x[row] @ head.H.T + head.beta, shape)
     return out
 
 
 def per_head_backward(net, trace, dw, db):
-    """(head gradients by key, feature gradients by (tag, layer)) of every
+    """(head gradients by key, feature gradients by (param, layer)) of every
     linear head, computed head by head."""
     dslots = {"W": dw, "b": db}
     grads, feats = {}, {}
     for head in linear_heads(net):
         x = trace.feats[head.slot.tag]
-        d = np.stack([dslots[head.slot.param][t].ravel() for t in head.targets], axis=1)
-        grads[head.keys[0]] = d @ x[list(head.rows)]
-        grads[head.keys[1]] = d.sum(axis=1)
-        for i, t in enumerate(head.targets):
-            feats[(head.slot.tag, t)] = head.H.T @ d[:, i]
+        d = [hg._disassemble(dslots[head.slot.param][t], row)
+             for t, row in zip(head.targets, head.rows)]
+        rows = np.vstack(d)   # every target's rows of the slot matrix, in order
+        grads[head.keys[0]] = rows.T @ np.vstack([x[row] for row in head.rows])
+        grads[head.keys[1]] = rows.sum(axis=0)
+        for t, dt in zip(head.targets, d):
+            feats[(head.slot.param, t)] = dt @ head.H
     return grads, feats
 
 
@@ -295,8 +292,8 @@ class TestSlotLayout:
     @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_each_slot_is_one_block_in_head_order(self, build):
         net = SLOT_BUILDS[build]()
-        assert [h for bank in banks(net) for h in bank.heads] == linear_heads(net)
-        for bank in banks(net):
+        assert [h for bank in net.heads for h in bank.heads] == linear_heads(net)
+        for bank in net.heads:
             d = bank.heads[0].d_in
             assert bank.H.shape == (bank.n_out, d) and bank.beta.shape == (bank.n_out,)
             assert bank.H.flags.c_contiguous
@@ -329,7 +326,9 @@ class TestSlotLayout:
         net = SLOT_BUILDS[build]()
         arrays = net.param_arrays()
         want = [key for trunk in net.trunks for key in trunk.keys]
-        want += [key for head in slot_heads(net) + slot_heads(net, hg.BIAS) for key in head.keys]
+        want += [key for head in linear_heads(net) for key in head.keys]
+        want += [key for src in net.sources.values() if isinstance(src.trunk, hg.Projection)
+                 for key in src.trunk.keys]
         want += [key for src in net.sources.values() for key in src.keys]
         assert sorted(arrays) == sorted(want)
         end = address(net.flat)   # in layout order: each array starts where the last ends
@@ -369,16 +368,18 @@ class TestSlotLayout:
             t = head.targets[0]
             return head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
 
-        *linear, group = slot_heads(net)
-        assert linear and group is net.head_of(0) and slot_heads(net, hg.BIAS)
+        *linear, chunked = slot_heads(net)
+        assert linear and chunked is net.head_of(0) and slot_heads(net, hg.BIAS)
         for head in linear:
             np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
-        var_h = s.classical_variance(s.FAN_IN, s.FanGeometry(d_i=group.H.shape[0],
-                                                             d_j=group.proj_dim, d_k=1))
-        np.testing.assert_array_equal(group.H, draw(var_h, group.H.shape))
-        for m, (t, _, _) in enumerate(group.index):
+        var_h = s.classical_variance(s.FAN_IN, s.FanGeometry(d_i=chunked.H.shape[0],
+                                                             d_j=chunked.d_in, d_k=1))
+        np.testing.assert_array_equal(chunked.H, draw(var_h, chunked.H.shape))
+        proj = net.sources[chunked.slot.tag].trunk.proj
+        for t, rows in zip(chunked.targets, chunked.rows):
             var_p = s.scheme_weight_variance(net.layer_scheme(scheme, t), net.geometry(t))
-            np.testing.assert_array_equal(group.proj[m], draw(var_p, group.proj[m].shape))
+            for m in range(rows.start, rows.stop):   # chunk by chunk
+                np.testing.assert_array_equal(proj[m], draw(var_p, proj[m].shape))
         for head in slot_heads(net, hg.BIAS):
             np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
 
@@ -555,16 +556,12 @@ class TestBackwardGenerate:
 
     @pytest.mark.parametrize("build", sorted(SLOT_BUILDS))
     def test_feature_grads_equal_backward_head_feature_grads(self, build):
-        # the linear weight heads against the per-head reference; the chunked
-        # head keeps its own formula
+        # every weight head, the chunked one too, against the per-head reference
         net = SLOT_BUILDS[build]()
         params, trace = net.generate()
         dw, db = random_mainnet_grads(net, params, 21)
         _, feats = per_head_backward(net, trace, dw, db)
-        want = {t: g for (tag, t), g in feats.items() if tag == hg.WEIGHT.tag}
-        for head in net.heads:
-            if isinstance(head, hg.ChunkedHeadGroup):
-                want.update(head.feature_grads(dw))
+        want = {t: g for (param, t), g in feats.items() if param == hg.WEIGHT.param}
         got = net.feature_grads(dw)
         assert sorted(got) == sorted(want)
         for key, g in want.items():

@@ -65,8 +65,8 @@ hypernet_cases = hypernet_builds().map(lambda case: (case[0](),) + case[1:])
 
 
 def chunked_heads(net):
-    """The chunked heads of a hypernet."""
-    return [head for head in net.heads if isinstance(head, hg.ChunkedHeadGroup)]
+    """The linear heads of a hypernet whose targets own ranges of chunk rows."""
+    return [h for bank in net.heads for h in bank.heads if isinstance(h.rows[0], slice)]
 
 
 @given(hypernet_cases)
@@ -80,16 +80,16 @@ def test_pipeline_gradients_match_finite_differences(case):
 @CASES
 def test_chunk_assembly_is_a_bijection(case):
     net, mspec, _, _ = case
+    assert bool(chunked_heads(net)) == (net.hspec.head_topology == hg.CHUNKED)
     for head in chunked_heads(net):
-        width = head.H.shape[0]
-        marks = np.arange(head.n_chunks * width, dtype=float).reshape(head.n_chunks, width)
-        for t in head.targets:
+        width, n_chunks = head.n_out, head.rows[-1].stop
+        marks = np.arange(n_chunks * width, dtype=float).reshape(n_chunks, width)
+        for t, rows in zip(head.targets, head.rows):
             layer = mspec.layers[t]
-            lo, hi = head.layer_rows[t]
-            w = head.assemble(marks, t, layer)
+            w = hg._assemble(marks[rows], layer.weight_shape)
             assert w.shape == layer.weight_shape
-            assert sorted(w.ravel().tolist()) == marks[lo:hi].ravel().tolist()
-            np.testing.assert_array_equal(head.disassemble(w, t, layer), marks[lo:hi])
+            assert sorted(w.ravel().tolist()) == marks[rows].ravel().tolist()
+            np.testing.assert_array_equal(hg._disassemble(w, rows), marks[rows])
 
 
 def reference_sgd_step(net, grads, lr):

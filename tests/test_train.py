@@ -8,7 +8,7 @@ from hyperinit import hypergen as hg
 from hyperinit import mainnet as mn
 from hyperinit import tensor
 from hyperinit import train as tr
-from hyperinit.init_schemes import parse_scheme
+from hyperinit.init_schemes import ALL_KINDS, parse_scheme
 from hyperinit.tensor import Rng
 
 
@@ -42,6 +42,36 @@ def tiny_bias_classification(tiny_classification):
     tr.PRESETS["tiny-clf-bias"] = preset
     yield "tiny-clf-bias", tiny_classification[1]
     del tr.PRESETS["tiny-clf-bias"]
+
+
+@pytest.fixture(scope="module")
+def every_head_path(tiny_bias_classification):
+    """Preset name -> data of one tiny preset per head path: shared heads on
+    the fixed-head fast path, a chunked conv head, and per-layer heads behind
+    a trunk, stepped by head-space SGD."""
+    presets = {
+        "tiny-conv-chunked": tr.Preset(
+            name="tiny-conv-chunked", kind="classification",
+            build_mainnet=lambda: mn.allconv(2, [4, 4], 3),
+            build_hspec=lambda: hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
+                                                chunk=hg.ChunkPlan(K=2, n=3)),
+            defaults=dict(learning_rate=1e-2, batch_size=8, epochs=1,
+                          eval_every=2, probe_every=2)),
+        "tiny-regression-trunk": tr.Preset(
+            name="tiny-regression-trunk", kind="regression",
+            build_mainnet=lambda: mn.mlp([1, 6, 6, 1], activation="relu", loss="mse",
+                                         bias_source="generated"),
+            build_hspec=lambda: hg.HypernetSpec(
+                embedding_dim=2, hidden_layers=(4,), embeddings_trainable=True,
+                head_topology=hg.PER_LAYER, generates_bias=True),
+            defaults=dict(learning_rate=1e-2, batch_size=8, epochs=1, eval_every=2)),
+    }
+    tr.PRESETS.update(presets)
+    yield {tiny_bias_classification[0]: tiny_bias_classification[1],
+           "tiny-conv-chunked": dt.make_synthetic_images(32, 16, (2, 8, 8), 3, seed=4),
+           "tiny-regression-trunk": dt.make_regression_tasks(3, n_train=16, n_test=8)}
+    for name in presets:
+        del tr.PRESETS[name]
 
 
 def head_space_only(monkeypatch):
@@ -246,7 +276,7 @@ class TestFastPath:
             assert fast.update(self.fast_step(net, mspec, fast, Rng(7).child(step)), 0.1)
         want = []
         for rec in fast.heads:   # the whole-matrix fold
-            acc = np.linalg.solve(rec["gram"], rec["base"] - rec["stack"])
+            acc = np.linalg.lstsq(rec["gram"], rec["base"] - rec["stack"], rcond=None)[0]
             want.append((rec["head"].H - acc.T @ rec["emb"], rec["head"].beta - acc.sum(axis=0)))
         fast.sync()
         for rec, (h, beta) in zip(fast.heads, want):
@@ -452,10 +482,10 @@ class TestClassificationLoop:
         assert fast.steps == slow.steps >= 1
         assert_same_hypernet(fast.hypernet, slow.hypernet, rtol=1e-9)
 
-    def test_bias_heads_match_head_space_sgd(self, tiny_bias_classification, monkeypatch):
-        name, data = tiny_bias_classification
-        cfg = tr.config_for(name)
+    @staticmethod
+    def assert_fast_path_matches_head_space_sgd(name, cfg, data, monkeypatch):
         fast = tr.train(name, cfg, data=data)
+        assert tr._FixedHeadFastPath.applicable(fast.hypernet)
         head_space_only(monkeypatch)
         slow = tr.train(name, cfg, data=data)
         assert not fast.diverged and fast.steps == slow.steps == 16
@@ -468,6 +498,20 @@ class TestClassificationLoop:
             np.testing.assert_allclose([r.var for r in a.rows], [r.var for r in b.rows],
                                        rtol=1e-9)
         assert_same_hypernet(fast.hypernet, slow.hypernet, rtol=1e-9)
+
+    def test_bias_heads_match_head_space_sgd(self, tiny_bias_classification, monkeypatch):
+        name, data = tiny_bias_classification
+        self.assert_fast_path_matches_head_space_sgd(name, tr.config_for(name), data,
+                                                     monkeypatch)
+
+    def test_const_embedding_heads_match_head_space_sgd(self, tiny_bias_classification,
+                                                        monkeypatch):
+        # layers of one fan-in share one constant embedding, so a shared
+        # head's Gram matrix is singular; the fast path still steps exactly
+        from dataclasses import replace
+        name, data = tiny_bias_classification
+        cfg = replace(tr.config_for(name), scheme="const-embedding")
+        self.assert_fast_path_matches_head_space_sgd(name, cfg, data, monkeypatch)
 
     @pytest.mark.parametrize("iterations,want", [(10, [0, 5, 10]), (0, [0]),
                                                  (12, [0, 5, 10, 12])])
@@ -504,6 +548,24 @@ class TestClassificationLoop:
         for step, epoch, loss, metric in res.curve:
             assert 0.0 <= metric <= 1.0
         assert res.final_metric == res.curve[-1][3]
+
+
+class TestEveryScheme:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", ["tiny-clf-bias", "tiny-conv-chunked",
+                                      "tiny-regression-trunk"])
+    def test_every_scheme_trains_on_every_head_path(self, every_head_path, name, kind):
+        # baselines may diverge: a diverged run stops where it is recorded
+        from dataclasses import replace
+        cfg = replace(tr.config_for(name), scheme=kind, iterations=4)
+        res = tr.train(name, cfg, data=every_head_path[name])
+        assert isinstance(res, tr.TrainResult)
+        assert tr._FixedHeadFastPath.applicable(res.hypernet) == (name == "tiny-clf-bias")
+        if res.diverged:
+            assert res.steps == res.divergence_step
+        else:
+            assert res.steps == 4 * len(res.task_final_losses or [None])
+            assert res.curve and all(np.isfinite(row[2]) for row in res.curve)
 
 
 class TestRegressionLoop:
