@@ -14,6 +14,12 @@ is the output of a net that ends in a conv layer. The caller-facing layouts
 stay NCHW/OIHW: ``trace.inputs[0]`` is (B, C, H, W), and conv weights and
 their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient for
 the input batch: nothing trains it.
+Every conv pass works through the batch one window of samples at a time
+(about 1<<20 patch-matrix entries), through buffers reused from window to
+window: no padded copy of the batch, no patch matrix beyond the one a
+backward needs, no padded gradient. A forward-only pass
+(``forward(..., for_backward=False)``: evaluation, the probe's replay) keeps
+no patch matrix at all, and ``backward`` refuses its trace.
 Overflowing activations (|y| > 1e30 or non-finite) are
 reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import DTYPE
+from .tensor import DTYPE, row_chunks
 
 OVERFLOW_LIMIT = 1e30
 
@@ -150,7 +156,9 @@ class ForwardTrace:
     preacts: list = field(default_factory=list)   # y[t] before the activation
     acts: list = field(default_factory=list)      # x[t+1] = activation(y[t])
     pool_shape: dict = field(default_factory=dict)  # {t: NHWC shape averaged into layer t}
-    conv_cols: dict = field(default_factory=dict)   # {t: (patch matrix, NHWC input shape)}
+    # {t: (patch matrix, NHWC input shape)}; the matrix is None in a trace
+    # of a forward-only pass (forward(..., for_backward=False))
+    conv_cols: dict = field(default_factory=dict)
     overflow_layer: int | None = None
 
     @property
@@ -184,39 +192,19 @@ def _conv_out_hw(h, w, kernel):
     return oh, ow
 
 
-def _im2col(x, kernel):
-    """Patch matrix of shape (B*oh*ow, kh*kw*C) of an NHWC batch: one GEMM
-    drives the conv. Each patch is one contiguous run of kh*kw*C values: in a
-    C-contiguous (padded) batch the kw*C values of one kernel row are already
-    adjacent, so one strided view covers every patch and one copy packs them."""
-    kh, kw, stride, pad = kernel
-    b, h, w, c = x.shape
-    oh, ow = _conv_out_hw(h, w, kernel)
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    x = np.ascontiguousarray(x)   # layer 0 gets a transposed view of the NCHW batch
-    # strides from the shape: numpy may give a length-1 axis any stride
-    sw = c * x.itemsize
-    sh = x.shape[2] * sw
-    patches = as_strided(x, (b, oh, ow, kh, kw * c),
-                         (x.shape[1] * sh, stride * sh, stride * sw, sh, x.itemsize),
-                         writeable=False)
-    return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
-
-
-def _col2im(dcols, x_shape, kernel, out_hw):
-    kh, kw, stride, pad = kernel
-    b, h, w, c = x_shape
+def _patches(xp, kernel, out_hw):
+    """The (n, oh, ow, kh, kw*C) patch view of a zero-padded, C-contiguous
+    NHWC block: in it the kw*C values of one kernel row are adjacent, so one
+    strided view covers every patch and one copy packs them into patch rows."""
+    kh, kw, stride, _ = kernel
+    n, hp, wp, c = xp.shape
     oh, ow = out_hw
-    dpatches = dcols.reshape(b, oh, ow, kh, kw, c)
-    dx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, i:i + stride * oh:stride,
-               j:j + stride * ow:stride] += dpatches[:, :, :, i, j]
-    if pad:
-        dx = dx[:, pad:pad + h, pad:pad + w]
-    return dx
+    # strides from the shape: numpy may give a length-1 axis any stride
+    sw = c * xp.itemsize
+    sh = wp * sw
+    return as_strided(xp, (n, oh, ow, kh, kw * c),
+                      (hp * sh, stride * sh, stride * sw, sh, xp.itemsize),
+                      writeable=False)
 
 
 def _weight_matrix(weight):
@@ -224,17 +212,91 @@ def _weight_matrix(weight):
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
-def _conv_forward(x, weight, bias, kernel):
-    """NHWC conv: returns the (B, oh, ow, C_out) output and the patch matrix."""
-    cols, out_hw = _im2col(x, kernel)
-    y = cols @ _weight_matrix(weight).T
+def _sample_blocks(b, rows_per_sample):
+    """Windows of n samples covering [0, b) in order, and n: a power of two
+    (``row_chunks``) of at most ~1<<20 patch-matrix entries and at least one
+    sample, or b if fewer. The last window ends at b and may overlap the one
+    before it, so every GEMM of a pass is n samples tall: OpenBLAS may take a
+    small product through another kernel and change its last bits, and
+    windows of one size give the bits of the whole-batch GEMM."""
+    n = min(b, row_chunks(max(b, 1), rows_per_sample)[0].stop)
+    return [slice(min(lo, b - n), min(lo, b - n) + n) for lo in range(0, b, max(n, 1))], n
+
+
+def _conv_forward(x, weight, bias, kernel, for_backward=True):
+    """NHWC conv: the (B, oh, ow, C_out) output and the (B*oh*ow, kh*kw*C)
+    patch matrix, or None for it without ``for_backward``.
+
+    Each window of samples is copied into the interior of one zeroed, reused
+    padded block and unrolled from it. With ``for_backward`` the windows fill
+    the whole-batch patch matrix that ``weight_factors`` needs, and one GEMM
+    multiplies it; without, each window goes through one reused block of
+    patch rows straight into its rows of the output."""
+    kh, kw, stride, pad = kernel
+    b, h, w, c = x.shape
+    oh, ow = _conv_out_hw(h, w, kernel)
+    k, p = kh * kw * c, oh * ow
+    wm_t = _weight_matrix(weight).T
+    blocks, n = _sample_blocks(b, p * k)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE)
+    cols = np.empty(((b if for_backward else n) * p, k), dtype=DTYPE)
+    y = np.empty((b, oh, ow, weight.shape[0]), dtype=DTYPE)
+    y_mat = y.reshape(b * p, -1)
+    for s in blocks:
+        xp[:, pad:pad + h, pad:pad + w] = x[s]
+        rows = slice(s.start * p, s.stop * p)
+        dst = cols[rows] if for_backward else cols
+        dst.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
+        if not for_backward:
+            np.matmul(dst, wm_t, out=y_mat[rows])
+    if for_backward:
+        np.matmul(cols, wm_t, out=y_mat)
     y += bias
-    return y.reshape(x.shape[0], *out_hw, -1), cols
+    return y, cols if for_backward else None
+
+
+def _tap_ranges(size, out, k, stride, pad):
+    """Per kernel tap i, the output positions whose tap i reads an input
+    position inside [0, size), and those input positions, as two slices."""
+    taps = []
+    for i in range(k):
+        lo = max(0, -(-(pad - i) // stride))
+        hi = min(out, (size - 1 + pad - i) // stride + 1)
+        if hi > lo:
+            start = lo * stride + i - pad
+            taps.append((i, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
 
 
 def _conv_input_grad(x_shape, weight, kernel, dy):
-    dy_mat = dy.reshape(-1, weight.shape[0])
-    return _col2im(dy_mat @ _weight_matrix(weight), x_shape, kernel, dy.shape[1:3])
+    """dL/dx of an NHWC conv from its output gradient ``dy``, one window of
+    samples at a time: the window's patch gradients go into one reused
+    buffer and are added, tap by tap in kernel order, straight into the
+    unpadded ``dx``; taps that read the zero padding are clipped off, so
+    every element takes the same adds in the same order as from a padded
+    batch. Samples an overlapping window shares with the one before it are
+    added once."""
+    kh, kw, stride, pad = kernel
+    b, h, w, c = x_shape
+    _, oh, ow, c_out = dy.shape
+    k, p = kh * kw * c, oh * ow
+    wm = _weight_matrix(weight)
+    dy_mat = dy.reshape(b * p, c_out)
+    blocks, n = _sample_blocks(b, p * k)
+    dcols = np.empty((n * p, k), dtype=DTYPE)
+    dx = np.zeros(x_shape, dtype=DTYPE)
+    taps = [(i, j, rows, cols, hs, ws)
+            for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
+            for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
+    done = 0
+    for s in blocks:
+        d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
+        d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
+        dxs = dx[done:s.stop]
+        done = s.stop
+        for i, j, rows, cols, hs, ws in taps:
+            dxs[:, hs, ws] += d[:, rows, cols, i, j]
+    return dx
 
 
 def weight_factors(trace, t, dy):
@@ -263,10 +325,13 @@ def weight_grad(layer, trace, t, dy, rows=slice(None), out=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def forward(spec, params, batch, labels=None):
+def forward(spec, params, batch, labels=None, for_backward=True):
     """Run the net; returns (trace, loss) with loss None when labels are absent.
 
     The trace keeps every pre- and post-activation for backprop and probing.
+    With ``for_backward=False`` (an evaluation or a replay) it keeps no conv
+    patch matrix: each block of samples is multiplied straight into the
+    output, and ``backward`` refuses the trace.
     Overflow raises no floating-point warning: the trace records the first
     overflowing layer, and the caller judges a non-finite or huge loss.
     """
@@ -285,7 +350,8 @@ def forward(spec, params, batch, labels=None):
         else:
             if x.ndim != 4 or x.shape[3] != layer.d_in:   # only the batch can fail this
                 raise SpecError(f"layer {t} expects {layer.d_in} channels, got {np.shape(batch)}")
-            y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel)
+            y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel,
+                                    for_backward)
             trace.conv_cols[t] = (cols, x.shape)
         if trace.overflow_layer is None:
             m = np.abs(y).max()
@@ -361,6 +427,8 @@ def backward(spec, params, trace, labels, weights=True):
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
         raise SpecError("trace does not match the spec")
+    if any(cols is None for cols, _ in trace.conv_cols.values()):
+        raise SpecError("trace kept no patch matrices: it comes from a forward-only pass")
     dW = [None] * n_layers
     db = [None] * n_layers
     dys = [None] * n_layers

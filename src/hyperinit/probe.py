@@ -54,18 +54,16 @@ class VarianceReport:
         return sorted({r.kind for r in self.rows})
 
 
-def _stat(rows, step, layer, kind, values):
-    values = np.asarray(values, dtype=DTYPE).ravel()
-    if values.size < 2:
-        return
+def _stat(step, layer, kind, values, scratch):
+    """The row of one array's statistics, its deviations squared in ``scratch``."""
     # The sums and divisions of values.mean() and values.var(), with the mean
     # taken once: the same bits in one pass fewer.
+    values = np.asarray(values, dtype=DTYPE).ravel()
     mean = values.sum() / values.size
-    dev = values - mean
+    dev = np.subtract(values, mean, out=scratch[:values.size])
     dev *= dev
-    rows.append(StatRow(step=step, layer=layer, kind=kind,
-                        mean=float(mean), var=float(dev.sum() / values.size),
-                        n=int(values.size)))
+    return StatRow(step=step, layer=layer, kind=kind, mean=float(mean),
+                   var=float(dev.sum() / values.size), n=int(values.size))
 
 
 def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
@@ -76,40 +74,46 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
     optional ``head_feature_grads``, by layer, come from Hypernet.feature_grads
     and measure the gradient entering the hypernet; ``linear_acts`` are activations of an
     identity-activation replay of the same weights (the exploding-variance
-    diagnostic, unsquashed by tanh).
+    diagnostic, unsquashed by tanh). Arrays of fewer than two values give
+    no row.
     """
     if not trace.acts:
         raise ValueError("empty trace")
-    rows = []
-    _stat(rows, step, -1, INPUT, trace.inputs[0])
+    items = [(-1, INPUT, trace.inputs[0])]
     for t in range(len(trace.acts)):
-        _stat(rows, step, t, PREACT, trace.preacts[t])
-        _stat(rows, step, t, ACT, trace.acts[t])
+        items += [(t, PREACT, trace.preacts[t]), (t, ACT, trace.acts[t])]
         if params is not None:
-            _stat(rows, step, t, WEIGHT, params[t]["W"])
-            _stat(rows, step, t, BIAS, params[t]["b"])
+            items += [(t, WEIGHT, params[t]["W"]), (t, BIAS, params[t]["b"])]
         if grads is not None:
-            _stat(rows, step, t, GRAD_ACT, grads.acts[t])
-            _stat(rows, step, t, GRAD_WEIGHT, grads.weight[t])
+            items += [(t, GRAD_ACT, grads.acts[t]), (t, GRAD_WEIGHT, grads.weight[t])]
     if head_feature_grads is not None:
-        for t, g in head_feature_grads.items():
-            _stat(rows, step, t, HEAD_FEATURE_GRAD, g)
+        items += [(t, HEAD_FEATURE_GRAD, g) for t, g in head_feature_grads.items()]
     if linear_acts is not None:
-        for t, x in enumerate(linear_acts):
-            _stat(rows, step, t, LINEAR_ACT, x)
-    return VarianceReport(step=step, rows=rows)
+        items += [(t, LINEAR_ACT, x) for t, x in enumerate(linear_acts)]
+    items = [item for item in items if np.size(item[2]) >= 2]
+    scratch = np.empty(max((np.size(values) for *_, values in items), default=0),
+                       dtype=DTYPE)
+    return VarianceReport(step=step, rows=[_stat(step, t, kind, values, scratch)
+                                           for t, kind, values in items])
 
 
-def linear_activation_variances(mspec, params, batch):
+def linear_activation_variances(mspec, params, trace):
     """Replay the weights with identity activations; returns activations per layer.
 
     This measures the raw variance recursion of the generated weights, which a
-    saturating activation would otherwise mask.
+    saturating activation would otherwise mask. ``trace`` is the probe's own
+    forward trace of the same weights: its layer-0 pre-activation is the
+    replay's layer 0, and one forward-only pass replays the layers after it.
     """
-    linear_layers = tuple(replace(l, activation=IDENTITY) for l in mspec.layers)
-    linear_spec = replace(mspec, layers=linear_layers)
-    trace, _ = forward(linear_spec, params, batch)
-    return trace.acts
+    x = trace.preacts[0]
+    acts = [x]
+    if len(mspec.layers) > 1:
+        tail = tuple(replace(l, activation=IDENTITY) for l in mspec.layers[1:])
+        batch = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x   # forward takes NCHW
+        replay, _ = forward(replace(mspec, layers=tail), params[1:], batch,
+                            for_backward=False)
+        acts += replay.acts
+    return acts
 
 
 @dataclass

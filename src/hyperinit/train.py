@@ -428,7 +428,7 @@ def _test_metric(mspec, params, x, y, chunk=500):
     metric = accuracy if mspec.loss == CROSS_ENTROPY else mse_loss
     total = 0.0
     for lo in range(0, len(x), chunk):
-        trace, _ = forward(mspec, params, x[lo:lo + chunk])
+        trace, _ = forward(mspec, params, x[lo:lo + chunk], for_backward=False)
         total += metric(trace.output, y[lo:lo + chunk]) * len(trace.output)
     return total / len(x)
 
@@ -477,6 +477,9 @@ def _check_finite(arrays):
 def _classification_schedule(preset, config, rng, mspec, data_dir, data):
     train_raw, test_raw = preset.load(data_dir) if data is None else data
     train_raw = train_raw.take(config.subset)
+    for split, ds in (("train", train_raw), ("test", test_raw)):
+        if len(ds) == 0:
+            raise FormatError(f"{split} split holds no images")
     if data is not None:   # checked once, before step 1; loaded bytes are finite
         _check_finite((f"{split} {name}", getattr(ds, name))
                       for split, ds in (("train", train_raw), ("test", test_raw))
@@ -545,7 +548,7 @@ def _run(net, mspec, config, schedule, result):
         x, y = schedule.probe
         s, feature_grads = probe_step(net, mspec, x, y)
         report = snapshot(step, s.trace, s.params, s.grads, head_feature_grads=feature_grads,
-                          linear_acts=linear_activation_variances(mspec, s.params, x))
+                          linear_acts=linear_activation_variances(mspec, s.params, s.trace))
         if not result.reports:   # the first probe measures the initial state
             result.init_loss = s.loss
             result.init_linear_vars = [row.var for row in report.rows if row.kind == LINEAR_ACT]

@@ -197,6 +197,17 @@ class TestTrainCommand:
         assert code == 0
         assert "steps=6 " in out   # 64 examples in batches of 10
 
+    @pytest.mark.parametrize("split, stem", [("train", "train"), ("test", "t10k")])
+    def test_empty_idx_split_is_format_error(self, capsys, tmp_path, split, stem):
+        self.write_mnist(tmp_path, 64, 32)
+        dt.write_idx(tmp_path / f"{stem}-images-idx3-ubyte", tmp_path / f"{stem}-labels-idx1-ubyte",
+                     np.zeros((0, 28, 28), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        code, _, err = run(capsys, "train", "--preset", "mnist-mlp",
+                           "--epochs", "1", "--subset", "64",
+                           "--data-dir", str(tmp_path))
+        assert code == 3
+        assert f"{split} split holds no images" in err
+
     def test_bad_cifar_label_is_io_error(self, capsys, tmp_path):
         images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
         write_cifar10_binary(tmp_path / "data_batch_1.bin", images,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,7 +326,51 @@ def im2col_per_tap(x, kernel):
     return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
 
 
-class TestIm2col:
+def col2im_per_tap(dcols, x_shape, kernel, out_hw):
+    """Patch gradients added into a zero-padded batch one kernel tap at a
+    time, the padding cut off afterwards."""
+    kh, kw, stride, pad = kernel
+    b, h, w, c = x_shape
+    oh, ow = out_hw
+    dpatches = dcols.reshape(b, oh, ow, kh, kw, c)
+    dx = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dpatches[:, :, :, i, j]
+    return dx[:, pad:pad + h, pad:pad + w]
+
+
+def weight_matrix(w):
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
+def conv_case(shape, kernel, c_out, seed=3, nchw_view=True):
+    """An NHWC batch (a transposed NCHW one, as layer 0 receives it, unless
+    ``nchw_view`` is off), weights and a bias."""
+    b, c, h, w = shape
+    rng = Rng(seed)
+    x = rng.child(0).normal(1.0, shape if nchw_view else (b, h, w, c))
+    if nchw_view:
+        x = x.transpose(0, 2, 3, 1)
+    return (x, rng.child(1).normal(1.0, (c_out, c, kernel[0], kernel[1])),
+            rng.child(2).normal(1.0, c_out))
+
+
+# (batch NCHW shape, kernel, C_out): cifar-allconv's three conv layers at
+# batches of several windows with a partial last one, then odd shapes, one
+# of them (129 samples of 4x4) with a one-sample last window
+BLOCKED_CASES = [
+    ((137, 3, 32, 32), (3, 3, 2, 1), 96),
+    ((50, 96, 16, 16), (3, 3, 2, 1), 96),
+    ((137, 96, 8, 8), (3, 3, 2, 1), 96),
+    ((5, 13, 37, 41), (3, 3, 1, 1), 7),
+    ((70, 6, 20, 21), (3, 2, 1, 1), 32),
+    ((129, 32, 4, 4), (3, 3, 1, 1), 8),
+    ((300, 20, 5, 5), (3, 3, 2, 2), 20),
+]
+
+
+class TestBlockedConv:
     @pytest.mark.parametrize("kernel", [
         (3, 3, 1, 1), (3, 3, 2, 1), (1, 1, 1, 0), (3, 3, 1, 0), (2, 2, 2, 0), (3, 2, 2, 2),
     ])
@@ -333,14 +379,73 @@ class TestIm2col:
     def test_matches_per_tap_reference(self, kernel, nchw_view, shape):
         # a transposed NCHW batch is what layer 0 receives: not C-contiguous,
         # and with length-1 axes it may pass for C-contiguous anyway
-        b, c, h, w = shape
-        x = Rng(3).normal(1.0, shape if nchw_view else (b, h, w, c))
-        if nchw_view:
-            x = x.transpose(0, 2, 3, 1)
-        got, hw = mn._im2col(x, kernel)
-        want, want_hw = im2col_per_tap(x, kernel)
-        assert hw == want_hw
-        np.testing.assert_array_equal(got, want)
+        x, w, b = conv_case(shape, kernel, 4, nchw_view=nchw_view)
+        want_cols, hw = im2col_per_tap(x, kernel)
+        want = want_cols @ weight_matrix(w).T
+        want += b
+        y, cols = mn._conv_forward(x, w, b, kernel)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(y, want.reshape(shape[0], *hw, -1))
+        y, cols = mn._conv_forward(x, w, b, kernel, for_backward=False)
+        assert cols is None
+        np.testing.assert_array_equal(y, want.reshape(shape[0], *hw, -1))
+
+    @pytest.mark.parametrize("shape, kernel, c_out", BLOCKED_CASES)
+    def test_blocked_passes_equal_the_whole_batch_gemm(self, shape, kernel, c_out):
+        x, w, b = conv_case(shape, kernel, c_out)
+        want_cols, hw = im2col_per_tap(x, kernel)
+        windows, n = mn._sample_blocks(shape[0], hw[0] * hw[1] * want_cols.shape[1])
+        assert len(windows) > 1 and shape[0] % n   # a partial last window
+        want = want_cols @ weight_matrix(w).T
+        want += b
+        want = want.reshape(shape[0], *hw, -1)
+        y, cols = mn._conv_forward(x, w, b, kernel)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(y, want)
+        y, _ = mn._conv_forward(x, w, b, kernel, for_backward=False)
+        np.testing.assert_array_equal(y, want)
+        dy = Rng(4).normal(1.0, want.shape)
+        dcols = dy.reshape(-1, c_out) @ weight_matrix(w)
+        np.testing.assert_array_equal(mn._conv_input_grad(x.shape, w, kernel, dy),
+                                      col2im_per_tap(dcols, x.shape, kernel, hw))
+
+    def test_windows_cover_the_batch_once_in_order(self):
+        for b in (1, 5, 16, 17, 300):
+            windows, n = mn._sample_blocks(b, 1 << 16)
+            assert n == min(b, 16)
+            assert all(s.stop - s.start == n for s in windows)
+            assert windows[0].start == 0 and windows[-1].stop == b
+            assert all(p.stop <= s.stop and s.start <= p.stop
+                       for p, s in zip(windows, windows[1:]))
+        assert mn._sample_blocks(0, 10) == ([], 0)
+
+    def test_forward_only_pass_peaks_below_one_patch_matrix(self):
+        spec = mn.MainnetSpec(layers=(
+            mn.LayerSpec("conv", 32, 8, kernel=(3, 3, 1, 1), activation="relu"),
+            mn.LayerSpec("dense", 8, 3)), loss="cross-entropy")
+        params = random_params(spec, Rng(6))
+        x = Rng(7).normal(1.0, (64, 32, 16, 16))
+        cols_bytes = 64 * 16 * 16 * 9 * 32 * 8
+        peaks = {}
+        for for_backward in (True, False):
+            tracemalloc.start()
+            try:
+                trace, _ = mn.forward(spec, params, x, for_backward=for_backward)
+                _, peaks[for_backward] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del trace
+        assert peaks[True] > cols_bytes
+        assert peaks[False] < cols_bytes / 2
+
+    def test_backward_refuses_a_forward_only_trace(self):
+        spec = mn.allconv(2, [3], 3, kernel=3, strides=[1])
+        params = random_params(spec, Rng(8))
+        x = Rng(9).normal(1.0, (2, 2, 5, 5))
+        trace, _ = mn.forward(spec, params, x, for_backward=False)
+        assert trace.conv_cols[0][0] is None
+        with pytest.raises(mn.SpecError, match="trace kept no patch matrices"):
+            mn.backward(spec, params, trace, np.array([0, 1]))
 
 
 class TestVarianceRecursion:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,9 +154,44 @@ class TestLinearReplay:
         # tanh squashes the forward trace; the identity replay must not
         net, mspec, params, trace, grads = small_setup(
             "fan-in", width=100, activation="tanh", seed=2)
-        x = Rng(9).normal(1.0, (32, 100))
-        lin = probe.linear_activation_variances(mspec, params, x)
+        lin = probe.linear_activation_variances(mspec, params, trace)
         assert np.var(lin[-1]) > 100 * np.var(trace.acts[-1])
+
+    @staticmethod
+    def conv_setup():
+        # 150 samples: the second conv layer's windows are 128 samples, so
+        # the replay's forward-only pass ends in an overlapping window
+        rng = Rng(12)
+        mspec = mn.MainnetSpec(layers=(
+            mn.LayerSpec("conv", 2, 16, kernel=(3, 3, 1, 1), activation="relu"),
+            mn.LayerSpec("conv", 16, 8, kernel=(3, 3, 2, 1), activation="tanh"),
+            mn.LayerSpec("dense", 8, 3)), loss="cross-entropy")
+        params = [{"W": rng.child(2 * t).normal(0.5, l.weight_shape),
+                   "b": rng.child(2 * t + 1).normal(0.5, l.d_out)}
+                  for t, l in enumerate(mspec.layers)]
+        return mspec, params, rng.child(9).normal(1.0, (150, 2, 12, 12))
+
+    @pytest.mark.parametrize("net", ["dense", "conv"])
+    def test_replay_from_the_trace_equals_a_full_identity_replay(self, net):
+        if net == "dense":
+            _, mspec, params, trace, _ = small_setup(activation="tanh", seed=5)
+        else:
+            mspec, params, x = self.conv_setup()
+            trace, _ = mn.forward(mspec, params, x)
+        identity = replace(mspec, layers=tuple(replace(l, activation="identity")
+                                               for l in mspec.layers))
+        want, _ = mn.forward(identity, params, trace.inputs[0])
+        got = probe.linear_activation_variances(mspec, params, trace)
+        assert len(got) == len(want.acts)
+        for a, b in zip(got, want.acts):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_layer_replay_is_the_trace_preactivation(self):
+        mspec = mn.mlp([4, 3], activation="tanh", loss="mse")
+        params = [{"W": Rng(1).normal(1.0, (3, 4)), "b": np.zeros(3)}]
+        trace, _ = mn.forward(mspec, params, Rng(2).normal(1.0, (5, 4)))
+        lin = probe.linear_activation_variances(mspec, params, trace)
+        assert len(lin) == 1 and lin[0] is trace.preacts[0]
 
 
 class TestConvLayout:
@@ -185,7 +221,7 @@ class TestConvLayout:
             return preacts, acts
 
         trace, _ = mn.forward(mspec, params, x)
-        linear = probe.linear_activation_variances(mspec, params, x)
+        linear = probe.linear_activation_variances(mspec, params, trace)
         rows = {(r.kind, r.layer): r
                 for r in probe.snapshot(0, trace, linear_acts=linear).rows}
         preacts, acts = reference(True)
