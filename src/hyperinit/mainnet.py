@@ -212,7 +212,7 @@ def _weight_matrix(weight):
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
-def _sample_blocks(b, rows_per_sample):
+def _sample_windows(b, rows_per_sample):
     """Windows of n samples covering [0, b) in order, and n: a power of two
     (``row_chunks``) of at most ~1<<20 patch-matrix entries and at least one
     sample, or b if fewer. The last window ends at b and may overlap the one
@@ -237,12 +237,12 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
     oh, ow = _conv_out_hw(h, w, kernel)
     k, p = kh * kw * c, oh * ow
     wm_t = _weight_matrix(weight).T
-    blocks, n = _sample_blocks(b, p * k)
+    windows, n = _sample_windows(b, p * k)
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE)
     cols = np.empty(((b if for_backward else n) * p, k), dtype=DTYPE)
     y = np.empty((b, oh, ow, weight.shape[0]), dtype=DTYPE)
     y_mat = y.reshape(b * p, -1)
-    for s in blocks:
+    for s in windows:
         xp[:, pad:pad + h, pad:pad + w] = x[s]
         rows = slice(s.start * p, s.stop * p)
         dst = cols[rows] if for_backward else cols
@@ -264,7 +264,8 @@ def _tap_ranges(size, out, k, stride, pad):
         hi = min(out, (size - 1 + pad - i) // stride + 1)
         if hi > lo:
             start = lo * stride + i - pad
-            taps.append((i, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+            stop = start + (hi - lo - 1) * stride + 1
+            taps.append((i, slice(lo, hi), slice(start, stop, stride)))
     return taps
 
 
@@ -282,14 +283,14 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
     k, p = kh * kw * c, oh * ow
     wm = _weight_matrix(weight)
     dy_mat = dy.reshape(b * p, c_out)
-    blocks, n = _sample_blocks(b, p * k)
+    windows, n = _sample_windows(b, p * k)
     dcols = np.empty((n * p, k), dtype=DTYPE)
     dx = np.zeros(x_shape, dtype=DTYPE)
     taps = [(i, j, rows, cols, hs, ws)
             for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
             for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
     done = 0
-    for s in blocks:
+    for s in windows:
         d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
         d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
         dxs = dx[done:s.stop]

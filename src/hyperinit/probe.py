@@ -54,13 +54,13 @@ class VarianceReport:
         return sorted({r.kind for r in self.rows})
 
 
-def _stat(step, layer, kind, values, scratch):
-    """The row of one array's statistics, its deviations squared in ``scratch``."""
+def _stat(step, layer, kind, values, buffer):
+    """The row of one array's statistics, its deviations squared in ``buffer``."""
     # The sums and divisions of values.mean() and values.var(), with the mean
     # taken once: the same bits in one pass fewer.
     values = np.asarray(values, dtype=DTYPE).ravel()
     mean = values.sum() / values.size
-    dev = np.subtract(values, mean, out=scratch[:values.size])
+    dev = np.subtract(values, mean, out=buffer[:values.size])
     dev *= dev
     return StatRow(step=step, layer=layer, kind=kind, mean=float(mean),
                    var=float(dev.sum() / values.size), n=int(values.size))
@@ -91,9 +91,9 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
     if linear_acts is not None:
         items += [(t, LINEAR_ACT, x) for t, x in enumerate(linear_acts)]
     items = [item for item in items if np.size(item[2]) >= 2]
-    scratch = np.empty(max((np.size(values) for *_, values in items), default=0),
+    buffer = np.empty(max((np.size(values) for *_, values in items), default=0),
                        dtype=DTYPE)
-    return VarianceReport(step=step, rows=[_stat(step, t, kind, values, scratch)
+    return VarianceReport(step=step, rows=[_stat(step, t, kind, values, buffer)
                                            for t, kind, values in items])
 
 

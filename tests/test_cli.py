@@ -200,7 +200,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("split, stem", [("train", "train"), ("test", "t10k")])
     def test_empty_idx_split_is_format_error(self, capsys, tmp_path, split, stem):
         self.write_mnist(tmp_path, 64, 32)
-        dt.write_idx(tmp_path / f"{stem}-images-idx3-ubyte", tmp_path / f"{stem}-labels-idx1-ubyte",
+        dt.write_idx(tmp_path / f"{stem}-images-idx3-ubyte",
+                     tmp_path / f"{stem}-labels-idx1-ubyte",
                      np.zeros((0, 28, 28), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
         code, _, err = run(capsys, "train", "--preset", "mnist-mlp",
                            "--epochs", "1", "--subset", "64",

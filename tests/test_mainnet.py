@@ -394,7 +394,7 @@ class TestBlockedConv:
     def test_blocked_passes_equal_the_whole_batch_gemm(self, shape, kernel, c_out):
         x, w, b = conv_case(shape, kernel, c_out)
         want_cols, hw = im2col_per_tap(x, kernel)
-        windows, n = mn._sample_blocks(shape[0], hw[0] * hw[1] * want_cols.shape[1])
+        windows, n = mn._sample_windows(shape[0], hw[0] * hw[1] * want_cols.shape[1])
         assert len(windows) > 1 and shape[0] % n   # a partial last window
         want = want_cols @ weight_matrix(w).T
         want += b
@@ -411,13 +411,13 @@ class TestBlockedConv:
 
     def test_windows_cover_the_batch_once_in_order(self):
         for b in (1, 5, 16, 17, 300):
-            windows, n = mn._sample_blocks(b, 1 << 16)
+            windows, n = mn._sample_windows(b, 1 << 16)
             assert n == min(b, 16)
             assert all(s.stop - s.start == n for s in windows)
             assert windows[0].start == 0 and windows[-1].stop == b
             assert all(p.stop <= s.stop and s.start <= p.stop
                        for p, s in zip(windows, windows[1:]))
-        assert mn._sample_blocks(0, 10) == ([], 0)
+        assert mn._sample_windows(0, 10) == ([], 0)
 
     def test_forward_only_pass_peaks_below_one_patch_matrix(self):
         spec = mn.MainnetSpec(layers=(
