@@ -32,18 +32,23 @@ from .train import DataNotFoundError, PRESETS, config_for, probe_step, train
 DATA_DIR_ENV = "HYPERINIT_DATA_DIR"
 
 
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
+def _bounded(cast, low, what, strict=False):
+    """A flag-value type: ``cast`` the text, then require a value in [low, inf),
+    or in (low, inf) when ``strict``; a miss says ``what`` was expected."""
+    def parse(text):
+        v = cast(text)
+        if not (low < v < np.inf if strict else low <= v < np.inf):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {v}")
+        return v
+    parse.__name__ = cast.__name__   # argparse names the type when the cast fails
+    return parse
 
 
-def _seed(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {v}")
-    return v
+_positive_int = _bounded(int, 1, "a positive integer")
+_seed = _bounded(int, 0, "a non-negative integer seed")
+_learning_rate = _bounded(float, 0, "a finite learning rate >= 0")
+_finite = _bounded(float, -np.inf, "a finite number", strict=True)
+_positive = _bounded(_finite, 0, "a finite number > 0", strict=True)
 
 
 def _seed_list(text):
@@ -54,27 +59,6 @@ def _seed_list(text):
     if not seeds:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integer seeds")
     return seeds
-
-
-def _learning_rate(text):
-    v = float(text)
-    if not np.isfinite(v) or v < 0:
-        raise argparse.ArgumentTypeError(f"expected a finite learning rate >= 0, got {v}")
-    return v
-
-
-def _finite(text):
-    v = float(text)
-    if not np.isfinite(v):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {v}")
-    return v
-
-
-def _positive(text):
-    v = _finite(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {v}")
-    return v
 
 
 def _geometry(text):
@@ -174,7 +158,6 @@ def cmd_variance_check(args):
     mspec = mlp(dims, activation=activation, loss=MSE, bias_source=bias)
     hspec = HypernetSpec(embedding_dim=args.hyper_width,
                          head_topology=SHARED_SAME_SIZE,
-                         generates_bias=args.gen_bias,
                          normalize_embeddings=not args.raw_embeddings)
     rng = Rng(args.seed)
     scheme = parse_scheme(args.scheme)

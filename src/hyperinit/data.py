@@ -28,9 +28,6 @@ class FormatError(ValueError):
 class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
-    split: str = "train"
-    mean: np.ndarray | float | None = None
-    std: np.ndarray | float | None = None
 
     def __len__(self):
         return len(self.inputs)
@@ -130,8 +127,7 @@ def standardize(ds, mode=GLOBAL, stats=None):
             std = 1.0
         stats = (mean, std)
     mean, std = stats
-    out = replace(ds, inputs=(x - mean) / std, mean=mean, std=std)
-    return out, stats
+    return replace(ds, inputs=(x - mean) / std), stats
 
 
 @dataclass
@@ -221,6 +217,5 @@ def make_synthetic_images(n_train, n_test, shape, n_classes, seed,
             images[i] = img
         images = np.clip(images + pixel_noise, 0.0, 1.0)
         images_u8 = np.round(images * 255.0).astype(np.uint8)
-        sets.append(Dataset(inputs=images_u8.astype(DTYPE) / 255.0, labels=labels,
-                            split="train" if si == 0 else "test"))
+        sets.append(Dataset(inputs=images_u8.astype(DTYPE) / 255.0, labels=labels))
     return tuple(sets)

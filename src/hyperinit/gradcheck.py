@@ -73,8 +73,7 @@ SUITE = {
         seed, "hyperfan-in",
         mlp([4, 6, 5, 3], activation=RELU, loss=MSE, bias_source=GENERATED_BIAS),
         HypernetSpec(embedding_dim=3, hidden_layers=(5,), trunk_activation=RELU,
-                     embeddings_trainable=True, head_topology=PER_LAYER,
-                     generates_bias=True), (4, 4)),
+                     embeddings_trainable=True, head_topology=PER_LAYER), (4, 4)),
     "dense-shared-head": lambda seed: _case(
         seed, "hyperfan-out", mlp([4, 6, 6, 6, 3], activation=TANH, loss=CROSS_ENTROPY),
         HypernetSpec(embedding_dim=3, head_topology=SHARED_SAME_SIZE), (4, 4)),

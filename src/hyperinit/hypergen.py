@@ -81,12 +81,13 @@ class ChunkPlan:
 
     @property
     def slot(self):
-        """The chunked head's slot. The head is an interior (K n n, d) linear
-        map, so it takes the scheme's plain rule with no ReLU gain; the
-        projections carry the target layers' variance."""
+        """The chunked head's slot. The head, a (K n n, d) output layer,
+        takes the interior-layer rule with no ReLU gain under every scheme;
+        the projections carry the target layers' variance."""
         width = self.K * self.n * self.n
-        return replace(WEIGHT, tag="c", variance=lambda scheme, geom: schemes._head_variance(
-            scheme.with_flags(relu_gain=False), FanGeometry(d_i=width, d_j=geom.d_k, d_k=1)))
+        return replace(WEIGHT, tag="c", variance=lambda scheme, geom: schemes.layer_variance(
+            scheme.with_flags(relu_gain=False), FanGeometry(d_i=width, d_j=geom.d_k, d_k=1),
+            output=True))
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class HypernetSpec:
     embedding_distribution: Distribution = Distribution("uniform", 1.0)
     embeddings_trainable: bool = False
     head_topology: str = SHARED_SAME_SIZE
-    generates_bias: bool = False
     chunk: ChunkPlan | None = None
     normalize_embeddings: bool = False
 
@@ -162,6 +162,14 @@ class Trunk(Segment):
     def out_dim(self):
         return self.widths[-1] if self.widths else self.in_dim
 
+    def initialize(self, net, scheme, draw):
+        """Each layer's bias by the offset rule, then its weight by the
+        interior-layer rule with this trunk's own ReLU gain."""
+        inner = scheme.with_flags(relu_gain=scheme.relu_gain and self.activation == RELU)
+        for w, b in zip(self.weights, self.biases):
+            b[:] = draw(schemes.offset_variance(scheme), b.shape)
+            w[:] = draw(schemes.layer_variance(inner, FanGeometry(*w.shape, d_k=1)), w.shape)
+
     def forward(self, emb_matrix):
         """emb_matrix: (T, in_dim) stacked embeddings -> (features, cache)."""
         x = emb_matrix
@@ -202,22 +210,11 @@ class Projection(Segment):
         return views
 
     def initialize(self, net, scheme, draw):
-        """A projection is its row's effective output layer: the target's
-        hyperfan variance, or the scheme's classical rule on a (d, d) layer
-        with the target's ReLU gain; small-random draws all at its scale."""
-        small = scheme.kind == schemes.SMALL_RANDOM
-        geom = FanGeometry(d_i=self.out_dim, d_j=self.out_dim, d_k=1)
+        """Each target's rows by the projection rule, then the offsets."""
         for t, rows in zip(self.targets, self.rows):
-            eff = net.layer_scheme(scheme, t)
-            if small:
-                var = schemes.BASELINE_SCALE[scheme.kind] ** 2
-            elif scheme.kind in schemes.HYPERFAN_KINDS:
-                var = schemes.scheme_weight_variance(eff, net.geometry(t))
-            else:
-                var = schemes.classical_variance(_classical_kind(scheme), geom, eff.relu_gain)
+            var = schemes.projection_variance(net.layer_scheme(scheme, t), net.geometry(t))
             self.proj[rows] = draw(var, self.proj[rows].shape)
-        self.proj_bias[:] = (draw(schemes.BASELINE_SCALE[scheme.kind] ** 2, self.proj_bias.shape)
-                             if small else 0.0)
+        self.proj_bias[:] = draw(schemes.offset_variance(scheme), self.proj_bias.shape)
 
     def forward(self, emb):
         """emb: (rows, d_e) embeddings -> (features, cache)."""
@@ -263,11 +260,6 @@ WEIGHT = Slot("W", "w", ("H", "beta"), schemes.scheme_weight_variance,
               lambda layer: layer.weight_shape)
 BIAS = Slot("b", "b", ("G", "gamma"), schemes.scheme_bias_variance,
             lambda layer: (layer.d_out,))
-
-
-def _classical_kind(scheme):
-    """Formula for hypernet-internal layers: the scheme's own if classical."""
-    return scheme.kind if scheme.kind in schemes.CLASSICAL_KINDS else schemes.FAN_IN
 
 
 def _assemble(block, shape):
@@ -358,8 +350,7 @@ class SlotBank(Segment):
             var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
             for rows in row_chunks(*h.H.shape):   # no head-sized temporary
                 h.H[rows] = draw(var, h.H[rows].shape)
-            h.beta[:] = (draw(schemes.BASELINE_SCALE[scheme.kind] ** 2, h.beta.shape)
-                         if scheme.kind == schemes.SMALL_RANDOM else 0.0)
+            h.beta[:] = draw(schemes.offset_variance(scheme), h.beta.shape)
 
     def generate(self, x, params):
         y = x @ self.H.T
@@ -418,8 +409,6 @@ class Hypernet:
         d_e = hspec.embedding_dim
         bias_layers = [t for t, l in enumerate(mspec.layers)
                        if l.bias_source == GENERATED_BIAS]
-        if hspec.generates_bias != bool(bias_layers):
-            raise SpecError("generates_bias flag disagrees with the layer bias sources")
         chunked = hspec.head_topology == CHUNKED
         chunk_targets = [t for t, l in enumerate(mspec.layers) if chunked and l.kind == CONV]
         plain_targets = [t for t in range(len(mspec.layers)) if t not in chunk_targets]
@@ -526,33 +515,19 @@ class Hypernet:
     def initialize(self, scheme: InitScheme, rng: Rng):
         """Sample every hypernet parameter according to the scheme.
 
-        Trunks receive fan-in init with their own activation's gain (the
-        baselines override this: small-random draws everything at its
-        baseline scale squared, classical schemes apply their formula to each
-        trunk matrix as well). Heads receive the scheme's weight/bias variance
-        on their target geometry; beta and gamma start at zero. Every draw is
-        uniform, in one order: trunks, weight heads (each followed by its
-        source's projection), bias heads.
+        Each trunk, head and projection draws its own arrays at the variances
+        ``init_schemes`` gives: heads the scheme's weight/bias variance on
+        their target geometry, trunks and projections its interior-layer and
+        projection rules, every bias and offset its offset rule. Every draw
+        is uniform, in one order: trunks, weight heads (each followed by its
+        source's projection), bias heads. A zero variance draws nothing.
         """
         def draw(var, shape):
-            return sample(Distribution(UNIFORM, var), shape, rng)
+            return sample(Distribution(UNIFORM, var), shape, rng) if var else 0.0
 
-        for trunk in self.trunks:
-            trunk_relu = scheme.relu_gain and trunk.activation == RELU
-            for w, b in zip(trunk.weights, trunk.biases):
-                if scheme.kind == schemes.SMALL_RANDOM:
-                    var = schemes.BASELINE_SCALE[scheme.kind] ** 2
-                    b[:] = draw(var, b.shape)
-                else:
-                    var = schemes.classical_variance(
-                        _classical_kind(scheme),
-                        FanGeometry(d_i=w.shape[0], d_j=w.shape[1], d_k=1), trunk_relu)
-                    b[:] = 0.0
-                w[:] = draw(var, w.shape)
-
-        for src in sorted(self.sources.values(), key=lambda src: src.head.slot is BIAS):
-            for part in src.parts:
-                part.initialize(self, scheme, draw)
+        bias_last = sorted(self.sources.values(), key=lambda src: src.head.slot is BIAS)
+        for part in self.trunks + [part for src in bias_last for part in src.parts]:
+            part.initialize(self, scheme, draw)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
             for src in self.sources.values():

@@ -11,6 +11,20 @@ Three families:
 * ad-hoc baselines seen in practice: small random values, Kaiming with a
   scaled-down output layer, and Kaiming with constant embeddings.
 
+Beside the heads' formulas, three rules cover every other hypernet array:
+
+* the interior-layer rule, ``layer_variance``: a layer seen as a classical
+  one (a trunk layer, the chunked head, any head under a classical or
+  baseline scheme) takes the scheme's own classical formula (fan-in for the
+  others) or small-random's fixed scale; only output heads, which emit
+  mainnet parameters, take scaled-output's scale-down;
+* the projection rule, ``projection_variance``: a chunk row's projection is
+  its target's effective output layer, so it takes the target's hyperfan
+  variance, or else the interior-layer rule on a (d_k, d_k) layer;
+* the offset rule, ``offset_variance``: every bias and offset of the
+  hypernet starts at zero, except under small-random, which draws it at its
+  scale.
+
 All functions are pure and operate on a :class:`FanGeometry`, which carries
 the dimensions of one generator head and its target layer:
 
@@ -156,16 +170,31 @@ def hyperfan_out_bias_variance(geom, relu_gain=False):
     return max(v, 0.0)
 
 
-def _head_variance(scheme, head):
-    """Head variance under a classical or baseline scheme, which sees the head
-    as a classical layer of geometry ``head``: the scheme's own formula (fan-in
-    for the baselines, scaled down for scaled-output), or small-random's fixed
-    scale."""
+def layer_variance(scheme, geom, output=False):
+    """The interior-layer rule: the variance of a hypernet layer of geometry
+    ``geom`` that the scheme sees as a classical layer. That is the scheme's
+    own formula (fan-in for the hyperfan and baseline schemes), or
+    small-random's fixed scale; an ``output`` head under scaled-output is
+    scaled down as well."""
     kind = scheme.kind
     if kind == SMALL_RANDOM:
         return BASELINE_SCALE[kind] ** 2
-    var = classical_variance(kind if kind in CLASSICAL_KINDS else FAN_IN, head, scheme.relu_gain)
-    return var * BASELINE_SCALE[kind] ** 2 if kind == SCALED_OUTPUT else var
+    var = classical_variance(kind if kind in CLASSICAL_KINDS else FAN_IN, geom, scheme.relu_gain)
+    return var * BASELINE_SCALE[kind] ** 2 if output and kind == SCALED_OUTPUT else var
+
+
+def projection_variance(scheme, geom):
+    """The projection rule: a chunk row's (d_k, d_k) projection takes its
+    target's hyperfan weight variance, or else the interior-layer rule."""
+    if scheme.kind in HYPERFAN_KINDS:
+        return scheme_weight_variance(scheme, geom)
+    return layer_variance(scheme, FanGeometry(d_i=geom.d_k, d_j=geom.d_k, d_k=1))
+
+
+def offset_variance(scheme):
+    """The offset rule: hypernet biases and head offsets start at zero, or at
+    small-random's scale."""
+    return BASELINE_SCALE[SMALL_RANDOM] ** 2 if scheme.kind == SMALL_RANDOM else 0.0
 
 
 def scheme_weight_variance(scheme, geom):
@@ -175,8 +204,8 @@ def scheme_weight_variance(scheme, geom):
     if scheme.kind == HYPERFAN_OUT:
         return hyperfan_out_weight_variance(geom, scheme.relu_gain)
     # The head maps d_k features to d_i*d_j*r generated entries.
-    return _head_variance(scheme, FanGeometry(d_i=geom.d_i * geom.d_j * geom.receptive_field,
-                                              d_j=geom.d_k, d_k=1))
+    return layer_variance(scheme, FanGeometry(d_i=geom.d_i * geom.d_j * geom.receptive_field,
+                                              d_j=geom.d_k, d_k=1), output=True)
 
 
 def scheme_bias_variance(scheme, geom):
@@ -186,7 +215,7 @@ def scheme_bias_variance(scheme, geom):
     if scheme.kind == HYPERFAN_OUT:
         return hyperfan_out_bias_variance(geom, scheme.relu_gain)
     # The head maps d_l features to d_i generated biases.
-    return _head_variance(scheme, FanGeometry(d_i=geom.d_i, d_j=geom.d_l, d_k=1))
+    return layer_variance(scheme, FanGeometry(d_i=geom.d_i, d_j=geom.d_l, d_k=1), output=True)
 
 
 def generated_weight_variance(scheme, geom):

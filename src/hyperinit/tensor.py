@@ -71,8 +71,6 @@ def sample(dist, shape, rng):
     is exactly ``v``; normal draws are mean-zero with variance ``v``.
     Variance zero yields an all-zero tensor.
     """
-    if not isinstance(dist, Distribution):
-        dist = Distribution(*dist)
     if dist.variance == 0.0:
         return np.zeros(shape, dtype=DTYPE)
     if dist.family == UNIFORM:

@@ -57,14 +57,13 @@ from .data import (GLOBAL, FormatError, load_cifar10_binary, load_idx,
 from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet,
                        HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
-from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, TANH, RELU,
+from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, OVERFLOW_LIMIT, TANH, RELU,
                       ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
                       backward, forward, mlp, mse_loss, weight_factors, weight_grad)
 from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
                     write_json)
 from .tensor import DTYPE, Rng, row_chunks
 
-DIVERGENCE_LIMIT = 1e30
 PROBE_BATCH = 300
 BLOCK_ENTRIES = 1 << 16   # a 512 KiB gradient block: it, its Gram product and the
                           # stack's block stay within a 2 MiB per-core L2 cache
@@ -110,7 +109,7 @@ def sgd_step(params, grads, lr):
 
 def _diverged(trace, loss):
     return (trace.overflow_layer is not None or not np.isfinite(loss)
-            or abs(loss) > DIVERGENCE_LIMIT)
+            or abs(loss) > OVERFLOW_LIMIT)
 
 
 @dataclass
@@ -322,9 +321,8 @@ def _mnist_mainnet(bias):
                loss=CROSS_ENTROPY, bias_source=src)
 
 
-def _mnist_hspec(bias):
-    return HypernetSpec(embedding_dim=50, hidden_layers=(),
-                        head_topology=SHARED_SAME_SIZE, generates_bias=bias)
+def _mnist_hspec():
+    return HypernetSpec(embedding_dim=50, hidden_layers=(), head_topology=SHARED_SAME_SIZE)
 
 
 def _regression_mainnet():
@@ -338,7 +336,7 @@ def _regression_mainnet():
 def _regression_hspec():
     return HypernetSpec(embedding_dim=2, hidden_layers=(10, 10),
                         trunk_activation=RELU, embeddings_trainable=True,
-                        head_topology=PER_LAYER, generates_bias=True)
+                        head_topology=PER_LAYER)
 
 
 def _cifar_mainnet():
@@ -363,9 +361,7 @@ def _load_mnist(data_dir):
         ip, lp = root / imgs, root / labels
         if not ip.exists() or not lp.exists():
             raise DataNotFoundError(f"missing {split} IDX files under {root}")
-        ds = load_idx(str(ip), str(lp))
-        ds = replace(ds, split=split)
-        out.append(ds)
+        out.append(load_idx(str(ip), str(lp)))
     return tuple(out)
 
 
@@ -374,9 +370,7 @@ def _load_cifar(data_dir):
     train_path, test_path = root / "data_batch_1.bin", root / "test_batch.bin"
     if not train_path.exists() or not test_path.exists():
         raise DataNotFoundError(f"missing CIFAR-10 binary files under {root}")
-    train = replace(load_cifar10_binary(str(train_path)), split="train")
-    test = replace(load_cifar10_binary(str(test_path)), split="test")
-    return train, test
+    return load_cifar10_binary(str(train_path)), load_cifar10_binary(str(test_path))
 
 
 # Desk-scale defaults; the acceptance suite pins these. The README lists the
@@ -387,12 +381,12 @@ PRESETS = {
     "mnist-mlp": Preset(
         name="mnist-mlp", kind="classification",
         build_mainnet=lambda: _mnist_mainnet(False),
-        build_hspec=lambda: _mnist_hspec(False),
+        build_hspec=_mnist_hspec,
         load=_load_mnist, defaults=_MNIST_DEFAULTS),
     "mnist-mlp-bias": Preset(
         name="mnist-mlp-bias", kind="classification",
         build_mainnet=lambda: _mnist_mainnet(True),
-        build_hspec=lambda: _mnist_hspec(True),
+        build_hspec=_mnist_hspec,
         load=_load_mnist, defaults=_MNIST_DEFAULTS),
     "regression-seq": Preset(
         name="regression-seq", kind="regression",

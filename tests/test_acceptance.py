@@ -193,7 +193,7 @@ def _stack_hypernet(scheme, width=500, depth=5, d_k=50, bias=False, seed=42):
                    bias_source="generated" if bias else "zero")
     hspec = hg.HypernetSpec(embedding_dim=d_k,
                             head_topology=hg.SHARED_SAME_SIZE,
-                            generates_bias=bias, normalize_embeddings=True)
+                            normalize_embeddings=True)
     net = hg.init_hypernet(hspec, mspec, parse_scheme(scheme), Rng(seed))
     return net, mspec
 

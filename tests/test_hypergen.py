@@ -19,7 +19,7 @@ def simple_dense_net(widths, topology, scheme="hyperfan-in", emb=4, seed=0,
     mspec = mn.mlp(widths, activation=activation,
                    loss="mse", bias_source="generated" if bias else "zero")
     hspec = hg.HypernetSpec(embedding_dim=emb, hidden_layers=hidden,
-                            head_topology=topology, generates_bias=bias, **hkw)
+                            head_topology=topology, **hkw)
     net = hg.init_hypernet(hspec, mspec, s.parse_scheme(scheme), Rng(seed))
     return net, mspec
 
@@ -60,12 +60,6 @@ class TestTopologyConstruction:
         mspec = mn.allconv(3, [4], 2, kernel=5)
         hspec = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
                                 chunk=hg.ChunkPlan(K=2, n=3))
-        with pytest.raises(mn.SpecError):
-            hg.Hypernet(mspec, hspec, Rng(0))
-
-    def test_bias_flag_must_match_layers(self):
-        mspec = mn.mlp([3, 4, 2], activation="tanh", bias_source="generated")
-        hspec = hg.HypernetSpec(embedding_dim=3, generates_bias=False)
         with pytest.raises(mn.SpecError):
             hg.Hypernet(mspec, hspec, Rng(0))
 
@@ -353,35 +347,99 @@ class TestSlotLayout:
             np.testing.assert_array_equal(head.H, sample(Distribution(UNIFORM, var),
                                                          head.H.shape, rng))
 
-    def test_heads_draw_weights_then_the_chunked_head_then_biases(self):
-        mspec = mn.allconv(2, [4], 2, kernel=3, bias_source="generated")
-        hspec = hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED,
-                                chunk=hg.ChunkPlan(K=2, n=3), generates_bias=True)
-        scheme = s.parse_scheme("hyperfan-in")
-        net = hg.init_hypernet(hspec, mspec, scheme, Rng(6))
+
+# The initial draws of every scheme: a dense net whose ReLU trunks feed
+# per-layer weight and bias heads, and a chunked net whose conv layer's
+# chunks are read through a projection and whose classifier falls back to a
+# per-layer head, with every bias generated.
+DRAW_BUILDS = {
+    "dense-trunk": lambda kind: simple_dense_net([3, 4, 4, 2], hg.PER_LAYER, scheme=kind,
+                                                 activation="relu", hidden=(3,), bias=True,
+                                                 seed=6)[0],
+    "chunked": lambda kind: hg.init_hypernet(
+        hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED, chunk=hg.ChunkPlan(K=2, n=3)),
+        mn.allconv(2, [4], 2, kernel=3, bias_source="generated"), s.parse_scheme(kind), Rng(6)),
+}
+
+SCALE = {"small-random": 0.01, "scaled-output": 0.1}   # the baselines' fixed scales
+
+
+def classical_var(kind, d_out, d_in, gain):
+    """A hypernet layer seen as a classical one: the scheme's own formula,
+    fan-in for the hyperfan and baseline schemes, or small-random's scale."""
+    if kind == "small-random":
+        return SCALE[kind] ** 2
+    return gain / {"fan-out": d_out, "harmonic": (d_in + d_out) / 2}.get(kind, d_in)
+
+
+def expected_draws(net, kind):
+    """(array, variance) of every initial draw, in draw order, from the
+    formulas: each trunk layer's bias and weight (ReLU trunks, gain 2), then
+    each weight head's H and beta (the chunked head's followed by its
+    projection's rows and offsets), then each bias head's G and gamma. Under
+    scaled-output only the heads are scaled down; under small-random every
+    offset is drawn at its scale, otherwise it is zero. Embeddings have
+    variance 1."""
+    offset = SCALE[kind] ** 2 if kind == "small-random" else 0.0
+    scale = SCALE[kind] ** 2 if kind == "scaled-output" else 1.0
+    layers = net.mspec.layers
+
+    def gain(layer):
+        return 2.0 if layer.activation == "relu" else 1.0
+
+    def hyperfan(t, d_k):
+        """The hyperfan weight variance for layer t read from d_k features,
+        or None under the other schemes."""
+        layer = layers[t]
+        r, d_i, d_j = layer.receptive_field, layer.d_out, layer.d_in
+        split = 2.0 if layer.bias_source == "generated" else 1.0
+        return {"hyperfan-in": gain(layer) / (split * d_j * d_k * r),
+                "hyperfan-out": gain(layer) / (d_i * d_k * r)}.get(kind)
+
+    out = []
+    for trunk in net.trunks:
+        for w, b in zip(trunk.weights, trunk.biases):
+            out += [(b, offset), (w, classical_var(kind, *w.shape, 2.0))]
+    for head in slot_heads(net):
+        t, d_k = head.targets[0], head.d_in
+        proj = net.sources[head.slot.tag].trunk
+        if isinstance(proj, hg.Projection):   # the chunked head: a layer with no gain
+            width = net.hspec.chunk.K * net.hspec.chunk.n ** 2
+            out += [(head.H, classical_var(kind, width, d_k, 1.0) * scale), (head.beta, offset)]
+            for t, rows in zip(head.targets, head.rows):
+                var = hyperfan(t, d_k)
+                out.append((proj.proj[rows], classical_var(kind, d_k, d_k, gain(layers[t]))
+                            if var is None else var))
+            out.append((proj.proj_bias, offset))
+            continue
+        var = hyperfan(t, d_k)
+        if var is None:
+            layer = layers[t]
+            var = classical_var(kind, layer.d_out * layer.d_in * layer.receptive_field, d_k,
+                                gain(layer)) * scale
+        out += [(head.H, var), (head.beta, offset)]
+    for head in slot_heads(net, hg.BIAS):
+        layer, d_l = layers[head.targets[0]], head.d_in
+        var = {"hyperfan-in": gain(layer) / (2 * d_l),
+               "hyperfan-out": max(gain(layer) * (1 - layer.d_in / layer.d_out) / d_l, 0.0),
+               }.get(kind)
+        if var is None:
+            var = classical_var(kind, layer.d_out, d_l, gain(layer)) * scale
+        out += [(head.H, var), (head.beta, offset)]
+    return out
+
+
+class TestInitialDraws:
+    @pytest.mark.parametrize("kind", s.ALL_KINDS)
+    @pytest.mark.parametrize("build", sorted(DRAW_BUILDS))
+    def test_every_draw_follows_its_rule(self, build, kind):
+        net = DRAW_BUILDS[build](kind)
         rng = Rng(6).child(2)   # init_hypernet's initialization stream
-
-        def draw(var, shape):
-            return sample(Distribution(UNIFORM, var), shape, rng)
-
-        def head_var(head):   # identity trunk, hyperfan-in: only H is drawn
-            t = head.targets[0]
-            return head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
-
-        *linear, chunked = slot_heads(net)
-        assert linear and chunked is net.head_of(0) and slot_heads(net, hg.BIAS)
-        for head in linear:
-            np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
-        var_h = s.classical_variance(s.FAN_IN, s.FanGeometry(d_i=chunked.H.shape[0],
-                                                             d_j=chunked.d_in, d_k=1))
-        np.testing.assert_array_equal(chunked.H, draw(var_h, chunked.H.shape))
-        proj = net.sources[chunked.slot.tag].trunk.proj
-        for t, rows in zip(chunked.targets, chunked.rows):
-            var_p = s.scheme_weight_variance(net.layer_scheme(scheme, t), net.geometry(t))
-            for m in range(rows.start, rows.stop):   # chunk by chunk
-                np.testing.assert_array_equal(proj[m], draw(var_p, proj[m].shape))
-        for head in slot_heads(net, hg.BIAS):
-            np.testing.assert_array_equal(head.H, draw(head_var(head), head.H.shape))
+        draws = expected_draws(net, kind)
+        assert sum(a.size for a, _ in draws) == net.n_updatable   # every hypernet array
+        for a, var in draws:
+            want = sample(Distribution(UNIFORM, var), a.shape, rng)   # var 0: zeros, no draw
+            np.testing.assert_array_equal(a, want)
 
 
 class TestSlotPath:

@@ -200,6 +200,32 @@ class TestSchemeDispatch:
             s.parse_scheme("xavier-magic")
 
 
+class TestHypernetLayerRules:
+    def test_only_output_layers_are_scaled_down(self):
+        g = geom(10, 40, 1)
+        sch = s.parse_scheme("scaled-output", relu_gain=True)
+        assert s.layer_variance(sch, g) == pytest.approx(2 / 40, rel=REL)
+        assert s.layer_variance(sch, g, output=True) == pytest.approx(2 / 40 * 0.01, rel=REL)
+        for kind in ("harmonic", "hyperfan-out", "small-random"):   # the flag moves no other
+            sch = s.parse_scheme(kind)
+            assert s.layer_variance(sch, g, output=True) == s.layer_variance(sch, g)
+        assert s.layer_variance(s.parse_scheme("harmonic"), g) == pytest.approx(4 / 50, rel=REL)
+
+    def test_projection_takes_hyperfan_else_a_square_layer(self):
+        g = geom(8, 4, 5, r=9)
+        for kind in s.HYPERFAN_KINDS:
+            sch = s.parse_scheme(kind)
+            assert s.projection_variance(sch, g) == s.scheme_weight_variance(sch, g)
+        assert s.projection_variance(s.parse_scheme("fan-out"), g) == pytest.approx(2 / 5)
+        assert s.projection_variance(s.parse_scheme("scaled-output"), g) == pytest.approx(2 / 5)
+        assert s.projection_variance(s.parse_scheme("small-random"), g) == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("kind", s.ALL_KINDS)
+    def test_offsets_are_zero_but_under_small_random(self, kind):
+        want = 1e-4 if kind == "small-random" else 0.0
+        assert s.offset_variance(s.parse_scheme(kind)) == pytest.approx(want, rel=REL)
+
+
 class TestSamplingFidelity:
     N = 10 ** 6
 

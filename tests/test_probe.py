@@ -19,7 +19,7 @@ def small_setup(scheme="hyperfan-in", width=40, depth=3, emb=8, seed=0,
                    bias_source="generated" if bias else "zero")
     hspec = hg.HypernetSpec(embedding_dim=emb,
                             head_topology=hg.SHARED_SAME_SIZE,
-                            generates_bias=bias, normalize_embeddings=True)
+                            normalize_embeddings=True)
     net = hg.init_hypernet(hspec, mspec, parse_scheme(scheme), Rng(seed))
     params, _ = net.generate()
     rng = Rng(seed + 1)

@@ -41,7 +41,6 @@ def hypernet_builds(draw):
         trunk_activation=mn.TANH,
         embeddings_trainable=draw(st.booleans()),
         head_topology=topology,
-        generates_bias=bias,
         chunk=hg.ChunkPlan(K=2, n=3) if topology == hg.CHUNKED else None)
     source = mn.GENERATED_BIAS if bias else mn.ZERO_BIAS
     rng = Rng(draw(st.integers(0, 2 ** 16)))

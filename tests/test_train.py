@@ -36,7 +36,7 @@ def tiny_bias_classification(tiny_classification):
         build_mainnet=lambda: mn.mlp([64, 32, 32, 32, 4], activation="tanh",
                                      bias_source="generated"),
         build_hspec=lambda: hg.HypernetSpec(
-            embedding_dim=8, head_topology=hg.SHARED_SAME_SIZE, generates_bias=True),
+            embedding_dim=8, head_topology=hg.SHARED_SAME_SIZE),
         defaults=dict(learning_rate=2e-2, batch_size=16, epochs=2,
                       eval_every=5, probe_every=6))
     tr.PRESETS["tiny-clf-bias"] = preset
@@ -63,7 +63,7 @@ def every_head_path(tiny_bias_classification):
                                          bias_source="generated"),
             build_hspec=lambda: hg.HypernetSpec(
                 embedding_dim=2, hidden_layers=(4,), embeddings_trainable=True,
-                head_topology=hg.PER_LAYER, generates_bias=True),
+                head_topology=hg.PER_LAYER),
             defaults=dict(learning_rate=1e-2, batch_size=8, epochs=1, eval_every=2)),
     }
     tr.PRESETS.update(presets)
@@ -144,9 +144,7 @@ class TestFastPath:
     def build(self, seed=0, bias=False):
         mspec = mn.mlp([12, 8, 8, 8, 5], activation="tanh",
                        bias_source="generated" if bias else "zero")
-        hspec = hg.HypernetSpec(embedding_dim=4,
-                                head_topology=hg.SHARED_SAME_SIZE,
-                                generates_bias=bias)
+        hspec = hg.HypernetSpec(embedding_dim=4, head_topology=hg.SHARED_SAME_SIZE)
         return mspec, hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"),
                                        Rng(seed))
 
