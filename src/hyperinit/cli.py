@@ -52,12 +52,13 @@ _positive = _bounded(_finite, 0, "a finite number > 0", strict=True)
 
 
 def _seed_list(text):
+    expected = f"expected a comma-separated list of integer seeds, got {text!r}"
     try:
         seeds = [_seed(s) for s in text.split(",") if s.strip()]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+    except ValueError:   # an entry int() cannot read
+        raise argparse.ArgumentTypeError(expected) from None
     if not seeds:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integer seeds")
+        raise argparse.ArgumentTypeError(expected)
     return seeds
 
 

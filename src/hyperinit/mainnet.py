@@ -14,12 +14,16 @@ is the output of a net that ends in a conv layer. The caller-facing layouts
 stay NCHW/OIHW: ``trace.inputs[0]`` is (B, C, H, W), and conv weights and
 their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient for
 the input batch: nothing trains it.
-Every conv pass works through the batch one window of samples at a time
-(about 1<<20 patch-matrix entries), through buffers reused from window to
-window: no padded copy of the batch, no patch matrix beyond the one a
-backward needs, no padded gradient. A forward-only pass
-(``forward(..., for_backward=False)``: evaluation, the probe's replay) keeps
-no patch matrix at all, and ``backward`` refuses its trace.
+Every conv pass works through the batch in windows of samples (about 1<<20
+patch-matrix entries each), one contiguous group of windows per core, each
+group on its own thread through buffers reused from window to window: no
+padded copy of the batch, no patch matrix beyond the one a backward needs,
+no padded gradient. Every window runs the same n-row GEMM in either forward
+mode, and no two threads write one row, so the bits do not depend on the
+core count. A forward-only pass (``forward(..., for_backward=False)``:
+evaluation, the probe's replay) keeps no patch matrix at all, and
+``backward(..., weights=True)`` drops each conv layer's patch matrix once its
+weight gradient is formed; ``backward`` refuses a trace without them.
 Overflowing activations (|y| > 1e30 or non-finite) are
 reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
@@ -157,7 +161,8 @@ class ForwardTrace:
     acts: list = field(default_factory=list)      # x[t+1] = activation(y[t])
     pool_shape: dict = field(default_factory=dict)  # {t: NHWC shape averaged into layer t}
     # {t: (patch matrix, NHWC input shape)}; the matrix is None in a trace
-    # of a forward-only pass (forward(..., for_backward=False))
+    # of a forward-only pass (forward(..., for_backward=False)) and once
+    # backward(..., weights=True) has formed layer t's weight gradient
     conv_cols: dict = field(default_factory=dict)
     overflow_layer: int | None = None
 
@@ -223,36 +228,88 @@ def _sample_windows(b, rows_per_sample):
     return [slice(min(lo, b - n), min(lo, b - n) + n) for lo in range(0, b, max(n, 1))], n
 
 
+def _in_groups(windows, buffers, run):
+    """Run the windows in one contiguous group per core: ``run(group,
+    *buffers(group))`` for each, the first group on the calling thread and
+    each other on a short-lived thread of its own. A group lists (window,
+    first sample the window adds) pairs; only an overlapping last window adds
+    fewer samples than it spans. Every group's buffers are made on the
+    calling thread before any group runs. Once every group has ended, the
+    first exception one raised is raised again."""
+    # imported here, not at module level: a net with no conv layer imports nothing new
+    import os
+    import threading
+    pairs = list(zip(windows, [0] + [s.stop for s in windows[:-1]]))
+    m = max(1, min(len(os.sched_getaffinity(0)), len(pairs)))
+    groups = [pairs[len(pairs) * g // m:len(pairs) * (g + 1) // m] for g in range(m)]
+    args = [(group, *buffers(group)) for group in groups]
+    errors = []
+
+    def guarded(*a):
+        try:
+            run(*a)
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(*args[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _conv_forward(x, weight, bias, kernel, for_backward=True):
     """NHWC conv: the (B, oh, ow, C_out) output and the (B*oh*ow, kh*kw*C)
     patch matrix, or None for it without ``for_backward``.
 
-    Each window of samples is copied into the interior of one zeroed, reused
-    padded block and unrolled from it. With ``for_backward`` the windows fill
-    the whole-batch patch matrix that ``weight_factors`` needs, and one GEMM
-    multiplies it; without, each window goes through one reused block of
-    patch rows straight into its rows of the output."""
+    The windows of samples run in groups, one per core (``_in_groups``).
+    Each window is copied into the interior of its group's zeroed padded
+    block, unrolled from it, and multiplied by one n-row GEMM straight into
+    its rows of the output. With ``for_backward`` it unrolls into its rows of
+    the whole-batch patch matrix that ``weight_factors`` needs; without,
+    into its group's reused block of patch rows. An overlapping last window
+    shares samples with the window before it, which another thread may be
+    writing at the same time: it unrolls into its group's block, multiplies
+    into an output block of its own and copies only its new rows."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x.shape
     oh, ow = _conv_out_hw(h, w, kernel)
     k, p = kh * kw * c, oh * ow
+    c_out = weight.shape[0]
     wm_t = _weight_matrix(weight).T
     windows, n = _sample_windows(b, p * k)
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE)
-    cols = np.empty(((b if for_backward else n) * p, k), dtype=DTYPE)
-    y = np.empty((b, oh, ow, weight.shape[0]), dtype=DTYPE)
-    y_mat = y.reshape(b * p, -1)
-    for s in windows:
-        xp[:, pad:pad + h, pad:pad + w] = x[s]
-        rows = slice(s.start * p, s.stop * p)
-        dst = cols[rows] if for_backward else cols
-        dst.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
-        if not for_backward:
-            np.matmul(dst, wm_t, out=y_mat[rows])
-    if for_backward:
-        np.matmul(cols, wm_t, out=y_mat)
-    y += bias
-    return y, cols if for_backward else None
+    cols = np.empty((b * p, k), dtype=DTYPE) if for_backward else None
+    y = np.empty((b, oh, ow, c_out), dtype=DTYPE)
+    y_mat = y.reshape(b * p, c_out)
+
+    def buffers(group):
+        shares = any(f > s.start for s, f in group)
+        return (np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE),
+                np.empty((n * p, k), dtype=DTYPE) if shares or not for_backward else None,
+                np.empty((n * p, c_out), dtype=DTYPE) if shares else None)
+
+    def run(group, xp, block, y_own):
+        for s, f in group:
+            xp[:, pad:pad + h, pad:pad + w] = x[s]
+            rows, new = slice(s.start * p, s.stop * p), slice(f * p, s.stop * p)
+            shares = f > s.start
+            a = block if shares or not for_backward else cols[rows]
+            a.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
+            out = np.matmul(a, wm_t, out=y_own if shares else y_mat[rows])
+            if shares:
+                skip = (f - s.start) * p
+                y_mat[new] = out[skip:]
+                if for_backward:
+                    cols[new] = a[skip:]
+            y_mat[new] += bias
+
+    _in_groups(windows, buffers, run)
+    return y, cols
 
 
 def _tap_ranges(size, out, k, stride, pad):
@@ -270,13 +327,14 @@ def _tap_ranges(size, out, k, stride, pad):
 
 
 def _conv_input_grad(x_shape, weight, kernel, dy):
-    """dL/dx of an NHWC conv from its output gradient ``dy``, one window of
-    samples at a time: the window's patch gradients go into one reused
-    buffer and are added, tap by tap in kernel order, straight into the
-    unpadded ``dx``; taps that read the zero padding are clipped off, so
-    every element takes the same adds in the same order as from a padded
-    batch. Samples an overlapping window shares with the one before it are
-    added once."""
+    """dL/dx of an NHWC conv from its output gradient ``dy``, the windows of
+    samples in groups, one per core (``_in_groups``): a window's patch
+    gradients go into its group's reused buffer and are added, tap by tap in
+    kernel order, straight into its samples of the unpadded ``dx``; taps
+    that read the zero padding are clipped off, so every element takes the
+    same adds in the same order as from a padded batch. An overlapping last
+    window skips the samples it shares with the window before it, so no two
+    windows write one sample."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x_shape
     _, oh, ow, c_out = dy.shape
@@ -284,19 +342,20 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
     wm = _weight_matrix(weight)
     dy_mat = dy.reshape(b * p, c_out)
     windows, n = _sample_windows(b, p * k)
-    dcols = np.empty((n * p, k), dtype=DTYPE)
     dx = np.zeros(x_shape, dtype=DTYPE)
     taps = [(i, j, rows, cols, hs, ws)
             for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
             for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
-    done = 0
-    for s in windows:
-        d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
-        d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
-        dxs = dx[done:s.stop]
-        done = s.stop
-        for i, j, rows, cols, hs, ws in taps:
-            dxs[:, hs, ws] += d[:, rows, cols, i, j]
+
+    def run(group, dcols):
+        for s, f in group:
+            d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
+            d = d.reshape(n, oh, ow, kh, kw, c)[f - s.start:]
+            dxs = dx[f:s.stop]
+            for i, j, rows, cols, hs, ws in taps:
+                dxs[:, hs, ws] += d[:, rows, cols, i, j]
+
+    _in_groups(windows, lambda group: (np.empty((n * p, k), dtype=DTYPE),), run)
     return dx
 
 
@@ -306,7 +365,11 @@ def weight_factors(trace, t, dy):
     matrix (a conv layer's patch matrix, K = B*oh*ow), so that the gradient
     is ``dy.T @ x``."""
     if t in trace.conv_cols:
-        return dy.reshape(-1, dy.shape[-1]), trace.conv_cols[t][0]
+        cols, _ = trace.conv_cols[t]
+        if cols is None:
+            raise SpecError(f"layer {t} kept no patch matrix: the trace comes from a "
+                            "forward-only pass or was spent by backward(..., weights=True)")
+        return dy.reshape(-1, dy.shape[-1]), cols
     return dy, trace.inputs[t]
 
 
@@ -331,8 +394,8 @@ def forward(spec, params, batch, labels=None, for_backward=True):
 
     The trace keeps every pre- and post-activation for backprop and probing.
     With ``for_backward=False`` (an evaluation or a replay) it keeps no conv
-    patch matrix: each block of samples is multiplied straight into the
-    output, and ``backward`` refuses the trace.
+    patch matrix: each window of samples is unrolled into a reused block,
+    and ``backward`` refuses the trace.
     Overflow raises no floating-point warning: the trace records the first
     overflowing layer, and the caller judges a non-finite or huge loss.
     """
@@ -424,12 +487,18 @@ def backward(spec, params, trace, labels, weights=True):
     instead. The fixed-head fast path takes them so: it forms each head's
     gradient block by block with ``weight_grad`` and applies the block at
     once, so a whole weight gradient is never written.
+    With ``weights=True`` each conv layer's patch matrix is dropped from the
+    trace once its weight gradient is formed, so the rest of the walk does
+    not hold it; the trace is then spent, and ``weight_factors`` and
+    a second ``backward`` refuse it. Conv input gradients run their windows
+    on every core (``_conv_input_grad``).
     """
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
         raise SpecError("trace does not match the spec")
     if any(cols is None for cols, _ in trace.conv_cols.values()):
-        raise SpecError("trace kept no patch matrices: it comes from a forward-only pass")
+        raise SpecError("trace kept no patch matrices: it comes from a forward-only "
+                        "pass or was spent by backward(..., weights=True)")
     dW = [None] * n_layers
     db = [None] * n_layers
     dys = [None] * n_layers
@@ -441,6 +510,8 @@ def backward(spec, params, trace, labels, weights=True):
         dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
         if weights:
             dW[t] = weight_grad(layer, trace, t, dy)
+            if t in trace.conv_cols:   # nothing reads the patch matrix again
+                trace.conv_cols[t] = (None, trace.conv_cols[t][1])
         else:
             dys[t] = dy
         db[t] = dy.reshape(-1, layer.d_out).sum(axis=0)

@@ -38,6 +38,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("train", "--seeds", "1,x"),
+        ("train", "--seeds", "1.5"),
         ("train", "--seeds", ","),
         ("train", "--lr", "-1"),
         ("train", "--lr", "nan"),
@@ -61,7 +62,8 @@ class TestUsageErrors:
                     "init-table": ("--geometry", "1,1,1,1")}
         code, out, err = run(capsys, command, *required.get(command, ()), *flags)
         assert code == 2 and not out
-        assert f"argument {flags[0]}" in err
+        # every number flag says what it expected, in its own words
+        assert f"argument {flags[0]}: expected " in err
 
 
 class TestInitTable:

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -289,6 +292,8 @@ class TestConv:
         trace, _ = mn.forward(spec, params, x, y)
         want = mn.backward(spec, params, trace, y)
         assert want.preacts is None
+        # the first backward has spent the trace's patch matrices
+        trace, _ = mn.forward(spec, params, x, y)
         got = mn.backward(spec, params, trace, y, weights=False)
         assert got.weight == [None] * len(spec.layers)
         for t, layer in enumerate(spec.layers):
@@ -446,6 +451,105 @@ class TestBlockedConv:
         assert trace.conv_cols[0][0] is None
         with pytest.raises(mn.SpecError, match="trace kept no patch matrices"):
             mn.backward(spec, params, trace, np.array([0, 1]))
+
+    def test_backward_spends_the_patch_matrices(self):
+        spec = mn.allconv(2, [3, 4], 3, kernel=3, strides=[1, 2])
+        params = random_params(spec, Rng(8))
+        x = Rng(9).normal(1.0, (2, 2, 5, 5))
+        y = np.array([0, 1])
+        trace, _ = mn.forward(spec, params, x, y)
+        shapes = {t: shape for t, (_, shape) in trace.conv_cols.items()}
+        mn.backward(spec, params, trace, y, weights=False)
+        assert all(cols is not None for cols, _ in trace.conv_cols.values())
+        mn.backward(spec, params, trace, y)
+        assert trace.conv_cols == {t: (None, shape) for t, shape in shapes.items()}
+        dy = np.zeros(trace.preacts[1].shape)
+        with pytest.raises(mn.SpecError, match="layer 1 kept no patch matrix"):
+            mn.weight_factors(trace, 1, dy)
+        with pytest.raises(mn.SpecError, match="trace kept no patch matrices"):
+            mn.backward(spec, params, trace, y, weights=False)
+
+
+def force_cores(monkeypatch, cores):
+    """Make the conv passes see ``cores`` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+# (batch NCHW shape, kernel, C_out): two windows, the last overlapping the
+# first and run in another group at 2 or 3 cores (137 samples at
+# cifar-allconv's layer 0: windows 0-127 and 9-136, and two odd shapes);
+# four windows, the last overlapping; six windows, none overlapping
+PARALLEL_CASES = [
+    ((137, 3, 32, 32), (3, 3, 2, 1), 96),
+    ((70, 6, 20, 21), (3, 2, 1, 1), 32),
+    ((300, 20, 5, 5), (3, 3, 2, 2), 20),
+    ((50, 96, 16, 16), (3, 3, 2, 1), 96),
+    ((96, 96, 16, 16), (3, 3, 2, 1), 8),
+]
+
+
+class TestParallelWindows:
+    @pytest.mark.parametrize("shape, kernel, c_out", PARALLEL_CASES)
+    def test_passes_are_bit_equal_at_every_core_count(self, shape, kernel, c_out,
+                                                      monkeypatch):
+        x, w, b = conv_case(shape, kernel, c_out)
+        dy = None
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # threads trade the interpreter often
+        try:
+            for cores in (1, 2, 3):
+                force_cores(monkeypatch, cores)
+                y, cols = mn._conv_forward(x, w, b, kernel)
+                y_only, _ = mn._conv_forward(x, w, b, kernel, for_backward=False)
+                if dy is None:
+                    dy = Rng(4).normal(1.0, y.shape)
+                got[cores] = y, cols, y_only, mn._conv_input_grad(x.shape, w, kernel, dy)
+        finally:
+            sys.setswitchinterval(interval)
+        cols = got[1][1]
+        assert len(mn._sample_windows(shape[0], cols.size // shape[0])[0]) > 1
+        for cores in (2, 3):
+            for want, have in zip(got[1], got[cores]):
+                np.testing.assert_array_equal(have, want)
+
+    def test_both_modes_give_equal_outputs_on_a_wide_layer(self):
+        # one forward-only and one for-backward pass run the same window
+        # GEMMs, at whatever BLAS thread count the suite runs with
+        x, w, b = conv_case((64, 64, 15, 15), (3, 3, 1, 1), 500)
+        y, _ = mn._conv_forward(x, w, b, (3, 3, 1, 1))
+        y_only, _ = mn._conv_forward(x, w, b, (3, 3, 1, 1), for_backward=False)
+        np.testing.assert_array_equal(y_only, y)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_passes_leave_no_thread_running(self, cores, monkeypatch):
+        force_cores(monkeypatch, cores)
+        spec = mn.allconv(3, [8, 8], 3, kernel=3, strides=[2, 1])
+        params = random_params(spec, Rng(10))
+        x = Rng(11).normal(1.0, (64, 3, 32, 32))
+        y = np.asarray(Rng(12).integers(3, size=64))
+        before = threading.active_count()
+        trace, _ = mn.forward(spec, params, x, y)
+        assert threading.active_count() == before
+        mn.backward(spec, params, trace, y)
+        assert threading.active_count() == before
+
+    def test_an_error_in_a_later_group_reaches_the_caller(self, monkeypatch):
+        force_cores(monkeypatch, 2)
+        patches = mn._patches
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("window failed")
+            return patches(*args)
+
+        monkeypatch.setattr(mn, "_patches", failing)
+        x, w, b = conv_case((137, 3, 32, 32), (3, 3, 2, 1), 8)
+        before = threading.active_count()
+        for for_backward in (True, False):
+            with pytest.raises(RuntimeError, match="window failed"):
+                mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward)
+            assert threading.active_count() == before
 
 
 class TestVarianceRecursion:

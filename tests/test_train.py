@@ -193,11 +193,13 @@ class TestFastPath:
         return arrays
 
     @staticmethod
-    def dense_update(fast, mspec, step, y, lr):
+    def dense_update(fast, mspec, step, x, y, lr):
         """Every head's stack after a whole-gradient update: stack minus
         lr * gram @ (the targets' gradients: ``dy.T @ x`` of the step's own
-        factors for a dense layer, mainnet.backward's for a conv layer)."""
-        want = mn.backward(mspec, step.params, step.trace, y)
+        factors for a dense layer, mainnet.backward's for a conv layer, on a
+        fresh forward: the step's trace keeps its patch matrices for the
+        update)."""
+        want = mn.backward(mspec, step.params, mn.forward(mspec, step.params, x, y)[0], y)
         weight = [step.grads.preacts[t].T @ step.trace.inputs[t] if layer.kind == "dense"
                   else want.weight[t] for t, layer in enumerate(mspec.layers)]
         grads = {"W": weight, "b": step.grads.bias}
@@ -327,7 +329,7 @@ class TestFastPath:
         dy[0, 0] = 1e150
         xin *= 1e150 / np.abs(xin).max()
         assert len(xin) * np.abs(dy).max() * np.abs(xin).max() >= tr.SAFE_PRODUCT
-        want = self.dense_update(fast, mspec, step, y, 1e-3)
+        want = self.dense_update(fast, mspec, step, x, y, 1e-3)
         assert fast.update(step, 1e-3)
         for rec, w in zip(fast.heads, want):
             assert np.isfinite(rec["stack"]).all()
@@ -346,7 +348,7 @@ class TestFastPath:
             assert any(len(rec["blocks"]) > 1 for rec in fast.heads)
         x, y = self.batch(mspec, Rng(31))
         step = tr.pipeline_step(net, mspec, x, y, fast.carried, weights=False)
-        want = self.dense_update(fast, mspec, step, y, 0.1)
+        want = self.dense_update(fast, mspec, step, x, y, 0.1)
         assert fast.update(step, 0.1)
         for rec, w in zip(fast.heads, want):
             np.testing.assert_allclose(rec["stack"], w, rtol=1e-12, atol=1e-15)
