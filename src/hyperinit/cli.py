@@ -268,11 +268,10 @@ def cmd_report(args):
     if args.summary or not args.csv:
         for rep in reports:
             kinds = rep.kinds()
-            with_theory = [r for r in rep.rows if r.theory is not None]
+            rated = [r for r in rep.rows if r.ratio is not None]
             line = f"step {rep.step}: {len(rep.rows)} rows, kinds={','.join(kinds)}"
-            if with_theory:
-                worst = max(with_theory,
-                            key=lambda r: abs((r.ratio or 1.0) - 1.0))
+            if rated:   # a nan ratio is the worst
+                worst = max(rated, key=lambda r: np.nan_to_num(abs(r.ratio - 1.0), nan=np.inf))
                 line += (f"; worst ratio {worst.ratio:.3g} "
                          f"({worst.kind} layer {worst.layer})")
             print(line)

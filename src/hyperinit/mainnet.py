@@ -19,8 +19,8 @@ patch-matrix entries each), one contiguous group of windows per core, each
 group on its own thread through buffers reused from window to window: no
 padded copy of the batch, no patch matrix beyond the one a backward needs,
 no padded gradient. Every window runs the same n-row GEMM in either forward
-mode, and no two threads write one row, so the bits do not depend on the
-core count. A forward-only pass (``forward(..., for_backward=False)``:
+mode, and no sample is handled by two threads, so the bits do not depend on
+the core count. A forward-only pass (``forward(..., for_backward=False)``:
 evaluation, the probe's replay) keeps no patch matrix at all, and
 ``backward(..., weights=True)`` drops each conv layer's patch matrix once its
 weight gradient is formed; ``backward`` refuses a trace without them.
@@ -29,6 +29,8 @@ reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
 """
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,9 +162,9 @@ class ForwardTrace:
     preacts: list = field(default_factory=list)   # y[t] before the activation
     acts: list = field(default_factory=list)      # x[t+1] = activation(y[t])
     pool_shape: dict = field(default_factory=dict)  # {t: NHWC shape averaged into layer t}
-    # {t: (patch matrix, NHWC input shape)}; the matrix is None in a trace
-    # of a forward-only pass (forward(..., for_backward=False)) and once
-    # backward(..., weights=True) has formed layer t's weight gradient
+    # {t: conv layer t's patch matrix, no sample of it handled by two threads};
+    # None in a trace of a forward-only pass (forward(..., for_backward=False))
+    # and once backward(..., weights=True) has formed layer t's weight gradient
     conv_cols: dict = field(default_factory=dict)
     overflow_layer: int | None = None
 
@@ -229,20 +231,20 @@ def _sample_windows(b, rows_per_sample):
 
 
 def _in_groups(windows, buffers, run):
-    """Run the windows in one contiguous group per core: ``run(group,
-    *buffers(group))`` for each, the first group on the calling thread and
-    each other on a short-lived thread of its own. A group lists (window,
-    first sample the window adds) pairs; only an overlapping last window adds
-    fewer samples than it spans. Every group's buffers are made on the
-    calling thread before any group runs. Once every group has ended, the
-    first exception one raised is raised again."""
-    # imported here, not at module level: a net with no conv layer imports nothing new
-    import os
-    import threading
-    pairs = list(zip(windows, [0] + [s.stop for s in windows[:-1]]))
-    m = max(1, min(len(os.sched_getaffinity(0)), len(pairs)))
-    groups = [pairs[len(pairs) * g // m:len(pairs) * (g + 1) // m] for g in range(m)]
-    args = [(group, *buffers(group)) for group in groups]
+    """Run the windows in contiguous groups, one per core, so that no sample
+    is handled by two threads: ``run(group, *buffers())`` for each, the first
+    group on the calling thread and each other on a short-lived thread of its
+    own. An overlapping last window that the even split leaves alone joins
+    the group before it, to run right after the window it overlaps. All
+    buffers are made on the calling thread before any group runs. Once every
+    group has ended, the first exception one raised is raised again."""
+    if not windows:
+        return
+    m = min(len(os.sched_getaffinity(0)), len(windows))
+    groups = [windows[len(windows) * g // m:len(windows) * (g + 1) // m] for g in range(m)]
+    if m > 1 and groups[-1][0].start < groups[-2][-1].stop:
+        groups[-2:] = [groups[-2] + groups[-1]]
+    args = [(group, *buffers()) for group in groups]
     errors = []
 
     def guarded(*a):
@@ -267,15 +269,14 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
     """NHWC conv: the (B, oh, ow, C_out) output and the (B*oh*ow, kh*kw*C)
     patch matrix, or None for it without ``for_backward``.
 
-    The windows of samples run in groups, one per core (``_in_groups``).
-    Each window is copied into the interior of its group's zeroed padded
-    block, unrolled from it, and multiplied by one n-row GEMM straight into
-    its rows of the output. With ``for_backward`` it unrolls into its rows of
-    the whole-batch patch matrix that ``weight_factors`` needs; without,
-    into its group's reused block of patch rows. An overlapping last window
-    shares samples with the window before it, which another thread may be
-    writing at the same time: it unrolls into its group's block, multiplies
-    into an output block of its own and copies only its new rows."""
+    The windows of samples run in groups, one per core, and no sample is
+    handled by two threads (``_in_groups``). Each window is copied into the
+    interior of its group's zeroed padded block, unrolled from it, and
+    multiplied by one n-row GEMM straight into its rows of the output. With
+    ``for_backward`` it unrolls into its rows of the whole-batch patch matrix
+    that ``weight_factors`` needs; without, into its group's reused block of
+    patch rows. An overlapping last window rewrites the rows it shares with
+    the window before it, with the same values, on the same thread."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x.shape
     oh, ow = _conv_out_hw(h, w, kernel)
@@ -287,26 +288,18 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
     y = np.empty((b, oh, ow, c_out), dtype=DTYPE)
     y_mat = y.reshape(b * p, c_out)
 
-    def buffers(group):
-        shares = any(f > s.start for s, f in group)
+    def buffers():
         return (np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE),
-                np.empty((n * p, k), dtype=DTYPE) if shares or not for_backward else None,
-                np.empty((n * p, c_out), dtype=DTYPE) if shares else None)
+                None if for_backward else np.empty((n * p, k), dtype=DTYPE))
 
-    def run(group, xp, block, y_own):
-        for s, f in group:
+    def run(group, xp, block):
+        for s in group:
             xp[:, pad:pad + h, pad:pad + w] = x[s]
-            rows, new = slice(s.start * p, s.stop * p), slice(f * p, s.stop * p)
-            shares = f > s.start
-            a = block if shares or not for_backward else cols[rows]
+            rows = slice(s.start * p, s.stop * p)
+            a = cols[rows] if for_backward else block
             a.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
-            out = np.matmul(a, wm_t, out=y_own if shares else y_mat[rows])
-            if shares:
-                skip = (f - s.start) * p
-                y_mat[new] = out[skip:]
-                if for_backward:
-                    cols[new] = a[skip:]
-            y_mat[new] += bias
+            np.matmul(a, wm_t, out=y_mat[rows])
+            y_mat[rows] += bias
 
     _in_groups(windows, buffers, run)
     return y, cols
@@ -328,13 +321,13 @@ def _tap_ranges(size, out, k, stride, pad):
 
 def _conv_input_grad(x_shape, weight, kernel, dy):
     """dL/dx of an NHWC conv from its output gradient ``dy``, the windows of
-    samples in groups, one per core (``_in_groups``): a window's patch
-    gradients go into its group's reused buffer and are added, tap by tap in
-    kernel order, straight into its samples of the unpadded ``dx``; taps
-    that read the zero padding are clipped off, so every element takes the
-    same adds in the same order as from a padded batch. An overlapping last
-    window skips the samples it shares with the window before it, so no two
-    windows write one sample."""
+    samples in groups, one per core, no sample handled by two threads
+    (``_in_groups``): a window's patch gradients go into its group's reused
+    buffer and are added, tap by tap in kernel order, straight into its
+    samples of the unpadded ``dx``; taps that read the zero padding are
+    clipped off, so every element takes the same adds in the same order as
+    from a padded batch. An overlapping last window skips the samples its
+    group has already done, so no sample is added into twice."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x_shape
     _, oh, ow, c_out = dy.shape
@@ -348,14 +341,16 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
             for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
 
     def run(group, dcols):
-        for s, f in group:
+        done = group[0].start
+        for s in group:
             d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
-            d = d.reshape(n, oh, ow, kh, kw, c)[f - s.start:]
-            dxs = dx[f:s.stop]
+            d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
+            dxs = dx[done:s.stop]
             for i, j, rows, cols, hs, ws in taps:
                 dxs[:, hs, ws] += d[:, rows, cols, i, j]
+            done = s.stop
 
-    _in_groups(windows, lambda group: (np.empty((n * p, k), dtype=DTYPE),), run)
+    _in_groups(windows, lambda: (np.empty((n * p, k), dtype=DTYPE),), run)
     return dx
 
 
@@ -365,7 +360,7 @@ def weight_factors(trace, t, dy):
     matrix (a conv layer's patch matrix, K = B*oh*ow), so that the gradient
     is ``dy.T @ x``."""
     if t in trace.conv_cols:
-        cols, _ = trace.conv_cols[t]
+        cols = trace.conv_cols[t]
         if cols is None:
             raise SpecError(f"layer {t} kept no patch matrix: the trace comes from a "
                             "forward-only pass or was spent by backward(..., weights=True)")
@@ -416,7 +411,7 @@ def forward(spec, params, batch, labels=None, for_backward=True):
                 raise SpecError(f"layer {t} expects {layer.d_in} channels, got {np.shape(batch)}")
             y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel,
                                     for_backward)
-            trace.conv_cols[t] = (cols, x.shape)
+            trace.conv_cols[t] = cols
         if trace.overflow_layer is None:
             m = np.abs(y).max()
             if not np.isfinite(m) or m > OVERFLOW_LIMIT:
@@ -496,7 +491,7 @@ def backward(spec, params, trace, labels, weights=True):
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
         raise SpecError("trace does not match the spec")
-    if any(cols is None for cols, _ in trace.conv_cols.values()):
+    if any(cols is None for cols in trace.conv_cols.values()):
         raise SpecError("trace kept no patch matrices: it comes from a forward-only "
                         "pass or was spent by backward(..., weights=True)")
     dW = [None] * n_layers
@@ -511,7 +506,7 @@ def backward(spec, params, trace, labels, weights=True):
         if weights:
             dW[t] = weight_grad(layer, trace, t, dy)
             if t in trace.conv_cols:   # nothing reads the patch matrix again
-                trace.conv_cols[t] = (None, trace.conv_cols[t][1])
+                trace.conv_cols[t] = None
         else:
             dys[t] = dy
         db[t] = dy.reshape(-1, layer.d_out).sum(axis=0)
@@ -520,7 +515,7 @@ def backward(spec, params, trace, labels, weights=True):
         if layer.kind == DENSE:
             dx = dy @ params[t]["W"]
         else:
-            dx = _conv_input_grad(trace.conv_cols[t][1], params[t]["W"], layer.kernel, dy)
+            dx = _conv_input_grad(trace.inputs[t].shape, params[t]["W"], layer.kernel, dy)
         if t in trace.pool_shape:
             shape = trace.pool_shape[t]
             dx = np.broadcast_to(

@@ -125,7 +125,6 @@ class Prediction:
     act_var: list          # None where the activation makes the value non-closed-form
     linear_var: list       # identity-replay recursion, never squashed or halved
     grad_shrink: list
-    input_var: float
 
 
 def predict(scheme, mspec, hypernet, var_input=1.0):
@@ -161,7 +160,7 @@ def predict(scheme, mspec, hypernet, var_input=1.0):
         shrink.append(gradient_shrink_factor(geom))
     return Prediction(weight_var=weight_var, preact_var=preact_var,
                       act_var=act_var, linear_var=linear_var,
-                      grad_shrink=shrink, input_var=var_input)
+                      grad_shrink=shrink)
 
 
 @dataclass
@@ -207,25 +206,27 @@ def compare(report, prediction, band=DEFAULT_BAND):
     return Comparison(rows=checked, all_passed=ok)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def activation_variance_ratios(trace):
     """Per-layer Var(act[t]) / Var(act[t-1]), with the input as layer -1.
 
     A variance-preserving initialization keeps every ratio near 1; a classical
     scheme applied to the hypernet pushes each ratio toward the layer width.
+    A layer after one of zero variance gives inf (nan if it is zero too).
     """
-    vs = [float(np.var(trace.inputs[0]))] + [float(np.var(a)) for a in trace.acts]
-    return [vs[t + 1] / vs[t] for t in range(len(trace.acts))]
+    vs = np.array([np.var(trace.inputs[0])] + [np.var(a) for a in trace.acts])
+    return (vs[1:] / vs[:-1]).tolist()
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def gradient_variance_ratios(grads):
-    """Var(dL/dx[t]) / Var(dL/dx[t+1]) across adjacent layers."""
-    vs = [float(np.var(g)) for g in grads.acts]
-    return [vs[t] / vs[t + 1] for t in range(len(vs) - 1)]
+    """Var(dL/dx[t]) / Var(dL/dx[t+1]) across adjacent layers, inf or nan
+    over a zero variance as in ``activation_variance_ratios``."""
+    vs = np.array([np.var(g) for g in grads.acts])
+    return (vs[:-1] / vs[1:]).tolist()
 
 
 def report_to_dict(reports):
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
     out = {}
     for rep in reports:
         step = out.setdefault(str(rep.step), {})
@@ -243,8 +244,6 @@ def write_json(path, reports):
 
 
 def write_csv(path, reports):
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["step", "layer", "kind", "mean", "var", "theory", "ratio"])
@@ -255,16 +254,26 @@ def write_csv(path, reports):
                             "" if row.ratio is None else row.ratio])
 
 
+def _number(stats, key, optional=False):
+    """stats[key], which must be a JSON number (or null when ``optional``)."""
+    value = stats.get(key) if optional else stats[key]
+    if not (type(value) in (int, float) or optional and value is None):
+        raise ValueError(f"{key} {value!r} is not a number")
+    return value
+
+
 def rows_from_dict(data):
-    """Inverse of report_to_dict: rebuild VarianceReports from parsed JSON."""
+    """Inverse of report_to_dict: rebuild VarianceReports from parsed JSON;
+    raises ValueError on a non-numeric mean, var, theory or ratio."""
     reports = []
     for step_key in sorted(data, key=lambda s: int(s)):
         rows = []
         for layer_key, kinds in sorted(data[step_key].items(), key=lambda kv: int(kv[0])):
             for kind, stats in sorted(kinds.items()):
                 rows.append(StatRow(step=int(step_key), layer=int(layer_key), kind=kind,
-                                    mean=stats["mean"], var=stats["var"],
-                                    n=stats.get("n", 0), theory=stats.get("theory"),
-                                    ratio=stats.get("ratio")))
+                                    mean=_number(stats, "mean"), var=_number(stats, "var"),
+                                    n=stats.get("n", 0),
+                                    theory=_number(stats, "theory", optional=True),
+                                    ratio=_number(stats, "ratio", optional=True)))
         reports.append(VarianceReport(step=int(step_key), rows=rows))
     return reports

@@ -47,7 +47,7 @@ baseline initializations are expected to end this way.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -512,14 +512,9 @@ SCHEDULES = {"classification": _classification_schedule,
              "regression": _regression_schedule}
 
 
-def train(preset_name, config=None, data_dir=None, data=None, out_dir=None,
-          scheme=None):
+def train(preset_name, config, data_dir=None, data=None, out_dir=None):
     """Run one experiment preset; returns a TrainResult (partial on divergence)."""
     preset = PRESETS[preset_name]
-    if config is None:
-        config = config_for(preset_name)
-    if scheme is not None:
-        config = replace(config, scheme=scheme)
     rng = Rng(config.seed)
     mspec = preset.build_mainnet()
     schedule = SCHEDULES[preset.kind](preset, config, rng, mspec, data_dir, data)

@@ -135,6 +135,22 @@ class TestVarianceCheck:
         assert (out_file.parent / "manifest.json").is_file()
 
 
+    @pytest.mark.parametrize("argv", [
+        # a dead ReLU layer
+        ("--relu", "--width", "2", "--batch", "2", "--depth", "3", "--seed", "1"),
+        # one value per layer
+        ("--width", "1", "--batch", "1", "--depth", "1"),
+    ])
+    def test_a_zero_variance_layer_fails(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "variance-check", *argv, "--out", str(out_file))
+        assert code == 1
+        assert any("act-variance ratio" in line and "[FAIL]" in line
+                   for line in out.splitlines())
+        assert "Traceback" not in err
+        assert "0" in json.loads(out_file.read_text())
+
+
 class TestGradCheck:
     def test_passes_threshold(self, capsys):
         code, out, _ = run(capsys, "grad-check", "--seed", "7")
@@ -247,6 +263,11 @@ class TestReport:
         "{bad",                                  # not JSON
         '{"0": {"0": {"act": {"var": 1.0}}}}',   # a row without its mean
         "[1, 2]",                                # not step -> layer -> kind
+        # a non-numeric field
+        '{"0": {"0": {"act": {"mean": "x", "var": 1, "theory": 1, "ratio": 1}}}}',
+        '{"0": {"0": {"act": {"mean": 1, "var": [1], "theory": 1, "ratio": 1}}}}',
+        '{"0": {"0": {"act": {"mean": 1, "var": 1, "theory": {}, "ratio": 1}}}}',
+        '{"0": {"0": {"act": {"mean": 1, "var": 1, "theory": 1, "ratio": "x"}}}}',
     ])
     def test_malformed_report_is_format_error(self, capsys, tmp_path, text):
         path = tmp_path / "probe.json"
@@ -254,3 +275,19 @@ class TestReport:
         code, _, err = run(capsys, "report", "--in", str(path))
         assert code == 3
         assert "is not a probe report" in err
+
+    @pytest.mark.parametrize("text, summary", [
+        ('{"0": {"0": {"act": {"mean": 0, "var": 0, "theory": 0, "ratio": null}}}}',
+         "step 0: 1 rows, kinds=act"),
+        ('{"0": {"0": {"act": {"mean": 0, "var": 0, "theory": 0, "ratio": null},'
+         ' "weight": {"mean": 0, "var": 2, "theory": 2, "ratio": 1.0}},'
+         ' "1": {"weight": {"mean": 0, "var": 1, "theory": 2, "ratio": 0.5}}}}',
+         "step 0: 3 rows, kinds=act,weight; worst ratio 0.5 (weight layer 1)"),
+    ])
+    def test_summary_reads_only_rows_with_a_ratio(self, capsys, tmp_path, text, summary):
+        # probe.compare leaves the ratio null where a theory value is 0
+        path = tmp_path / "probe.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "report", "--in", str(path), "--summary")
+        assert code == 0
+        assert out == summary + "\n"

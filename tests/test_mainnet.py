@@ -414,6 +414,14 @@ class TestBlockedConv:
         np.testing.assert_array_equal(mn._conv_input_grad(x.shape, w, kernel, dy),
                                       col2im_per_tap(dcols, x.shape, kernel, hw))
 
+    def test_an_empty_batch_gives_empty_passes(self):
+        x, w, b = conv_case((0, 3, 8, 8), (3, 3, 2, 1), 4)
+        y, cols = mn._conv_forward(x, w, b, (3, 3, 2, 1))
+        assert y.shape == (0, 4, 4, 4) and cols.shape == (0, 27)
+        y, cols = mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward=False)
+        assert y.shape == (0, 4, 4, 4) and cols is None
+        assert mn._conv_input_grad(x.shape, w, (3, 3, 2, 1), y).shape == x.shape
+
     def test_windows_cover_the_batch_once_in_order(self):
         for b in (1, 5, 16, 17, 300):
             windows, n = mn._sample_windows(b, 1 << 16)
@@ -448,7 +456,7 @@ class TestBlockedConv:
         params = random_params(spec, Rng(8))
         x = Rng(9).normal(1.0, (2, 2, 5, 5))
         trace, _ = mn.forward(spec, params, x, for_backward=False)
-        assert trace.conv_cols[0][0] is None
+        assert trace.conv_cols == {0: None}
         with pytest.raises(mn.SpecError, match="trace kept no patch matrices"):
             mn.backward(spec, params, trace, np.array([0, 1]))
 
@@ -458,11 +466,11 @@ class TestBlockedConv:
         x = Rng(9).normal(1.0, (2, 2, 5, 5))
         y = np.array([0, 1])
         trace, _ = mn.forward(spec, params, x, y)
-        shapes = {t: shape for t, (_, shape) in trace.conv_cols.items()}
+        assert sorted(trace.conv_cols) == [0, 1]
         mn.backward(spec, params, trace, y, weights=False)
-        assert all(cols is not None for cols, _ in trace.conv_cols.values())
+        assert all(isinstance(cols, np.ndarray) for cols in trace.conv_cols.values())
         mn.backward(spec, params, trace, y)
-        assert trace.conv_cols == {t: (None, shape) for t, shape in shapes.items()}
+        assert trace.conv_cols == {0: None, 1: None}
         dy = np.zeros(trace.preacts[1].shape)
         with pytest.raises(mn.SpecError, match="layer 1 kept no patch matrix"):
             mn.weight_factors(trace, 1, dy)
@@ -475,11 +483,13 @@ def force_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
-# (batch NCHW shape, kernel, C_out): two windows, the last overlapping the
-# first and run in another group at 2 or 3 cores (137 samples at
-# cifar-allconv's layer 0: windows 0-127 and 9-136, and two odd shapes);
-# four windows, the last overlapping; six windows, none overlapping
+# (batch NCHW shape, kernel, C_out): three windows at cifar-allconv's layer
+# 0 (0-127, 128-255 and an overlapping 172-299, which runs after 128-255 on
+# its thread); two windows, the last overlapping the first, so one group at
+# any core count (137 samples at layer 0: windows 0-127 and 9-136, and two
+# odd shapes); four windows, the last overlapping; six, none overlapping
 PARALLEL_CASES = [
+    ((300, 3, 32, 32), (3, 3, 2, 1), 8),
     ((137, 3, 32, 32), (3, 3, 2, 1), 96),
     ((70, 6, 20, 21), (3, 2, 1, 1), 32),
     ((300, 20, 5, 5), (3, 3, 2, 2), 20),
@@ -544,12 +554,37 @@ class TestParallelWindows:
             return patches(*args)
 
         monkeypatch.setattr(mn, "_patches", failing)
-        x, w, b = conv_case((137, 3, 32, 32), (3, 3, 2, 1), 8)
+        # 300 samples are three windows in two groups
+        x, w, b = conv_case((300, 3, 32, 32), (3, 3, 2, 1), 8)
         before = threading.active_count()
         for for_backward in (True, False):
             with pytest.raises(RuntimeError, match="window failed"):
                 mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward)
             assert threading.active_count() == before
+        # 137 samples are two windows, the last overlapping the first: one
+        # group, run on the calling thread alone
+        x = x[:137]
+        for for_backward in (True, False):
+            mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward)
+
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (96, 16, 16), (96, 8, 8)])
+    def test_no_sample_falls_in_two_groups(self, shape, monkeypatch):
+        # cifar-allconv's conv layers at every batch up to 600
+        c, h, w = shape
+        oh, ow = mn._conv_out_hw(h, w, (3, 3, 2, 1))
+        for cores in (1, 2, 3, 4):
+            force_cores(monkeypatch, cores)
+            for batch in range(601):
+                windows, _ = mn._sample_windows(batch, oh * ow * 9 * c)
+                groups = []
+                mn._in_groups(windows, lambda: (), groups.append)
+                assert len(groups) <= cores
+                groups.sort(key=lambda group: group[0].start)
+                assert [s for group in groups for s in group] == windows
+                # each group starts where the one before it stops
+                bounds = [0] + [group[-1].stop for group in groups]
+                assert [group[0].start for group in groups] == bounds[:-1]
+                assert bounds[-1] == batch
 
 
 class TestVarianceRecursion:

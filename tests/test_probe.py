@@ -148,6 +148,16 @@ class TestRatios:
         net, mspec, params, trace, grads = small_setup(depth=4)
         assert len(probe.gradient_variance_ratios(grads)) == 3
 
+    def test_a_zero_variance_gives_inf_or_nan(self):
+        # over a layer of zero variance: inf, and nan when the layer above is zero too
+        zero, one = np.zeros((4, 3)), np.eye(4, 3)
+        trace = mn.ForwardTrace(inputs=[one], acts=[zero, zero, one])
+        ratios = probe.activation_variance_ratios(trace)
+        assert ratios[0] == 0.0 and np.isnan(ratios[1]) and ratios[2] == np.inf
+        grads = mn.MainnetGrads(weight=[], bias=[], acts=[one, zero, zero], preacts=None)
+        ratios = probe.gradient_variance_ratios(grads)
+        assert ratios[0] == np.inf and np.isnan(ratios[1])
+
 
 class TestLinearReplay:
     def test_replay_ignores_saturation(self):
@@ -256,7 +266,7 @@ class TestSerialization:
         net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(0, trace, params, grads)
         path = tmp_path / "probe.csv"
-        probe.write_csv(path, rep)
+        probe.write_csv(path, [rep])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,layer,kind,mean,var,theory,ratio"
         assert len(lines) == len(rep.rows) + 1
