@@ -14,6 +14,12 @@ is the output of a net that ends in a conv layer. The caller-facing layouts
 stay NCHW/OIHW: ``trace.inputs[0]`` is (B, C, H, W), and conv weights and
 their gradients (C_out, C_in, kh, kw). ``backward`` returns no gradient for
 the input batch: nothing trains it.
+Passes above the engine's split floor run on every core through its one
+scheduler, ``tensor.in_groups``, each group writing rows no other group
+writes. A dense product splits by output units, a weight gradient by input
+units or patch columns (``matmul_cols``), at power-of-two boundaries where
+every entry's reduction stays whole: at one BLAS thread the bits are the
+whole product's. Batch-10 dense layers stay below the floor.
 Every conv pass works through the batch in windows of samples (about 1<<20
 patch-matrix entries each), one contiguous group of windows per core, each
 group on its own thread through buffers reused from window to window: no
@@ -29,14 +35,12 @@ reported on the trace rather than raised, so deliberately bad initializations
 can be measured instead of crashing.
 """
 
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import DTYPE, row_chunks
+from .tensor import DTYPE, in_groups, matmul_cols, row_chunks
 
 OVERFLOW_LIMIT = 1e30
 
@@ -230,47 +234,12 @@ def _sample_windows(b, rows_per_sample):
     return [slice(min(lo, b - n), min(lo, b - n) + n) for lo in range(0, b, max(n, 1))], n
 
 
-def _in_groups(windows, buffers, run):
-    """Run the windows in contiguous groups, one per core, so that no sample
-    is handled by two threads: ``run(group, *buffers())`` for each, the first
-    group on the calling thread and each other on a short-lived thread of its
-    own. An overlapping last window that the even split leaves alone joins
-    the group before it, to run right after the window it overlaps. All
-    buffers are made on the calling thread before any group runs. Once every
-    group has ended, the first exception one raised is raised again."""
-    if not windows:
-        return
-    m = min(len(os.sched_getaffinity(0)), len(windows))
-    groups = [windows[len(windows) * g // m:len(windows) * (g + 1) // m] for g in range(m)]
-    if m > 1 and groups[-1][0].start < groups[-2][-1].stop:
-        groups[-2:] = [groups[-2] + groups[-1]]
-    args = [(group, *buffers()) for group in groups]
-    errors = []
-
-    def guarded(*a):
-        try:
-            run(*a)
-        except BaseException as e:
-            errors.append(e)
-
-    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        run(*args[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _conv_forward(x, weight, bias, kernel, for_backward=True):
     """NHWC conv: the (B, oh, ow, C_out) output and the (B*oh*ow, kh*kw*C)
     patch matrix, or None for it without ``for_backward``.
 
     The windows of samples run in groups, one per core, and no sample is
-    handled by two threads (``_in_groups``). Each window is copied into the
+    handled by two threads (``tensor.in_groups``). Each window is copied into the
     interior of its group's zeroed padded block, unrolled from it, and
     multiplied by one n-row GEMM straight into its rows of the output. With
     ``for_backward`` it unrolls into its rows of the whole-batch patch matrix
@@ -301,7 +270,7 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
             np.matmul(a, wm_t, out=y_mat[rows])
             y_mat[rows] += bias
 
-    _in_groups(windows, buffers, run)
+    in_groups(windows, b * p * k * (c_out + 1), buffers, run)
     return y, cols
 
 
@@ -322,7 +291,7 @@ def _tap_ranges(size, out, k, stride, pad):
 def _conv_input_grad(x_shape, weight, kernel, dy):
     """dL/dx of an NHWC conv from its output gradient ``dy``, the windows of
     samples in groups, one per core, no sample handled by two threads
-    (``_in_groups``): a window's patch gradients go into its group's reused
+    (``tensor.in_groups``): a window's patch gradients go into its group's reused
     buffer and are added, tap by tap in kernel order, straight into its
     samples of the unpadded ``dx``; taps that read the zero padding are
     clipped off, so every element takes the same adds in the same order as
@@ -350,7 +319,8 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
                 dxs[:, hs, ws] += d[:, rows, cols, i, j]
             done = s.stop
 
-    _in_groups(windows, lambda: (np.empty((n * p, k), dtype=DTYPE),), run)
+    in_groups(windows, b * p * k * (c_out + 1), lambda: (np.empty((n * p, k), dtype=DTYPE),),
+              run)
     return dx
 
 
@@ -371,12 +341,16 @@ def weight_factors(trace, t, dy):
 def weight_grad(layer, trace, t, dy, rows=slice(None), out=None):
     """Rows ``rows`` (output units or channels) of layer t's weight gradient,
     in the weight's own layout (OIHW for conv), from the factors of
-    ``weight_factors``; written into ``out`` when given."""
+    ``weight_factors``; written into ``out`` when given. Above the floor the
+    product splits by its columns (``matmul_cols``): a dense gradient's input
+    units, a conv gradient's patch columns. A split by output units would
+    change a dense gradient's bits (500 -> 500), and by channels would read
+    the whole patch matrix on every core."""
     dy_mat, x = weight_factors(trace, t, dy)
     if layer.kind == DENSE:
-        return np.matmul(dy_mat[:, rows].T, x, out=out)
+        return matmul_cols(dy_mat[:, rows].T, x, out=out)
     _, c_in, kh, kw = layer.weight_shape
-    g = (dy_mat[:, rows].T @ x).reshape(-1, kh, kw, c_in).transpose(0, 3, 1, 2)
+    g = matmul_cols(dy_mat[:, rows].T, x).reshape(-1, kh, kw, c_in).transpose(0, 3, 1, 2)
     if out is None:
         out = np.empty(g.shape, dtype=DTYPE)
     out[...] = g
@@ -405,7 +379,8 @@ def forward(spec, params, batch, labels=None, for_backward=True):
         if layer.kind == DENSE:
             if x.shape[1] != layer.d_in:
                 raise SpecError(f"layer {t} expects width {layer.d_in}, got {x.shape[1]}")
-            y = x @ params[t]["W"].T + params[t]["b"]
+            y = matmul_cols(x, params[t]["W"].T)   # split by output units
+            y += params[t]["b"]
         else:
             if x.ndim != 4 or x.shape[3] != layer.d_in:   # only the batch can fail this
                 raise SpecError(f"layer {t} expects {layer.d_in} channels, got {np.shape(batch)}")
@@ -513,7 +488,7 @@ def backward(spec, params, trace, labels, weights=True):
         if t == 0:
             break   # the input batch is not trained: no gradient for it
         if layer.kind == DENSE:
-            dx = dy @ params[t]["W"]
+            dx = matmul_cols(dy, params[t]["W"])
         else:
             dx = _conv_input_grad(trace.inputs[t].shape, params[t]["W"], layer.kernel, dy)
         if t in trace.pool_shape:

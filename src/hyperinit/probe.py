@@ -226,21 +226,29 @@ def gradient_variance_ratios(grads):
     return (vs[:-1] / vs[1:]).tolist()
 
 
+def _finite(value):
+    """A JSON-safe number: None for a non-finite value, which strict JSON
+    cannot hold."""
+    return value if value is None or np.isfinite(value) else None
+
+
 def report_to_dict(reports):
+    """Reports as plain data, strict JSON: a non-finite mean, var, theory
+    or ratio (an act_ratio row's mean, a ratio over a zero variance) is None."""
     out = {}
     for rep in reports:
         step = out.setdefault(str(rep.step), {})
         for row in rep.rows:
             layer = step.setdefault(str(row.layer), {})
-            layer[row.kind] = {"mean": row.mean, "var": row.var,
-                               "theory": row.theory, "ratio": row.ratio,
+            layer[row.kind] = {"mean": _finite(row.mean), "var": _finite(row.var),
+                               "theory": _finite(row.theory), "ratio": _finite(row.ratio),
                                "n": row.n}
     return out
 
 
 def write_json(path, reports):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report_to_dict(reports), f, indent=1, sort_keys=True)
+        json.dump(report_to_dict(reports), f, indent=1, sort_keys=True, allow_nan=False)
 
 
 def write_csv(path, reports):
@@ -255,16 +263,20 @@ def write_csv(path, reports):
 
 
 def _number(stats, key, optional=False):
-    """stats[key], which must be a JSON number (or null when ``optional``)."""
+    """stats[key], which must be a JSON number or null: null reads as None
+    when ``optional``, else as nan (a value strict JSON could not hold)."""
     value = stats.get(key) if optional else stats[key]
-    if not (type(value) in (int, float) or optional and value is None):
+    if value is None:
+        return None if optional else float("nan")
+    if type(value) not in (int, float):
         raise ValueError(f"{key} {value!r} is not a number")
     return value
 
 
 def rows_from_dict(data):
     """Inverse of report_to_dict: rebuild VarianceReports from parsed JSON;
-    raises ValueError on a non-numeric mean, var, theory or ratio."""
+    raises ValueError on a mean, var, theory or ratio that is neither a
+    number nor null."""
     reports = []
     for step_key in sorted(data, key=lambda s: int(s)):
         rows = []

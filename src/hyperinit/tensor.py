@@ -1,10 +1,20 @@
-"""Dense float64 tensors, a deterministic counter-based RNG, and sampling helpers.
+"""Dense float64 tensors, a deterministic counter-based RNG, sampling helpers,
+and the engine's one core scheduler.
 
 Everything downstream moves activations, weights and gradients around as plain
 numpy float64 arrays; this module pins the dtype and provides the few
 numerical primitives the rest of the package builds on.
+
+``in_groups`` is the one place that splits a pass across cores: one
+contiguous group of row ranges per core, every buffer made on the calling
+thread, nothing split below ``SPLIT_FLOOR``, and no option, flag or
+environment variable. Each caller splits only where the bits of every entry
+are proven equal to the whole pass's (``tests/test_split.py``), at one BLAS
+thread: OpenBLAS's own threads already change a GEMM's last bits.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +23,104 @@ DTYPE = np.float64
 
 UNIFORM = "uniform"
 NORMAL = "normal"
+
+# Below this much work a pass runs whole on the calling thread. Work counts
+# multiply-adds, a uniform draw as DRAW_WORK of them: on a 2-core Sapphire
+# Rapids VM a large GEMM takes ~0.05 ns per multiply-add at one BLAS thread,
+# a draw ~14 ns and a thread start ~120 us, so a pass at the floor takes ~1 ms.
+# Batch-10 steps and every regression-seq array stay below it.
+SPLIT_FLOOR = 1 << 24
+DRAW_WORK = 256
+
+
+def cores():
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def in_groups(ranges, work, buffers, run):
+    """Run the row ranges (slices, in order) in contiguous groups, one per
+    core: ``run(group, *buffers())`` for each, the first group on the calling
+    thread and each other on a short-lived thread of its own. With less than
+    ``SPLIT_FLOOR`` work all ranges are one group and no thread starts.
+
+    No row is handled by two threads: an overlapping last range that the even
+    split leaves alone joins the group before it, to run right after the range
+    it overlaps. All buffers are made on the calling thread before any group
+    runs. Once every group has ended, the first exception one raised is raised
+    again."""
+    if not ranges:
+        return
+    m = min(cores(), len(ranges)) if work >= SPLIT_FLOOR else 1
+    groups = [ranges[len(ranges) * g // m:len(ranges) * (g + 1) // m] for g in range(m)]
+    if m > 1 and groups[-1][0].start < groups[-2][-1].stop:
+        groups[-2:] = [groups[-2] + groups[-1]]
+    args = [(group, *buffers()) for group in groups]
+    errors = []
+
+    def guarded(*a):
+        try:
+            run(*a)
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(*args[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def pow2_blocks(n):
+    """[0, n) in blocks of the largest power of two, at most 1<<14 so that a
+    long range splits evenly, that gives every core a block: ``in_groups``
+    then splits at multiples of it, 500 rows on 2 cores at 256 and on 3 at
+    128 and 256."""
+    step = 1 << min(14, max(0, (-(-n // cores())).bit_length() - 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def matmul_cols(a, b, out=None):
+    """``a @ b`` (into ``out`` when given). Above the floor the columns of
+    ``b`` and of the product split across cores at multiples of a power of
+    two (``pow2_blocks``), each group multiplying the whole of ``a`` straight
+    into its columns, so every entry's reduction stays whole. Such splits
+    keep OpenBLAS's bits for mnist-mlp's dense layers and generated heads at
+    one BLAS thread; a split by the product's rows, or one at 320 of 500
+    columns, does not."""
+    work = a.shape[0] * a.shape[1] * b.shape[1]
+    if work < SPLIT_FLOOR:   # the common small case, without a closure
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=DTYPE)
+
+    def run(group):   # one product over the group's adjacent blocks
+        cols = slice(group[0].start, group[-1].stop)
+        np.matmul(a, b[:, cols], out=out[:, cols])
+
+    in_groups(pow2_blocks(b.shape[1]), work, tuple, run)
+    return out
+
+
+def _philox_at(state, skip):
+    """A generator on a copy of the Philox ``state`` whose next double is the
+    stream's draw ``skip``: draws still buffered are served first, then
+    ``advance(k)`` skips 4k doubles and at most 3 more are drawn and dropped."""
+    bits = np.random.Philox(key=state["state"]["key"])
+    buffered = 4 - state["buffer_pos"]
+    if skip < buffered:
+        bits.state = {**state, "buffer_pos": state["buffer_pos"] + skip}
+        return np.random.Generator(bits)
+    bits.state = state
+    blocks, rest = divmod(skip - buffered, 4)
+    gen = np.random.Generator(bits.advance(blocks))
+    gen.random(rest)
+    return gen
 
 
 class Rng:
@@ -33,9 +141,42 @@ class Rng:
     def child(self, tag):
         return Rng(self.seed, self._path + (int(tag),))
 
-    def uniform_symmetric(self, bound, shape=None):
-        """Samples from [-bound, +bound)."""
-        return np.asarray(self._gen.uniform(-bound, bound, size=shape), dtype=DTYPE)
+    def uniform_symmetric(self, bound, shape=None, out=None):
+        """Samples from [-bound, +bound), written into ``out`` (C-contiguous)
+        when given: the bits of ``Generator.uniform(-bound, bound)``, which
+        computes ``-bound + 2 bound u``.
+
+        Above the floor the draws run in groups of 1<<20 (``in_groups``).
+        Philox is counter-based, so each group draws on its own copy of the
+        generator, started at the group's first draw (``_philox_at``); it
+        fills its rows with ``random`` and scales them in place, ``*= 2
+        bound; += -bound``. The stream ends in the last group's state."""
+        if out is None:
+            out = np.empty(() if shape is None else shape, dtype=DTYPE)
+        flat = np.reshape(out, -1, copy=False)
+
+        def fill(gen, rows):
+            gen.random(out=flat[rows])
+            flat[rows] *= 2.0 * bound
+            flat[rows] += -bound
+
+        if flat.size * DRAW_WORK < SPLIT_FLOOR:   # the common small case
+            fill(self._gen, slice(None))
+            return out
+        state = self._gen.bit_generator.state
+        last = {}
+
+        def run(group):
+            gen = _philox_at(state, group[0].start)
+            for rows in group:
+                fill(gen, rows)
+            last[group[0].start] = gen.bit_generator.state
+
+        in_groups(row_chunks(flat.size, 1), flat.size * DRAW_WORK, tuple, run)
+        # the last group's stream position, and the parent's uint32 buffer
+        self._gen.bit_generator.state = {**last[max(last)], "has_uint32": state["has_uint32"],
+                                         "uinteger": state["uinteger"]}
+        return out
 
     def normal(self, std, shape=None):
         return np.asarray(self._gen.standard_normal(size=shape) * std, dtype=DTYPE)
@@ -64,18 +205,23 @@ class Distribution:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
 
-def sample(dist, shape, rng):
-    """Draw a tensor of the given shape from the distribution.
+def sample(dist, shape, rng, out=None):
+    """Draw a tensor of the given shape from the distribution, into ``out``
+    (C-contiguous, of that shape) when given.
 
     Uniform draws come from [-sqrt(3 v), +sqrt(3 v)) so the population variance
     is exactly ``v``; normal draws are mean-zero with variance ``v``.
     Variance zero yields an all-zero tensor.
     """
+    if out is None:
+        out = np.empty(shape, dtype=DTYPE)
     if dist.variance == 0.0:
-        return np.zeros(shape, dtype=DTYPE)
-    if dist.family == UNIFORM:
-        return rng.uniform_symmetric(np.sqrt(3.0 * dist.variance), shape)
-    return rng.normal(np.sqrt(dist.variance), shape)
+        out[...] = 0.0
+    elif dist.family == UNIFORM:
+        rng.uniform_symmetric(np.sqrt(3.0 * dist.variance), out=out)
+    else:
+        out[...] = rng.normal(np.sqrt(dist.variance), shape)
+    return out
 
 
 def row_chunks(n_rows, row_size, entries=1 << 20):
@@ -86,4 +232,3 @@ def row_chunks(n_rows, row_size, entries=1 << 20):
     same bits."""
     step = 1 << max(0, (entries // max(1, row_size)).bit_length() - 1)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
-

@@ -33,7 +33,12 @@ the loop asks ``mainnet.backward`` for those factors and no ``dW``. The update
 walks each head's rows in blocks that fit in L2: it forms the block of every
 target's gradient (one small GEMM each) in one reused buffer, multiplies it by
 the head's Gram matrix, scales it by lr and subtracts it from the stack's
-matching block. Each step reads and writes each stack once.
+matching block. Each step reads and writes each stack once. A head of one
+target has a 1x1 Gram matrix, which ``np.multiply`` applies with the bits of
+``np.matmul``. The stacks are built, and folded back at ``sync``, in the
+head's power-of-two row chunks on every core (``tensor.in_groups``), with the
+bits of the whole-matrix products; a ``sync`` with no update since the last
+one folds nothing.
 
 A step is refused, before any head moves, exactly when some gradient entry
 would be non-finite: when a factor has a non-finite entry, or, if the
@@ -62,7 +67,7 @@ from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, OVERFLOW_LIMIT,
                       backward, forward, mlp, mse_loss, weight_factors, weight_grad)
 from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
                     write_json)
-from .tensor import DTYPE, Rng, row_chunks
+from .tensor import DTYPE, Rng, in_groups, row_chunks
 
 PROBE_BATCH = 300
 BLOCK_ENTRIES = 1 << 16   # a 512 KiB gradient block: it, its Gram product and the
@@ -196,11 +201,18 @@ class _FixedHeadFastPath:
         for head in (h for bank in net.heads for h in bank.heads):
             emb = net.sources[head.slot.tag].block[list(head.rows)]   # identity trunk
             stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
+            base = np.empty_like(stack)
+
+            def build(group):   # straight from the head: no product of every source row
+                for rows in group:
+                    for row in range(len(stack)):
+                        np.matmul(head.H[rows], emb[row], out=stack[row, rows])
+                        stack[row, rows] += head.beta[rows]
+                    base[:, rows] = stack[:, rows]
+
+            in_groups(row_chunks(*head.H.shape), stack.size * head.d_in, tuple, build)
             shape = head.shapes[0]   # a row per target: chunks come with a projection
             for row, t in enumerate(head.targets):
-                # straight from the head: no slot-sized product of every source row
-                np.matmul(head.H, emb[row], out=stack[row])
-                stack[row] += head.beta
                 self.carried[t][head.slot.param] = stack[row].reshape(shape)
             n_rows = shape[0]
             width = head.n_out // n_rows   # entries per row of one target
@@ -208,8 +220,9 @@ class _FixedHeadFastPath:
                       for rows in row_chunks(n_rows, stack.shape[0] * width, BLOCK_ENTRIES)]
             size = max(size, stack.shape[0] * (blocks[0][1].stop - blocks[0][1].start))
             self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
-                               "stack": stack, "base": stack.copy(), "blocks": blocks})
+                               "stack": stack, "base": base, "blocks": blocks})
         self.block, self.prod = np.empty(size, dtype=DTYPE), np.empty(size, dtype=DTYPE)
+        self.moved = False   # whether an update ran since the last sync
 
     def current_params(self):
         return self.carried
@@ -264,25 +277,42 @@ class _FixedHeadFastPath:
             for rows, cols in rec["blocks"]:
                 block = self._gradient_block(rec, step, rows, cols)
                 prod = self.prod[:block.size].reshape(block.shape)
-                np.matmul(rec["gram"], block, out=prod)
+                # a single target's 1x1 Gram matrix: the bits of matmul, no BLAS call
+                (np.multiply if len(block) == 1 else np.matmul)(rec["gram"], block, out=prod)
                 prod *= lr
                 rec["stack"][:, cols] -= prod
+        self.moved = True
         return True
 
     def sync(self):
         """Fold the accumulated weight motion back into the heads, exactly:
         with ``A = [E, 1]``, every solution of ``A Aᵀ acc = delta`` moves the
-        head by the same ``Aᵀ acc``, so least squares serves a singular Gram."""
+        head by the same ``Aᵀ acc``, so least squares serves a singular Gram.
+        ``delta`` is formed in ``base``, and nothing is folded when no update
+        ran since the last fold. Each group of the head's row chunks forms
+        its chunks' products ``acc[:, rows].T @ emb`` in its own buffer."""
+        if not self.moved:
+            return
         for rec in self.heads:
-            delta = rec["base"] - rec["stack"]
+            head, emb, stack, base = rec["head"], rec["emb"], rec["stack"], rec["base"]
+            delta = np.subtract(base, stack, out=base)
             if not delta.any():
+                np.copyto(base, stack)
                 continue
             acc = np.linalg.lstsq(rec["gram"], delta, rcond=None)[0]
-            h = rec["head"].H
-            for rows in row_chunks(*h.shape):   # no head-sized temporary
-                h[rows] -= acc[:, rows].T @ rec["emb"]
-            rec["head"].beta -= acc.sum(axis=0)
-            np.copyto(rec["base"], rec["stack"])
+            chunks = row_chunks(*head.H.shape)
+
+            def fold(group, prod):
+                for rows in group:
+                    h = head.H[rows]
+                    h -= np.matmul(acc[:, rows].T, emb, out=prod[:len(h)])
+                    base[:, rows] = stack[:, rows]
+
+            rows = min(chunks[0].stop, len(head.H))
+            in_groups(chunks, stack.size * head.d_in,
+                      lambda: (np.empty((rows, head.d_in), dtype=DTYPE),), fold)
+            head.beta -= acc.sum(axis=0)
+        self.moved = False
 
 
 @dataclass

@@ -150,6 +150,27 @@ class TestVarianceCheck:
         assert "Traceback" not in err
         assert "0" in json.loads(out_file.read_text())
 
+    @pytest.mark.parametrize("argv", [
+        ("--scheme", "hyperfan-in", "--width", "16", "--batch", "32", "--depth", "2"),
+        ("--relu", "--width", "2", "--batch", "2", "--depth", "3", "--seed", "1"),
+        ("--width", "1", "--batch", "1", "--depth", "1"),
+    ])
+    def test_the_report_is_strict_json(self, capsys, tmp_path, argv):
+        # every act_ratio row's mean, and a ratio over a zero variance, is
+        # null: no NaN or Infinity token reaches the file
+        out_file = tmp_path / "report.json"
+        run(capsys, "variance-check", *argv, "--out", str(out_file))
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        data = json.loads(out_file.read_text(), parse_constant=refuse)
+        assert all(row["mean"] is None for layer in data["0"].values()
+                   for kind, row in layer.items() if kind == "act_ratio")
+        code, out, err = run(capsys, "report", "--in", str(out_file), "--summary")
+        assert code == 0, err
+        assert out.startswith("step 0: ")
+
 
 class TestGradCheck:
     def test_passes_threshold(self, capsys):

@@ -8,7 +8,6 @@ from hyperinit import hypergen as hg
 from hyperinit import init_schemes as s
 from hyperinit import mainnet as mn
 from hyperinit.gradcheck import run_suite
-from hyperinit import tensor
 from hyperinit.tensor import UNIFORM, Distribution, Rng, sample
 
 from helpers import updatable_keys
@@ -334,12 +333,9 @@ class TestSlotLayout:
             assert arrays[head.keys[0]] is head.H
             assert arrays[head.keys[1]] is head.beta
 
-    def test_head_draws_in_row_chunks_equal_one_draw(self, monkeypatch):
-        monkeypatch.setattr(hg, "row_chunks",
-                            lambda n, size: tensor.row_chunks(n, size, entries=3 * size))
+    def test_head_draws_go_straight_into_the_head(self):
         scheme = s.parse_scheme("hyperfan-in")
         net, _ = simple_dense_net([5, 7, 3], hg.PER_LAYER, emb=4, seed=9)
-        assert len(hg.row_chunks(*linear_heads(net)[0].H.shape)) > 1
         rng = Rng(9).child(2)   # init_hypernet's initialization stream
         for head in linear_heads(net):   # identity trunk, hyperfan-in: only H is drawn
             t = head.targets[0]

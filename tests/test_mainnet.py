@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperinit import mainnet as mn
+from hyperinit import tensor
 from hyperinit.gradcheck import gradient_errors, numeric_gradient
 from hyperinit.tensor import Rng
 
@@ -577,7 +578,7 @@ class TestParallelWindows:
             for batch in range(601):
                 windows, _ = mn._sample_windows(batch, oh * ow * 9 * c)
                 groups = []
-                mn._in_groups(windows, lambda: (), groups.append)
+                tensor.in_groups(windows, tensor.SPLIT_FLOOR, tuple, groups.append)
                 assert len(groups) <= cores
                 groups.sort(key=lambda group: group[0].start)
                 assert [s for group in groups for s in group] == windows
