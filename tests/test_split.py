@@ -101,42 +101,36 @@ class TestDraws:
         np.testing.assert_array_equal(mnist[1].flat, serial.flat)
 
 
-# OpenBLAS's own threads already change a dense GEMM's last bits (a 300 x 784
-# by 784 x 500 product differs between 1 and 2 BLAS threads), and under them
-# a dense split does too: the dense splits hold the bits at one BLAS thread,
-# the setting perfbench pins. The suite runs TestDense there in a child.
-BLAS_PINNED = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-
-
-@pytest.mark.skipif(not BLAS_PINNED, reason="run at one BLAS thread by "
-                    "test_dense_splits_hold_at_one_blas_thread")
-class TestDense:
-    @pytest.mark.parametrize("batch", [10, 300, 500])
-    @pytest.mark.parametrize("d_in, d_out", [(784, 500), (500, 500), (500, 10)])
-    def test_passes_equal_the_whole_gemm(self, batch, d_in, d_out):
-        rng = Rng(batch + d_in + d_out)
-        x = rng.child(0).normal(1.0, (batch, d_in))
-        w = rng.child(1).normal(1.0, (d_out, d_in))
-        b = rng.child(2).normal(1.0, d_out)
-        dy = rng.child(3).normal(1.0, (batch, d_out))
-        spec = mn.MainnetSpec(layers=(mn.LayerSpec(mn.DENSE, d_in, d_out),), loss=mn.MSE)
-        trace = mn.ForwardTrace(inputs=[x])
-        want = x @ w.T + b, dy @ w, dy.T @ x, dy[:, 64:192].T @ x
-        got = on_each_core_count(lambda: (
-            mn.forward(spec, [{"W": w, "b": b}], x)[0].preacts[0],
-            tensor.matmul_cols(dy, w),   # the input gradient of mainnet.backward
-            mn.weight_grad(spec.layers[0], trace, 0, dy),
-            mn.weight_grad(spec.layers[0], trace, 0, dy, slice(64, 192))))
-        assert_all_equal(got, want)
-
-
-@pytest.mark.skipif(BLAS_PINNED, reason="TestDense runs in this process")
-def test_dense_splits_hold_at_one_blas_thread():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           f"{__file__}::TestDense"], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout[-3000:]
-    assert "9 passed" in proc.stdout
+def test_dense_passes_equal_the_whole_gemm():
+    # OpenBLAS's own threads already change a dense GEMM's last bits (a 300 x
+    # 784 by 784 x 500 product differs between 1 and 2 BLAS threads), and
+    # under them a dense split does too: the dense splits hold the bits at one
+    # BLAS thread, the setting perfbench pins, so the test runs there, in a
+    # child process when the suite leaves BLAS threads unpinned.
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               f"{__file__}::test_dense_passes_equal_the_whole_gemm"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "1 passed" in proc.stdout
+        return
+    for batch in (10, 300, 500):   # the mnist-mlp layers at its step, probe and evaluation
+        for d_in, d_out in ((784, 500), (500, 500), (500, 10)):
+            rng = Rng(batch + d_in + d_out)
+            x = rng.child(0).normal(1.0, (batch, d_in))
+            w = rng.child(1).normal(1.0, (d_out, d_in))
+            b = rng.child(2).normal(1.0, d_out)
+            dy = rng.child(3).normal(1.0, (batch, d_out))
+            spec = mn.MainnetSpec(layers=(mn.LayerSpec(mn.DENSE, d_in, d_out),), loss=mn.MSE)
+            trace = mn.ForwardTrace(inputs=[x])
+            want = x @ w.T + b, dy @ w, dy.T @ x, dy[:, 64:192].T @ x
+            got = on_each_core_count(lambda: (
+                mn.forward(spec, [{"W": w, "b": b}], x)[0].preacts[0],
+                tensor.matmul_cols(dy, w),   # the input gradient of mainnet.backward
+                mn.weight_grad(spec.layers[0], trace, 0, dy),
+                mn.weight_grad(spec.layers[0], trace, 0, dy, slice(64, 192))))
+            assert_all_equal(got, want)
 
 
 class TestConvWeightGrad:
