@@ -18,7 +18,7 @@ from .init_schemes import (FanGeometry, InitScheme, classical_variance,
 from .hypergen import (ChunkPlan, Hypernet, HypernetSpec, gradient_shrink_factor,
                        init_hypernet)
 from .mainnet import LayerSpec, MainnetSpec, allconv, backward, forward, mlp
-from .tensor import Distribution, Rng, sample
+from .tensor import Rng, sample
 
 __all__ = [
     "FanGeometry", "InitScheme", "classical_variance",
@@ -28,6 +28,6 @@ __all__ = [
     "ChunkPlan", "Hypernet", "HypernetSpec", "gradient_shrink_factor",
     "init_hypernet",
     "LayerSpec", "MainnetSpec", "allconv", "backward", "forward", "mlp",
-    "Distribution", "Rng", "sample",
+    "Rng", "sample",
     "__version__",
 ]

@@ -5,7 +5,8 @@ Exit codes are the machine contract: 0 success, 1 check failure (tolerance
 miss, gradient-check failure, or training divergence), 2 usage error,
 3 I/O error. Output files are data-only (JSON/CSV) for external plotting;
 every run with an output directory also writes a manifest sufficient to
-reproduce it.
+reproduce it, with the BLAS thread count and core count an unpinned run's
+last bits depend on.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .init_schemes import FanGeometry, parse_scheme, uniform_bound
 from .mainnet import IDENTITY, MSE, RELU, TANH, mlp
 from .probe import (StatRow, activation_variance_ratios, compare, predict,
                     rows_from_dict, snapshot, write_csv, write_json)
-from .tensor import Rng
+from .tensor import Rng, cores
 from .train import DataNotFoundError, PRESETS, config_for, probe_step, train
 
 DATA_DIR_ENV = "HYPERINIT_DATA_DIR"
@@ -143,7 +144,8 @@ def build_parser():
 def _write_manifest(out_dir, args, extra=None):
     manifest = {"version": __version__, "argv": sys.argv[1:],
                 "flags": {k: v for k, v in vars(args).items() if k != "command"},
-                "command": args.command}
+                "command": args.command, "cores": cores(),
+                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     if extra:
         manifest.update(extra)
     out = Path(out_dir)
@@ -168,8 +170,8 @@ def cmd_variance_check(args):
     step, feature_grads = probe_step(net, mspec, x, y)
     report = snapshot(0, step.trace, step.params, step.grads,
                       head_feature_grads=feature_grads)
-    prediction = predict(scheme, mspec, net, var_input=float(np.var(x)))
-    comparison = compare(report, prediction, band=(args.tol_lo, args.tol_hi))
+    checked = compare(report, predict(scheme, mspec, net, var_input=float(np.var(x))),
+                      band=(args.tol_lo, args.tol_hi))
 
     ratios = activation_variance_ratios(step.trace)
     all_ok = True
@@ -181,7 +183,7 @@ def cmd_variance_check(args):
                                    theory=1.0, ratio=ratio, passed=ok))
         print(f"layer {t}: act-variance ratio {ratio:10.4g}  "
               f"[{'ok' if ok else 'FAIL'}]")
-    weight_rows = [r for r in comparison.rows if r.kind == "weight"]
+    weight_rows = [r for r in checked if r.kind == "weight"]
     for r in weight_rows:
         print(f"layer {r.layer}: weight var {r.var:10.4g} vs formula {r.theory:10.4g} "
               f"(ratio {r.ratio:.3f}) [{'ok' if r.passed else 'FAIL'}]")

@@ -38,7 +38,8 @@ order and binds itself to its one segment of ``flat``. The hypernet owns its
 gradient the same way: ``Hypernet.grad``, laid out like ``flat``, is allocated
 by the first ``backward``, which binds each part's ``grads`` to its segment;
 every ``backward`` overwrites every entry, so one SGD step is one check and
-one update. The head formulas read the declared embedding variance, ``Var(e)``.
+one update. Embeddings are drawn uniform at ``HypernetSpec.embedding_variance``,
+the declared ``Var(e)`` the head formulas read.
 """
 
 import math
@@ -50,7 +51,7 @@ from . import init_schemes as schemes
 from .init_schemes import FanGeometry, InitScheme
 from .mainnet import (CONV, GENERATED_BIAS, RELU, MainnetSpec, SpecError,
                       activate, activation_grad)
-from .tensor import DTYPE, SPLIT_FLOOR, UNIFORM, Distribution, Rng, matmul_cols, sample
+from .tensor import DTYPE, SPLIT_FLOOR, Rng, matmul_cols, sample
 
 PER_LAYER = "per-layer"
 SHARED_SAME_SIZE = "shared-same-size"
@@ -86,7 +87,7 @@ class ChunkPlan:
         the projections carry the target layers' variance."""
         width = self.K * self.n * self.n
         return replace(WEIGHT, tag="c", variance=lambda scheme, geom: schemes.layer_variance(
-            scheme.with_flags(relu_gain=False), FanGeometry(d_i=width, d_j=geom.d_k, d_k=1),
+            replace(scheme, relu_gain=False), FanGeometry(d_i=width, d_j=geom.d_k, d_k=1),
             output=True))
 
 
@@ -95,7 +96,7 @@ class HypernetSpec:
     embedding_dim: int = 50
     hidden_layers: tuple = ()
     trunk_activation: str = RELU
-    embedding_distribution: Distribution = Distribution("uniform", 1.0)
+    embedding_variance: float = 1.0   # Var(e): embeddings are drawn uniform
     embeddings_trainable: bool = False
     head_topology: str = SHARED_SAME_SIZE
     chunk: ChunkPlan | None = None
@@ -105,6 +106,9 @@ class HypernetSpec:
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
         if self.embedding_dim < 1:
             raise SpecError("embedding_dim must be positive")
+        if not np.isfinite(self.embedding_variance) or self.embedding_variance <= 0:
+            raise SpecError(f"embedding_variance must be finite and > 0, "
+                            f"got {self.embedding_variance}")
         if self.head_topology not in TOPOLOGIES:
             raise SpecError(f"unknown head topology {self.head_topology!r}")
         if self.head_topology == CHUNKED and self.chunk is None:
@@ -162,13 +166,14 @@ class Trunk(Segment):
     def out_dim(self):
         return self.widths[-1] if self.widths else self.in_dim
 
-    def initialize(self, net, scheme, draw):
+    def initialize(self, net, scheme, rng):
         """Each layer's bias by the offset rule, then its weight by the
         interior-layer rule with this trunk's own ReLU gain."""
-        inner = scheme.with_flags(relu_gain=scheme.relu_gain and self.activation == RELU)
+        inner = replace(scheme, relu_gain=scheme.relu_gain and self.activation == RELU)
         for w, b in zip(self.weights, self.biases):
-            draw(schemes.offset_variance(scheme), b)
-            draw(schemes.layer_variance(inner, FanGeometry(*w.shape, d_k=1)), w)
+            var = schemes.layer_variance(inner, FanGeometry(*w.shape, d_k=1))
+            sample(schemes.offset_variance(scheme), b.shape, rng, out=b)
+            sample(var, w.shape, rng, out=w)
 
     def forward(self, emb_matrix):
         """emb_matrix: (T, in_dim) stacked embeddings -> (features, cache)."""
@@ -209,12 +214,13 @@ class Projection(Segment):
         self.proj, self.proj_bias = views.values()
         return views
 
-    def initialize(self, net, scheme, draw):
+    def initialize(self, net, scheme, rng):
         """Each target's rows by the projection rule, then the offsets."""
         for t, rows in zip(self.targets, self.rows):
             var = schemes.projection_variance(net.layer_scheme(scheme, t), net.geometry(t))
-            draw(var, self.proj[rows])
-        draw(schemes.offset_variance(scheme), self.proj_bias)
+            block = self.proj[rows]
+            sample(var, block.shape, rng, out=block)
+        sample(schemes.offset_variance(scheme), self.proj_bias.shape, rng, out=self.proj_bias)
 
     def forward(self, emb):
         """emb: (rows, d_e) embeddings -> (features, cache)."""
@@ -344,11 +350,12 @@ class SlotBank(Segment):
             h.H, h.beta = (views[key] for key in h.keys)
         return views
 
-    def initialize(self, net, scheme, draw):
+    def initialize(self, net, scheme, rng):
         for h in self.heads:
             t0 = h.targets[0]
-            draw(self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0)), h.H)
-            draw(schemes.offset_variance(scheme), h.beta)
+            var = self.slot.variance(net.layer_scheme(scheme, t0), net.geometry(t0))
+            sample(var, h.H.shape, rng, out=h.H)
+            sample(schemes.offset_variance(scheme), h.beta.shape, rng, out=h.beta)
 
     def generate(self, x, params):
         """Every target's parameter from the slot product ``x @ H.T + beta``,
@@ -452,17 +459,14 @@ class Hypernet:
         self._allocate()
         self.grad = None
 
-        dist = hspec.embedding_distribution
-        erng = rng.child(0)
+        var_e, erng = hspec.embedding_variance, rng.child(0)
         for src in self.sources.values():
-            e = sample(dist, src.block.shape, erng)
-            if hspec.normalize_embeddings and dist.variance > 0:
+            e = sample(var_e, src.block.shape, erng, out=src.block)
+            if hspec.normalize_embeddings:
                 # Pin each embedding's empirical second moment to the declared
                 # variance, so head-variance checks see the formula rather than
                 # the luck of one finite draw.
-                m2 = np.mean(np.square(e), axis=-1, keepdims=True)
-                e = e * np.sqrt(dist.variance / m2)
-            src.block[...] = e
+                e *= np.sqrt(var_e / np.mean(np.square(e), axis=-1, keepdims=True))
 
     # ---- parameter access -------------------------------------------------
 
@@ -500,7 +504,7 @@ class Hypernet:
     def geometry(self, t):
         """Fan geometry of the generator heads targeting mainnet layer t."""
         layer = self.mspec.layers[t]
-        var_e = self.hspec.embedding_distribution.variance
+        var_e = self.hspec.embedding_variance
         b_head = self.head_of(t, BIAS.param)
         d_l, var_e2 = (b_head.d_in, var_e) if b_head else (1, 1.0)
         return FanGeometry(d_i=layer.d_out, d_j=layer.d_in, d_k=self.head_of(t).d_in, d_l=d_l,
@@ -513,9 +517,8 @@ class Hypernet:
 
     def layer_scheme(self, scheme, t):
         layer = self.mspec.layers[t]
-        return scheme.with_flags(
-            relu_gain=scheme.relu_gain and layer.activation == RELU,
-            hypernet_bias=layer.bias_source == GENERATED_BIAS)
+        return replace(scheme, relu_gain=scheme.relu_gain and layer.activation == RELU,
+                       hypernet_bias=layer.bias_source == GENERATED_BIAS)
 
     def initialize(self, scheme: InitScheme, rng: Rng):
         """Sample every hypernet parameter according to the scheme.
@@ -527,15 +530,9 @@ class Hypernet:
         is uniform, in one order: trunks, weight heads (each followed by its
         source's projection), bias heads. A zero variance draws nothing.
         """
-        def draw(var, out):
-            if var:
-                sample(Distribution(UNIFORM, var), out.shape, rng, out=out)
-            else:
-                out[...] = 0.0
-
         bias_last = sorted(self.sources.values(), key=lambda src: src.head.slot is BIAS)
         for part in self.trunks + [part for src in bias_last for part in src.parts]:
-            part.initialize(self, scheme, draw)
+            part.initialize(self, scheme, rng)
 
         if scheme.kind == schemes.CONST_EMBEDDING:
             for src in self.sources.values():

@@ -37,7 +37,7 @@ the dimensions of one generator head and its target layer:
 ``receptive_field``  kernel_h * kernel_w for conv targets, 1 for dense
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown init scheme {self.kind!r}; expected one of {ALL_KINDS}")
-
-    def with_flags(self, **kw):
-        return replace(self, **kw)
 
 
 def parse_scheme(name, **kw):

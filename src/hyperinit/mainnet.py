@@ -165,7 +165,6 @@ class ForwardTrace:
     inputs: list = field(default_factory=list)    # inputs[t] = tensor layer t consumed
     preacts: list = field(default_factory=list)   # y[t] before the activation
     acts: list = field(default_factory=list)      # x[t+1] = activation(y[t])
-    pool_shape: dict = field(default_factory=dict)  # {t: NHWC shape averaged into layer t}
     # {t: conv layer t's patch matrix, no sample of it handled by two threads};
     # None in a trace of a forward-only pass (forward(..., for_backward=False))
     # and once backward(..., weights=True) has formed layer t's weight gradient
@@ -374,7 +373,6 @@ def forward(spec, params, batch, labels=None, for_backward=True):
     trace = ForwardTrace()
     for t, layer in enumerate(spec.layers):
         if layer.kind == DENSE and x.ndim == 4:
-            trace.pool_shape[t] = x.shape
             x = x.mean(axis=(1, 2))
         if layer.kind == DENSE:
             if x.shape[1] != layer.d_in:
@@ -489,10 +487,10 @@ def backward(spec, params, trace, labels, weights=True):
             break   # the input batch is not trained: no gradient for it
         if layer.kind == DENSE:
             dx = matmul_cols(dy, params[t]["W"])
+            pooled = trace.acts[t - 1]
+            if pooled.ndim == 4:   # layer t averaged this NHWC map
+                _, h, w, _ = pooled.shape
+                dx = np.broadcast_to(dx[:, None, None, :] / (h * w), pooled.shape).copy()
         else:
             dx = _conv_input_grad(trace.inputs[t].shape, params[t]["W"], layer.kernel, dy)
-        if t in trace.pool_shape:
-            shape = trace.pool_shape[t]
-            dx = np.broadcast_to(
-                dx[:, None, None, :] / (shape[1] * shape[2]), shape).copy()
     return MainnetGrads(weight=dW, bias=db, acts=dacts, preacts=None if weights else dys)

@@ -2,7 +2,8 @@
 
 ``snapshot`` reduces forward/backward traces to per-layer mean/variance rows,
 ``predict`` produces the closed-form values those rows should take right
-after initialization, and ``compare`` joins the two into pass/fail ratios.
+after initialization, keyed by the same row kinds, and ``compare`` joins the
+two into pass/fail ratios.
 Reports serialize to JSON (step -> layer -> kind -> stats) and to a flat CSV
 with columns step,layer,kind,mean,var,theory,ratio.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import init_schemes as schemes
-from .hypergen import gradient_shrink_factor
 from .mainnet import IDENTITY, RELU, SpecError, forward
 from .tensor import DTYPE
 
@@ -116,82 +116,48 @@ def linear_activation_variances(mspec, params, trace):
     return acts
 
 
-@dataclass
-class Prediction:
-    """Closed-form per-layer targets at initialization."""
-
-    weight_var: list
-    preact_var: list
-    act_var: list          # None where the activation makes the value non-closed-form
-    linear_var: list       # identity-replay recursion, never squashed or halved
-    grad_shrink: list
-
-
 def predict(scheme, mspec, hypernet, var_input=1.0):
-    """Theoretical per-layer variances for a freshly initialized hypernet.
+    """Theoretical per-layer variances for a freshly initialized hypernet,
+    keyed by the row kind they predict: ``{WEIGHT: [...], PREACT: [...],
+    ACT: [...], LINEAR_ACT: [...]}``, one value per layer.
 
-    Uses the declared embedding variances and the scheme's formulas; the
+    Uses the declared embedding variance and the scheme's formulas; the
     activation recursion treats tanh as identity (its linear regime) and
-    halves the propagated second moment after each ReLU. ``linear_var``
-    follows the raw weight recursion fan_in * Var(W) with no activation at
-    all, matching :func:`linear_activation_variances`.
+    halves the propagated second moment after each ReLU, whose ACT value is
+    None (not closed-form). LINEAR_ACT follows the raw weight recursion
+    fan_in * Var(W) with no activation at all, matching
+    :func:`linear_activation_variances`.
     """
-    weight_var, preact_var, act_var, linear_var, shrink = [], [], [], [], []
-    m2 = var_input
-    lin = var_input
+    out = {WEIGHT: [], PREACT: [], ACT: [], LINEAR_ACT: []}
+    m2 = lin = var_input
     for t, layer in enumerate(mspec.layers):
         geom = hypernet.geometry(t)
         eff = hypernet.layer_scheme(scheme, t)
         w = schemes.generated_weight_variance(eff, geom)
-        weight_var.append(w)
         bias_term = 0.0
         if layer.bias_source == "generated":
             bias_term = geom.d_l * schemes.scheme_bias_variance(eff, geom) * geom.var_e2
         v = layer.fan_in * w * m2 + bias_term
-        preact_var.append(v)
         lin = layer.fan_in * w * lin + bias_term
-        linear_var.append(lin)
-        if layer.activation == RELU:
-            act_var.append(None)
-            m2 = v / 2.0
-        else:
-            act_var.append(v)
-            m2 = v
-        shrink.append(gradient_shrink_factor(geom))
-    return Prediction(weight_var=weight_var, preact_var=preact_var,
-                      act_var=act_var, linear_var=linear_var,
-                      grad_shrink=shrink)
-
-
-@dataclass
-class Comparison:
-    rows: list
-    all_passed: bool
+        m2 = v / 2.0 if layer.activation == RELU else v
+        for kind, value in ((WEIGHT, w), (PREACT, v), (LINEAR_ACT, lin),
+                            (ACT, None if layer.activation == RELU else v)):
+            out[kind].append(value)
+    return out
 
 
 def compare(report, prediction, band=DEFAULT_BAND):
-    """Attach theory values and ratio pass/fail to the report's rows.
-
-    Rows checked: per-layer weight variance and (identity/tanh) activation
-    variance against the prediction, within ``band`` of the theory value.
-    """
+    """Attach theory values and ratio pass/fail to the report's rows of the
+    kinds ``prediction`` holds (per-layer weight, pre-activation, activation
+    and identity-replay activation variance), within ``band`` of the theory
+    value; returns the rows checked."""
     lo, hi = band
-    n_layers = len(prediction.weight_var)
     layers_seen = {r.layer for r in report.rows if r.layer >= 0}
-    if layers_seen and max(layers_seen) >= n_layers:
+    if layers_seen and max(layers_seen) >= len(prediction[WEIGHT]):
         raise SpecError("report and prediction cover different layer sets")
     checked = []
-    ok = True
     for row in report.rows:
-        theory = None
-        if row.kind == WEIGHT:
-            theory = prediction.weight_var[row.layer]
-        elif row.kind == ACT:
-            theory = prediction.act_var[row.layer]
-        elif row.kind == PREACT:
-            theory = prediction.preact_var[row.layer]
-        elif row.kind == LINEAR_ACT:
-            theory = prediction.linear_var[row.layer]
+        theory = prediction[row.kind][row.layer] if row.kind in prediction else None
         if theory is None:
             continue
         row.theory = float(theory)
@@ -201,9 +167,8 @@ def compare(report, prediction, band=DEFAULT_BAND):
         else:
             row.ratio = None
             row.passed = bool(row.var == 0.0)
-        ok = ok and row.passed
         checked.append(row)
-    return Comparison(rows=checked, all_passed=ok)
+    return checked
 
 
 @np.errstate(divide="ignore", invalid="ignore")

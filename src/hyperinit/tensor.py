@@ -1,5 +1,6 @@
-"""Dense float64 tensors, a deterministic counter-based RNG, sampling helpers,
-and the engine's one core scheduler.
+"""Dense float64 tensors, a deterministic counter-based RNG, the uniform
+sampler every hypernet array is drawn with, and the engine's one core
+scheduler.
 
 Everything downstream moves activations, weights and gradients around as plain
 numpy float64 arrays; this module pins the dtype and provides the few
@@ -15,14 +16,10 @@ thread: OpenBLAS's own threads already change a GEMM's last bits.
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 DTYPE = np.float64
-
-UNIFORM = "uniform"
-NORMAL = "normal"
 
 # Below this much work a pass runs whole on the calling thread. Work counts
 # multiply-adds, a uniform draw as DRAW_WORK of them: on a 2-core Sapphire
@@ -76,23 +73,15 @@ def in_groups(ranges, work, buffers, run):
         raise errors[0]
 
 
-def pow2_blocks(n):
-    """[0, n) in blocks of the largest power of two, at most 1<<14 so that a
-    long range splits evenly, that gives every core a block: ``in_groups``
-    then splits at multiples of it, 500 rows on 2 cores at 256 and on 3 at
-    128 and 256."""
-    step = 1 << min(14, max(0, (-(-n // cores())).bit_length() - 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def matmul_cols(a, b, out=None):
     """``a @ b`` (into ``out`` when given). Above the floor the columns of
-    ``b`` and of the product split across cores at multiples of a power of
-    two (``pow2_blocks``), each group multiplying the whole of ``a`` straight
-    into its columns, so every entry's reduction stays whole. Such splits
-    keep OpenBLAS's bits for mnist-mlp's dense layers and generated heads at
-    one BLAS thread; a split by the product's rows, or one at 320 of 500
-    columns, does not."""
+    ``b`` and of the product split across cores at multiples of the largest
+    power of two, at most 1<<14, that gives every core a block (500 columns
+    split at 256 on 2 cores, at 128 and 256 on 3), each group multiplying
+    the whole of ``a`` straight into its columns, so every entry's reduction
+    stays whole. Such splits keep OpenBLAS's bits for mnist-mlp's dense
+    layers and generated heads at one BLAS thread; a split by the product's
+    rows, or one at 320 of 500 columns, does not."""
     work = a.shape[0] * a.shape[1] * b.shape[1]
     if work < SPLIT_FLOOR:   # the common small case, without a closure
         return np.matmul(a, b, out=out)
@@ -103,7 +92,8 @@ def matmul_cols(a, b, out=None):
         cols = slice(group[0].start, group[-1].stop)
         np.matmul(a, b[:, cols], out=out[:, cols])
 
-    in_groups(pow2_blocks(b.shape[1]), work, tuple, run)
+    n = b.shape[1]
+    in_groups(row_chunks(n, 1, min(1 << 14, -(-n // cores()))), work, tuple, run)
     return out
 
 
@@ -191,36 +181,20 @@ class Rng:
         return f"Rng(seed={self.seed}, path={self._path})"
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Mean-zero sampling distribution described by family and variance."""
-
-    family: str = UNIFORM
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in (UNIFORM, NORMAL):
-            raise ValueError(f"unknown distribution family: {self.family!r}")
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-
-
-def sample(dist, shape, rng, out=None):
-    """Draw a tensor of the given shape from the distribution, into ``out``
-    (C-contiguous, of that shape) when given.
-
-    Uniform draws come from [-sqrt(3 v), +sqrt(3 v)) so the population variance
-    is exactly ``v``; normal draws are mean-zero with variance ``v``.
-    Variance zero yields an all-zero tensor.
-    """
+def sample(variance, shape, rng, out=None):
+    """A tensor of the given shape drawn uniformly from [-sqrt(3 v),
+    +sqrt(3 v)), whose population variance is exactly ``variance``, into
+    ``out`` (C-contiguous, of that shape) when given. Variance zero yields
+    an all-zero tensor and draws nothing; a negative or non-finite variance
+    raises ValueError."""
+    if not np.isfinite(variance) or variance < 0:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     if out is None:
         out = np.empty(shape, dtype=DTYPE)
-    if dist.variance == 0.0:
+    if variance == 0.0:
         out[...] = 0.0
-    elif dist.family == UNIFORM:
-        rng.uniform_symmetric(np.sqrt(3.0 * dist.variance), out=out)
     else:
-        out[...] = rng.normal(np.sqrt(dist.variance), shape)
+        rng.uniform_symmetric(np.sqrt(3.0 * variance), out=out)
     return out
 
 

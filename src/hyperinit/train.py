@@ -63,7 +63,7 @@ from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet
                        HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, OVERFLOW_LIMIT, TANH, RELU,
-                      ForwardTrace, MainnetGrads, MainnetSpec, accuracy, allconv,
+                      ForwardTrace, MainnetGrads, accuracy, allconv,
                       backward, forward, mlp, mse_loss, weight_factors, weight_grad)
 from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
                     write_json)
@@ -331,7 +331,6 @@ class TrainResult:
     init_linear_vars: list | None = None
     final_metric: float | None = None
     hypernet: Hypernet | None = None
-    mspec: MainnetSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -549,7 +548,7 @@ def train(preset_name, config, data_dir=None, data=None, out_dir=None):
     mspec = preset.build_mainnet()
     schedule = SCHEDULES[preset.kind](preset, config, rng, mspec, data_dir, data)
     net = init_hypernet(preset.build_hspec(), mspec, parse_scheme(config.scheme), rng.child(1))
-    result = TrainResult(preset=preset.name, config=config, mspec=mspec, hypernet=net)
+    result = TrainResult(preset=preset.name, config=config, hypernet=net)
     _run(net, mspec, config, schedule, result)
     if out_dir is not None:
         write_outputs(out_dir, result)

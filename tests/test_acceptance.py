@@ -19,7 +19,7 @@ from hyperinit import probe
 from hyperinit import train as tr
 from hyperinit.gradcheck import run_suite
 from hyperinit.init_schemes import parse_scheme
-from hyperinit.tensor import Distribution, Rng, sample
+from hyperinit.tensor import Rng, sample
 
 from helpers import empirical_variance, write_cifar10_binary
 
@@ -181,7 +181,7 @@ def test_c03_sampling_fidelity():
     for kind in s.ALL_KINDS:
         sch = parse_scheme(kind, relu_gain=False, hypernet_bias=True)
         target = s.scheme_weight_variance(sch, g)
-        vals = sample(Distribution("uniform", target), 10 ** 6, Rng(42))
+        vals = sample(target, 10 ** 6, Rng(42))
         err = abs(empirical_variance(vals) - target) / target
         ok = ok and err < 0.01
         lines.append(f"{kind}={err:.4f}")

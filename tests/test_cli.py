@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -199,6 +200,22 @@ class TestTrainCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 0
+
+    @pytest.mark.parametrize("blas_threads", [None, "1"])
+    def test_the_manifest_records_blas_threads_and_cores(self, capsys, tmp_path, monkeypatch,
+                                                         blas_threads):
+        # an unpinned run's last bits depend on both (tests/test_split.py)
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--preset", "regression-seq",
+                         "--iterations", "2", "--out", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["blas_threads"] == blas_threads
+        assert manifest["cores"] == len(os.sched_getaffinity(0)) >= 1
 
     def test_seed_list_runs_each(self, capsys, tmp_path):
         out_dir = tmp_path / "multi"

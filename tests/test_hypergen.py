@@ -8,7 +8,7 @@ from hyperinit import hypergen as hg
 from hyperinit import init_schemes as s
 from hyperinit import mainnet as mn
 from hyperinit.gradcheck import run_suite
-from hyperinit.tensor import UNIFORM, Distribution, Rng, sample
+from hyperinit.tensor import Rng, sample
 
 from helpers import updatable_keys
 
@@ -47,6 +47,11 @@ class TestTopologyConstruction:
     def test_chunked_requires_plan(self):
         with pytest.raises(mn.SpecError):
             hg.HypernetSpec(head_topology=hg.CHUNKED)
+
+    def test_embedding_variance_must_be_finite_and_positive(self):
+        for v in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(mn.SpecError):
+                hg.HypernetSpec(embedding_variance=v)
 
     def test_chunk_divisibility_checked_at_construction(self):
         mspec = mn.allconv(3, [5], 2, kernel=3)   # 5 % 2 != 0
@@ -109,12 +114,11 @@ class TestGenerate:
 
     @pytest.mark.parametrize("scheme", ["hyperfan-in", "hyperfan-out"])
     def test_declared_embedding_variance_reaches_the_generated_weights(self, scheme):
-        # the head formulas divide by the declared Var(e); normal embeddings
-        # of variance 0.25 must still land the weights on the classical target
+        # the head formulas divide by the declared Var(e); embeddings of
+        # variance 0.25 must still land the weights on the classical target
         mspec = mn.mlp([500, 2000], activation="identity", loss="mse")
         hspec = hg.HypernetSpec(embedding_dim=50, head_topology=hg.PER_LAYER,
-                                embedding_distribution=Distribution("normal", 0.25),
-                                normalize_embeddings=True)
+                                embedding_variance=0.25, normalize_embeddings=True)
         sch = s.parse_scheme(scheme)
         net = hg.init_hypernet(hspec, mspec, sch, Rng(3))
         geom = net.geometry(0)
@@ -340,8 +344,7 @@ class TestSlotLayout:
         for head in linear_heads(net):   # identity trunk, hyperfan-in: only H is drawn
             t = head.targets[0]
             var = head.slot.variance(net.layer_scheme(scheme, t), net.geometry(t))
-            np.testing.assert_array_equal(head.H, sample(Distribution(UNIFORM, var),
-                                                         head.H.shape, rng))
+            np.testing.assert_array_equal(head.H, sample(var, head.H.shape, rng))
 
 
 # The initial draws of every scheme: a dense net whose ReLU trunks feed
@@ -434,7 +437,7 @@ class TestInitialDraws:
         draws = expected_draws(net, kind)
         assert sum(a.size for a, _ in draws) == net.n_updatable   # every hypernet array
         for a, var in draws:
-            want = sample(Distribution(UNIFORM, var), a.shape, rng)   # var 0: zeros, no draw
+            want = sample(var, a.shape, rng)   # var 0: zeros, no draw
             np.testing.assert_array_equal(a, want)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperinit import init_schemes as s
-from hyperinit.tensor import Distribution, Rng, sample
+from hyperinit.tensor import Rng, sample
 
 from helpers import empirical_variance
 
@@ -234,7 +234,7 @@ class TestSamplingFidelity:
         g = geom(500, 784, 50, d_l=50)
         sch = s.parse_scheme(kind, relu_gain=False, hypernet_bias=True)
         target = s.scheme_weight_variance(sch, g)
-        vals = sample(Distribution("uniform", target), self.N, Rng(42))
+        vals = sample(target, self.N, Rng(42))
         assert abs(empirical_variance(vals) - target) / target < 0.01
 
     def test_zero_variance_scheme_samples_zero(self):
@@ -242,7 +242,7 @@ class TestSamplingFidelity:
         sch = s.parse_scheme("hyperfan-out", relu_gain=False)
         target = s.scheme_bias_variance(sch, g)
         assert target == 0.0
-        vals = sample(Distribution("uniform", target), 1000, Rng(42))
+        vals = sample(target, 1000, Rng(42))
         assert not vals.any()
 
 

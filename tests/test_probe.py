@@ -75,7 +75,7 @@ class TestPredict:
     def test_hyperfan_in_predicts_constant_activation_variance(self):
         net, mspec, *_ = small_setup("hyperfan-in", depth=4)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net, var_input=1.0)
-        for v in pred.act_var:
+        for v in pred[probe.ACT]:
             assert v == pytest.approx(1.0, rel=1e-12)
 
     def test_fan_in_predicts_exponential_growth(self):
@@ -83,20 +83,15 @@ class TestPredict:
         pred = probe.predict(parse_scheme("fan-in"), mspec, net, var_input=1.0)
         # Var(W) = 1 per layer under head fan-in init, so each layer
         # multiplies the variance by its width
-        np.testing.assert_allclose(pred.linear_var, [40.0, 1600.0, 64000.0],
+        np.testing.assert_allclose(pred[probe.LINEAR_ACT], [40.0, 1600.0, 64000.0],
                                    rtol=1e-12)
 
     def test_hyperfan_out_with_bias_predicts_unit_preact(self):
         net, mspec, *_ = small_setup("hyperfan-out", depth=3, bias=True)
         pred = probe.predict(parse_scheme("hyperfan-out"), mspec, net,
                              var_input=1.0)
-        for v in pred.preact_var:
+        for v in pred[probe.PREACT]:
             assert v == pytest.approx(1.0, rel=1e-12)
-
-    def test_grad_shrink_per_layer(self):
-        net, mspec, *_ = small_setup(width=40, emb=8)
-        pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
-        assert pred.grad_shrink[0] == pytest.approx(40 / 8)
 
 
 class TestCompare:
@@ -106,26 +101,39 @@ class TestCompare:
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
         for row in rep.rows:
             if row.kind == probe.ACT:
-                row.var = pred.act_var[row.layer]
-        comp = probe.compare(rep, pred, band=(0.999, 1.001))
-        act_rows = [r for r in comp.rows if r.kind == probe.ACT]
+                row.var = pred[probe.ACT][row.layer]
+        checked = probe.compare(rep, pred, band=(0.999, 1.001))
+        act_rows = [r for r in checked if r.kind == probe.ACT]
         assert act_rows and all(r.passed for r in act_rows)
 
     def test_within_band_passes(self):
         net, mspec, params, trace, grads = small_setup()
         rep = probe.snapshot(0, trace, params, grads)
         pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
-        comp = probe.compare(rep, pred, band=(0.8, 1.25))
-        assert comp.all_passed
+        checked = probe.compare(rep, pred, band=(0.8, 1.25))
+        assert checked and all(r.passed for r in checked)
 
     def test_large_mismatch_fails_with_ratio(self):
         net, mspec, params, trace, grads = small_setup("fan-in")
         rep = probe.snapshot(0, trace, params, grads)
         hyper_pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
-        comp = probe.compare(rep, hyper_pred, band=(0.8, 1.25))
-        assert not comp.all_passed
-        worst = max(r.ratio for r in comp.rows if r.ratio is not None)
+        checked = probe.compare(rep, hyper_pred, band=(0.8, 1.25))
+        assert not all(r.passed for r in checked)
+        worst = max(r.ratio for r in checked if r.ratio is not None)
         assert worst > 30  # exploding net measured against preservation theory
+
+    def test_checks_every_row_of_a_predicted_kind(self):
+        net, mspec, params, trace, grads = small_setup("hyperfan-in", activation="relu")
+        rep = probe.snapshot(0, trace, params, grads,
+                             linear_acts=probe.linear_activation_variances(mspec, params, trace))
+        pred = probe.predict(parse_scheme("hyperfan-in"), mspec, net)
+        assert sorted(pred) == sorted([probe.WEIGHT, probe.PREACT, probe.ACT, probe.LINEAR_ACT])
+        assert all(len(values) == len(mspec.layers) for values in pred.values())
+        checked = probe.compare(rep, pred)
+        want = [r for r in rep.rows if r.kind in pred and pred[r.kind][r.layer] is not None]
+        assert checked == want and None in pred[probe.ACT]   # a ReLU's ACT is not checked
+        for r in checked:
+            assert r.theory == pred[r.kind][r.layer]
 
     def test_layer_mismatch_rejected(self):
         net, mspec, params, trace, grads = small_setup(depth=3)

@@ -133,6 +133,31 @@ def test_dense_passes_equal_the_whole_gemm():
             assert_all_equal(got, want)
 
 
+@pytest.mark.parametrize("n_cores, ranges", [
+    (1, [(0, 500)]),
+    (2, [(0, 256), (256, 500)]),
+    (3, [(0, 128), (128, 256), (256, 500)]),
+    (4, [(0, 128), (128, 256), (256, 384), (384, 500)]),
+])
+def test_column_ranges_at_each_core_count(monkeypatch, n_cores, ranges):
+    # the power-of-two column blocks of a 300 x 784 by 784 x 500 product, as
+    # machines with more cores than this one would split it
+    monkeypatch.setattr(tensor, "cores", lambda: n_cores)
+    whole, got = tensor.in_groups, []
+
+    def recording(blocks, work, buffers, run):
+        def record(group, *bufs):
+            got.append((group[0].start, min(group[-1].stop, 500)))
+            run(group, *bufs)
+        whole(blocks, work, buffers, record)
+
+    monkeypatch.setattr(tensor, "in_groups", recording)
+    a, b = np.ones((300, 784)), np.ones((784, 500))
+    out = tensor.matmul_cols(a, b)
+    assert sorted(got) == ranges
+    assert (out == 784.0).all()
+
+
 class TestConvWeightGrad:
     # cifar-allconv's conv layers: positions per sample, patch width
     @pytest.mark.parametrize("batch", [50, 300])

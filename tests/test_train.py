@@ -425,7 +425,7 @@ class TestClassificationLoop:
         name, data = tiny_classification
         res = tr.train(name, tr.config_for(name), data=data)
         assert res.init_linear_vars == [float(np.var(a)) for a in replays[0]]
-        assert len(res.init_linear_vars) == len(res.mspec.layers)
+        assert len(res.init_linear_vars) == len(res.hypernet.mspec.layers)
 
     def test_deterministic_curves(self, tiny_classification):
         name, data = tiny_classification
@@ -539,7 +539,7 @@ class TestClassificationLoop:
         res = tr.train(name, tr.config_for(name), data=data)
         assert res.reports and hg.WEIGHT in slots and hg.BIAS not in slots
         layers = [row.layer for row in res.reports[0].rows if row.kind == "head_feature_grad"]
-        assert sorted(layers) == list(range(len(res.mspec.layers)))
+        assert sorted(layers) == list(range(len(res.hypernet.mspec.layers)))
 
     def test_curve_rows_have_metric(self, tiny_classification):
         name, data = tiny_classification
