@@ -141,7 +141,7 @@ def test_dense_passes_equal_the_whole_gemm():
 ])
 def test_column_ranges_at_each_core_count(monkeypatch, n_cores, ranges):
     # the power-of-two column blocks of a 300 x 784 by 784 x 500 product, as
-    # machines with more cores than this one would split it
+    # a machine of 1 to 4 cores splits it: the ranges each group multiplies
     monkeypatch.setattr(tensor, "cores", lambda: n_cores)
     whole, got = tensor.in_groups, []
 
