@@ -362,13 +362,15 @@ class SlotBank(Segment):
         split above the floor by power-of-two blocks of head rows
         (``matmul_cols``); products per head would change the bits. There
         each parameter is copied out and the product freed: a target reads
-        only its head's columns, 11 of the 31 MB of mnist-mlp's product."""
+        only its head's columns, 11 of the 31 MB of mnist-mlp's product.
+        Every parameter is C-contiguous: a conv kernel's chunk rows, a
+        strided view, are copied too, so its ``mean()`` sums it in C order."""
         y = matmul_cols(x, self.H.T)
         y += self.beta
         small = y.size * x.shape[1] < SPLIT_FLOOR
         for t, row, cols, shape in self.places:
             p = _assemble(y[row, cols], shape)
-            params[t][self.slot.param] = p if small else p.copy()
+            params[t][self.slot.param] = p if small and p.flags.c_contiguous else p.copy()
 
     def feature_grads(self, dslot):
         """Each target's gradient times its own head's rows alone, by layer:

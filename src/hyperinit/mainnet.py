@@ -20,13 +20,17 @@ writes. A dense product splits by output units, a weight gradient by input
 units or patch columns (``matmul_cols``), at power-of-two boundaries where
 every entry's reduction stays whole: at one BLAS thread the bits are the
 whole product's. Batch-10 dense layers stay below the floor.
-Every conv pass works through the batch in windows of samples (about 1<<20
-patch-matrix entries each), one contiguous group of windows per core, each
-group on its own thread through buffers reused from window to window: no
-padded copy of the batch, no patch matrix beyond the one a backward needs,
-no padded gradient. Every window runs the same n-row GEMM in either forward
-mode, and no sample is handled by two threads, so the bits do not depend on
-the core count. A forward-only pass (``forward(..., for_backward=False)``:
+Every conv pass works through the batch in windows of samples (at most
+about 1<<20 patch-matrix entries and an eighth of the batch each), one
+contiguous group of windows per core, each group on its own thread through
+buffers reused from window to window: no padded copy of the batch, no patch
+matrix beyond the one a backward needs, no padded gradient. Every window
+runs the same n-row GEMM in either forward mode, and no sample is handled by
+two threads, so the bits do not depend on the core count. Each forward
+window also adds the bias, writes the activation and checks for overflow in
+cache-sized row blocks of its output, and each input-gradient window forms
+the layer below's pre-activation gradient for the samples it completes, so
+no elementwise pass reads a whole conv map again. A forward-only pass (``forward(..., for_backward=False)``:
 evaluation, the probe's replay) keeps no patch matrix at all, and
 ``backward(..., weights=True)`` drops each conv layer's patch matrix once its
 weight gradient is formed; ``backward`` refuses a trace without them.
@@ -43,6 +47,16 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import DTYPE, in_groups, matmul_cols, row_chunks
 
 OVERFLOW_LIMIT = 1e30
+# A conv window holds at most 1/WINDOW_SHARE of the batch, but runs a GEMM of
+# at least MIN_WINDOW_WORK multiply-adds: OpenBLAS takes smaller products
+# through its small-matrix kernel, with other last bits (cifar-allconv's
+# layer 0 on one sample, 0.66M, differs from a taller window; on two, 1.3M,
+# does not).
+WINDOW_SHARE = 8
+MIN_WINDOW_WORK = 1 << 21
+# A conv window's bias, activation and overflow check run on row blocks of
+# about this many output entries (256 KiB), in a core's L2 cache.
+EPILOGUE_ENTRIES = 1 << 15
 
 DENSE = "dense"
 CONV = "conv"
@@ -176,20 +190,24 @@ class ForwardTrace:
         return self.acts[-1]
 
 
-def activate(name, y):
+def activate(name, y, out=None):
+    """activation(y), into ``out`` when given (identity returns y itself)."""
     if name == TANH:
-        return np.tanh(y)
+        return np.tanh(y, out=out)
     if name == RELU:
-        return np.maximum(y, 0.0)
+        return np.maximum(y, 0.0, out=out)
     return y
 
 
-def activation_grad(name, y, x, dx):
+def activation_grad(name, y, x, dx, out=None):
+    """dL/dy from dL/dx of x = activation(y), into ``out`` when given."""
     # tanh derivative from the cached post-activation: 1 - x^2 (exact).
     if name == TANH:
-        return dx * (1.0 - x * x)
+        g = np.multiply(x, x, out=out)
+        np.subtract(1.0, g, out=g)
+        return np.multiply(dx, g, out=g)
     if name == RELU:
-        return dx * (y > 0.0)
+        return np.multiply(dx, y > 0.0, out=out)
     return dx
 
 
@@ -222,20 +240,28 @@ def _weight_matrix(weight):
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
-def _sample_windows(b, rows_per_sample):
+def _sample_windows(b, rows_per_sample, c_out=1):
     """Windows of n samples covering [0, b) in order, and n: a power of two
-    (``row_chunks``) of at most ~1<<20 patch-matrix entries and at least one
-    sample, or b if fewer. The last window ends at b and may overlap the one
-    before it, so every GEMM of a pass is n samples tall: OpenBLAS may take a
-    small product through another kernel and change its last bits, and
-    windows of one size give the bits of the whole-batch GEMM."""
-    n = min(b, row_chunks(max(b, 1), rows_per_sample)[0].stop)
+    of at most ~1<<20 patch-matrix entries (``row_chunks``) and at most
+    b / WINDOW_SHARE samples, so every core runs several windows and a
+    batch-50 step splits; but at least MIN_WINDOW_WORK multiply-adds of GEMM
+    per window (``c_out`` output channels), or b samples if fewer. The last
+    window ends at b and may overlap the one before it, so every GEMM of a
+    pass is n samples tall: OpenBLAS takes a small product through another
+    kernel, whose last bits differ, and windows of one size above it give the
+    bits of the whole-batch GEMM."""
+    cap = row_chunks(max(b, 1), rows_per_sample)[0].stop
+    share = 1 << max(0, (b // WINDOW_SHARE).bit_length() - 1)
+    least = 1 << (-(-MIN_WINDOW_WORK // (rows_per_sample * c_out)) - 1).bit_length()
+    n = min(b, cap, max(share, least))
     return [slice(min(lo, b - n), min(lo, b - n) + n) for lo in range(0, b, max(n, 1))], n
 
 
-def _conv_forward(x, weight, bias, kernel, for_backward=True):
-    """NHWC conv: the (B, oh, ow, C_out) output and the (B*oh*ow, kh*kw*C)
-    patch matrix, or None for it without ``for_backward``.
+def _conv_forward(x, weight, bias, kernel, for_backward=True, activation=IDENTITY):
+    """NHWC conv: the (B, oh, ow, C_out) output, its activation (the output
+    itself for identity), the (B*oh*ow, kh*kw*C) patch matrix, or None for it
+    without ``for_backward``, and whether any output is non-finite or beyond
+    OVERFLOW_LIMIT in magnitude.
 
     The windows of samples run in groups, one per core, and no sample is
     handled by two threads (``tensor.in_groups``). Each window is copied into the
@@ -243,7 +269,9 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
     multiplied by one n-row GEMM straight into its rows of the output. With
     ``for_backward`` it unrolls into its rows of the whole-batch patch matrix
     that ``weight_factors`` needs; without, into its group's reused block of
-    patch rows. An overlapping last window rewrites the rows it shares with
+    patch rows. The window's output rows then take the bias, the activation
+    and the overflow check in power-of-two row blocks, each block while it is
+    in cache. An overlapping last window rewrites the rows it shares with
     the window before it, with the same values, on the same thread."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x.shape
@@ -251,10 +279,13 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
     k, p = kh * kw * c, oh * ow
     c_out = weight.shape[0]
     wm_t = _weight_matrix(weight).T
-    windows, n = _sample_windows(b, p * k)
+    windows, n = _sample_windows(b, p * k, c_out)
+    blocks = row_chunks(n * p, c_out, EPILOGUE_ENTRIES)
     cols = np.empty((b * p, k), dtype=DTYPE) if for_backward else None
     y = np.empty((b, oh, ow, c_out), dtype=DTYPE)
-    y_mat = y.reshape(b * p, c_out)
+    act = y if activation == IDENTITY else np.empty_like(y)
+    y_mat, act_mat = y.reshape(b * p, c_out), act.reshape(b * p, c_out)
+    overflow = []
 
     def buffers():
         return (np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=DTYPE),
@@ -267,10 +298,18 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True):
             a = cols[rows] if for_backward else block
             a.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
             np.matmul(a, wm_t, out=y_mat[rows])
-            y_mat[rows] += bias
+            for r in blocks:
+                r = slice(rows.start + r.start, min(rows.start + r.stop, rows.stop))
+                yr = y_mat[r]
+                yr += bias
+                if activation != IDENTITY:
+                    activate(activation, yr, act_mat[r])
+                # comparisons, so a NaN counts (Python's max would drop it)
+                if not (yr.max() <= OVERFLOW_LIMIT and yr.min() >= -OVERFLOW_LIMIT):
+                    overflow.append(s.start)
 
     in_groups(windows, b * p * k * (c_out + 1), buffers, run)
-    return y, cols
+    return y, act, cols, bool(overflow)
 
 
 def _tap_ranges(size, out, k, stride, pad):
@@ -287,23 +326,30 @@ def _tap_ranges(size, out, k, stride, pad):
     return taps
 
 
-def _conv_input_grad(x_shape, weight, kernel, dy):
-    """dL/dx of an NHWC conv from its output gradient ``dy``, the windows of
-    samples in groups, one per core, no sample handled by two threads
-    (``tensor.in_groups``): a window's patch gradients go into its group's reused
-    buffer and are added, tap by tap in kernel order, straight into its
-    samples of the unpadded ``dx``; taps that read the zero padding are
-    clipped off, so every element takes the same adds in the same order as
-    from a padded batch. An overlapping last window skips the samples its
-    group has already done, so no sample is added into twice."""
+def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
+    """dL/dx of an NHWC conv from its output gradient ``dy``, and the dL/dy of
+    the layer below, whose (activation, y, x) ``below`` gives: dL/dx itself
+    for identity.
+
+    The windows of samples run in groups, one per core, no sample handled by
+    two threads (``tensor.in_groups``): a window's patch gradients go into its
+    group's reused buffer and are added, tap by tap in kernel order, straight
+    into its samples of the unpadded ``dx``; taps that read the zero padding
+    are clipped off, so every element takes the same adds in the same order
+    as from a padded batch. The samples a window completes then take the
+    layer below's activation derivative on the same thread. An overlapping
+    last window skips the samples its group has already done, so no sample
+    is added into twice."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x_shape
     _, oh, ow, c_out = dy.shape
     k, p = kh * kw * c, oh * ow
     wm = _weight_matrix(weight)
     dy_mat = dy.reshape(b * p, c_out)
-    windows, n = _sample_windows(b, p * k)
+    windows, n = _sample_windows(b, p * k, c_out)
     dx = np.zeros(x_shape, dtype=DTYPE)
+    name, y_below, x_below = below
+    dy_below = dx if name == IDENTITY else np.empty(x_shape, dtype=DTYPE)
     taps = [(i, j, rows, cols, hs, ws)
             for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
             for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
@@ -313,14 +359,17 @@ def _conv_input_grad(x_shape, weight, kernel, dy):
         for s in group:
             d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
             d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
-            dxs = dx[done:s.stop]
+            new = slice(done, s.stop)
+            dxs = dx[new]
             for i, j, rows, cols, hs, ws in taps:
                 dxs[:, hs, ws] += d[:, rows, cols, i, j]
+            if name != IDENTITY:
+                activation_grad(name, y_below[new], x_below[new], dxs, out=dy_below[new])
             done = s.stop
 
     in_groups(windows, b * p * k * (c_out + 1), lambda: (np.empty((n * p, k), dtype=DTYPE),),
               run)
-    return dx
+    return dx, dy_below
 
 
 def weight_factors(trace, t, dy):
@@ -374,25 +423,24 @@ def forward(spec, params, batch, labels=None, for_backward=True):
     for t, layer in enumerate(spec.layers):
         if layer.kind == DENSE and x.ndim == 4:
             x = x.mean(axis=(1, 2))
+        # a conv net's inputs[0] stays the caller's NCHW batch
+        trace.inputs.append(x.transpose(0, 3, 1, 2) if t == 0 and x.ndim == 4 else x)
         if layer.kind == DENSE:
             if x.shape[1] != layer.d_in:
                 raise SpecError(f"layer {t} expects width {layer.d_in}, got {x.shape[1]}")
             y = matmul_cols(x, params[t]["W"].T)   # split by output units
             y += params[t]["b"]
-        else:
+            m = np.abs(y).max()
+            overflow = not np.isfinite(m) or m > OVERFLOW_LIMIT
+            x = activate(layer.activation, y)
+        else:   # the windows add the bias, activate and check their own rows
             if x.ndim != 4 or x.shape[3] != layer.d_in:   # only the batch can fail this
                 raise SpecError(f"layer {t} expects {layer.d_in} channels, got {np.shape(batch)}")
-            y, cols = _conv_forward(x, params[t]["W"], params[t]["b"], layer.kernel,
-                                    for_backward)
-            trace.conv_cols[t] = cols
-        if trace.overflow_layer is None:
-            m = np.abs(y).max()
-            if not np.isfinite(m) or m > OVERFLOW_LIMIT:
-                trace.overflow_layer = t
-        # a conv net's inputs[0] stays the caller's NCHW batch
-        trace.inputs.append(x.transpose(0, 3, 1, 2) if t == 0 and x.ndim == 4 else x)
+            y, x, trace.conv_cols[t], overflow = _conv_forward(
+                x, params[t]["W"], params[t]["b"], layer.kernel, for_backward, layer.activation)
+        if overflow and trace.overflow_layer is None:
+            trace.overflow_layer = t
         trace.preacts.append(y)
-        x = activate(layer.activation, y)
         trace.acts.append(x)
     loss = None
     if labels is not None:
@@ -472,10 +520,12 @@ def backward(spec, params, trace, labels, weights=True):
     dys = [None] * n_layers
     dacts = [None] * n_layers
     dx = loss_output_grad(spec, trace.output, labels)
+    dy = None   # layer t's dL/dy, when the conv layer above has formed it
     for t in range(n_layers - 1, -1, -1):
         layer = spec.layers[t]
         dacts[t] = dx
-        dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
+        if dy is None:
+            dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
         if weights:
             dW[t] = weight_grad(layer, trace, t, dy)
             if t in trace.conv_cols:   # nothing reads the patch matrix again
@@ -491,6 +541,9 @@ def backward(spec, params, trace, labels, weights=True):
             if pooled.ndim == 4:   # layer t averaged this NHWC map
                 _, h, w, _ = pooled.shape
                 dx = np.broadcast_to(dx[:, None, None, :] / (h * w), pooled.shape).copy()
-        else:
-            dx = _conv_input_grad(trace.inputs[t].shape, params[t]["W"], layer.kernel, dy)
+            dy = None
+        else:   # the layer below is conv too: its dy comes with dx
+            below = (spec.layers[t - 1].activation, trace.preacts[t - 1], trace.acts[t - 1])
+            dx, dy = _conv_input_grad(trace.inputs[t].shape, params[t]["W"], layer.kernel, dy,
+                                      below)
     return MainnetGrads(weight=dW, bias=db, acts=dacts, preacts=None if weights else dys)

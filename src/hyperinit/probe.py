@@ -1,6 +1,8 @@
 """Per-layer variance instrumentation.
 
 ``snapshot`` reduces forward/backward traces to per-layer mean/variance rows,
+each the array's own ``mean()`` and ``var()`` to the bit (``tensor.mean_var``:
+two reads on every core, no copy; an array on two rows is read once),
 ``predict`` produces the closed-form values those rows should take right
 after initialization, keyed by the same row kinds, and ``compare`` joins the
 two into pass/fail ratios.
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import init_schemes as schemes
 from .mainnet import IDENTITY, RELU, SpecError, forward
-from .tensor import DTYPE
+from .tensor import mean_var
 
 DEFAULT_BAND = (0.8, 1.25)
 
@@ -54,18 +56,6 @@ class VarianceReport:
         return sorted({r.kind for r in self.rows})
 
 
-def _stat(step, layer, kind, values, buffer):
-    """The row of one array's statistics, its deviations squared in ``buffer``."""
-    # The sums and divisions of values.mean() and values.var(), with the mean
-    # taken once: the same bits in one pass fewer.
-    values = np.asarray(values, dtype=DTYPE).ravel()
-    mean = values.sum() / values.size
-    dev = np.subtract(values, mean, out=buffer[:values.size])
-    dev *= dev
-    return StatRow(step=step, layer=layer, kind=kind, mean=float(mean),
-                   var=float(dev.sum() / values.size), n=int(values.size))
-
-
 def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
              linear_acts=None):
     """Deterministic per-layer statistics of one probe batch.
@@ -90,11 +80,16 @@ def snapshot(step, trace, params=None, grads=None, head_feature_grads=None,
         items += [(t, HEAD_FEATURE_GRAD, g) for t, g in head_feature_grads.items()]
     if linear_acts is not None:
         items += [(t, LINEAR_ACT, x) for t, x in enumerate(linear_acts)]
-    items = [item for item in items if np.size(item[2]) >= 2]
-    buffer = np.empty(max((np.size(values) for *_, values in items), default=0),
-                       dtype=DTYPE)
-    return VarianceReport(step=step, rows=[_stat(step, t, kind, values, buffer)
-                                           for t, kind, values in items])
+    stats = {}   # by array: the layer-0 linear_act row is preacts[0] itself
+    rows = []
+    for t, kind, values in items:
+        if np.size(values) >= 2:
+            if id(values) not in stats:
+                stats[id(values)] = mean_var(values)
+            mean, var = stats[id(values)]
+            rows.append(StatRow(step=step, layer=t, kind=kind, mean=mean, var=var,
+                                n=int(np.size(values))))
+    return VarianceReport(step=step, rows=rows)
 
 
 def linear_activation_variances(mspec, params, trace):
@@ -179,7 +174,7 @@ def activation_variance_ratios(trace):
     scheme applied to the hypernet pushes each ratio toward the layer width.
     A layer after one of zero variance gives inf (nan if it is zero too).
     """
-    vs = np.array([np.var(trace.inputs[0])] + [np.var(a) for a in trace.acts])
+    vs = np.array([mean_var(a)[1] for a in [trace.inputs[0], *trace.acts]])
     return (vs[1:] / vs[:-1]).tolist()
 
 
@@ -187,7 +182,7 @@ def activation_variance_ratios(trace):
 def gradient_variance_ratios(grads):
     """Var(dL/dx[t]) / Var(dL/dx[t+1]) across adjacent layers, inf or nan
     over a zero variance as in ``activation_variance_ratios``."""
-    vs = np.array([np.var(g) for g in grads.acts])
+    vs = np.array([mean_var(g)[1] for g in grads.acts])
     return (vs[:-1] / vs[1:]).tolist()
 
 

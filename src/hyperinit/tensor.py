@@ -6,6 +6,9 @@ Everything downstream moves activations, weights and gradients around as plain
 numpy float64 arrays; this module pins the dtype and provides the few
 numerical primitives the rest of the package builds on.
 
+``mean_var`` gives an array's ``mean()`` and ``var()`` to the bit from two
+reads on every core, by summing the leaves of numpy's own pairwise-sum tree.
+
 ``in_groups`` is the one place that splits a pass across cores: one
 contiguous group of row ranges per core, every buffer made on the calling
 thread, nothing split below ``SPLIT_FLOOR``, and no option, flag or
@@ -14,6 +17,7 @@ are proven equal to the whole pass's (``tests/test_split.py``), at one BLAS
 thread: OpenBLAS's own threads already change a GEMM's last bits.
 """
 
+import contextvars
 import os
 import threading
 
@@ -28,6 +32,12 @@ DTYPE = np.float64
 # Batch-10 steps and every regression-seq array stay below it.
 SPLIT_FLOOR = 1 << 24
 DRAW_WORK = 256
+# A value streamed once from memory (summed, or read and written elementwise)
+# counts STREAM_WORK multiply-adds: ~1.1 ns per value on the same VM. A sum
+# splits at leaves of SUM_LEAF values: leaves of 1<<13 or 1<<14 ran slower on
+# two threads than on one, 1<<17 fastest on either.
+STREAM_WORK = 24
+SUM_LEAF = 1 << 17
 
 
 def cores():
@@ -44,8 +54,9 @@ def in_groups(ranges, work, buffers, run):
     No row is handled by two threads: an overlapping last range that the even
     split leaves alone joins the group before it, to run right after the range
     it overlaps. All buffers are made on the calling thread before any group
-    runs. Once every group has ended, the first exception one raised is raised
-    again."""
+    runs, and every group runs in the caller's context (``np.errstate``
+    included). Once every group has ended, the first exception one raised is
+    raised again."""
     if not ranges:
         return
     m = min(cores(), len(ranges)) if work >= SPLIT_FLOOR else 1
@@ -61,7 +72,9 @@ def in_groups(ranges, work, buffers, run):
         except BaseException as e:
             errors.append(e)
 
-    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
+    # each thread runs in a copy of the caller's context, np.errstate with it
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, *a))
+               for a in args[1:]]
     for thread in threads:
         thread.start()
     try:
@@ -95,6 +108,64 @@ def matmul_cols(a, b, out=None):
     n = b.shape[1]
     in_groups(row_chunks(n, 1, min(1 << 14, -(-n // cores()))), work, tuple, run)
     return out
+
+
+def _sum_tree(lo, n):
+    """numpy's pairwise-sum tree over the values [lo, lo + n), cut at leaves
+    of at most SUM_LEAF values: a leaf is a slice, a node its (left, right)
+    pair. numpy splits a node of more than 128 values at n // 2 rounded down
+    to a multiple of 8, so a leaf's own ``sum()`` is its subtree's."""
+    if n <= SUM_LEAF:
+        return slice(lo, lo + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _sum_tree(lo, n2), _sum_tree(lo + n2, n - n2)
+
+
+def _leaves(tree):
+    return [tree] if isinstance(tree, slice) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _fold(tree, sums):
+    """The tree's sum from its leaves' ``sums`` (by leaf start), added in
+    numpy's order."""
+    if isinstance(tree, slice):
+        return sums[tree.start]
+    return _fold(tree[0], sums) + _fold(tree[1], sums)
+
+
+def mean_var(a):
+    """``(a.mean(), a.var())`` as floats, with their bits, from one summing
+    read and one read of squared deviations, each leaf's into a leaf-sized
+    buffer. The leaves of numpy's pairwise-sum tree are summed in groups on
+    every core above the floor (``in_groups``), and the leaf sums are added
+    in the tree's order. A non-contiguous or empty array takes numpy's own
+    reductions, which do not sum a strided array as one tree."""
+    a = np.asarray(a, dtype=DTYPE)
+    if a.size == 0 or not a.flags.c_contiguous:
+        return float(a.mean()), float(a.var())
+    flat = a.reshape(-1)
+    n = flat.size
+    tree = _sum_tree(0, n)
+    leaves = _leaves(tree)
+    sums = {}
+
+    def total(run, buffers=tuple):
+        in_groups(leaves, n * STREAM_WORK, buffers, run)
+        return _fold(tree, sums)
+
+    def add(group):
+        for s in group:
+            sums[s.start] = float(flat[s].sum())
+
+    mean = total(add) / n
+
+    def add_squares(group, buffer):
+        for s in group:
+            dev = np.subtract(flat[s], mean, out=buffer[:s.stop - s.start])
+            np.multiply(dev, dev, out=dev)
+            sums[s.start] = float(dev.sum())
+
+    return mean, total(add_squares, lambda: (np.empty(min(n, SUM_LEAF), dtype=DTYPE),)) / n
 
 
 def _philox_at(state, skip):

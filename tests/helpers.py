@@ -1,9 +1,45 @@
 """Small builders the tests share."""
 
+import contextlib
+import os
+import threading
+
 import numpy as np
 
 from hyperinit import mainnet as mn
 from hyperinit.data import CIFAR_RECORD
+
+
+@contextlib.contextmanager
+def on_cores(n):
+    """Narrow this thread's affinity to its first ``n`` cores (all when n is
+    None), and restore it afterwards."""
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(before)[:n or len(before)])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+CORE_COUNTS = [1, None]   # one core, and every core
+
+
+def on_each_core_count(f):
+    """f()'s result on one core and on every core."""
+    out = []
+    for n in CORE_COUNTS:
+        with on_cores(n):
+            out.append(f())
+    return out
+
+
+def refuse_threads(monkeypatch):
+    """Make any thread start fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started below the floor")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
 
 
 def zero_params(spec):
@@ -27,7 +63,7 @@ def empirical_variance(t):
 
 def conv2d_forward(x, weight, bias, kernel):
     """Cross-correlation of (B, C, H, W) with (C_out, C, kh, kw) weights."""
-    y, _ = mn._conv_forward(np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1),
+    y, *_ = mn._conv_forward(np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1),
                             weight, bias, kernel)
     return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 

@@ -389,10 +389,10 @@ class TestBlockedConv:
         want_cols, hw = im2col_per_tap(x, kernel)
         want = want_cols @ weight_matrix(w).T
         want += b
-        y, cols = mn._conv_forward(x, w, b, kernel)
+        y, _, cols, _ = mn._conv_forward(x, w, b, kernel)
         np.testing.assert_array_equal(cols, want_cols)
         np.testing.assert_array_equal(y, want.reshape(shape[0], *hw, -1))
-        y, cols = mn._conv_forward(x, w, b, kernel, for_backward=False)
+        y, _, cols, _ = mn._conv_forward(x, w, b, kernel, for_backward=False)
         assert cols is None
         np.testing.assert_array_equal(y, want.reshape(shape[0], *hw, -1))
 
@@ -400,28 +400,28 @@ class TestBlockedConv:
     def test_blocked_passes_equal_the_whole_batch_gemm(self, shape, kernel, c_out):
         x, w, b = conv_case(shape, kernel, c_out)
         want_cols, hw = im2col_per_tap(x, kernel)
-        windows, n = mn._sample_windows(shape[0], hw[0] * hw[1] * want_cols.shape[1])
+        windows, n = mn._sample_windows(shape[0], hw[0] * hw[1] * want_cols.shape[1], c_out)
         assert len(windows) > 1 and shape[0] % n   # a partial last window
         want = want_cols @ weight_matrix(w).T
         want += b
         want = want.reshape(shape[0], *hw, -1)
-        y, cols = mn._conv_forward(x, w, b, kernel)
+        y, _, cols, _ = mn._conv_forward(x, w, b, kernel)
         np.testing.assert_array_equal(cols, want_cols)
         np.testing.assert_array_equal(y, want)
-        y, _ = mn._conv_forward(x, w, b, kernel, for_backward=False)
+        y, *_ = mn._conv_forward(x, w, b, kernel, for_backward=False)
         np.testing.assert_array_equal(y, want)
         dy = Rng(4).normal(1.0, want.shape)
         dcols = dy.reshape(-1, c_out) @ weight_matrix(w)
-        np.testing.assert_array_equal(mn._conv_input_grad(x.shape, w, kernel, dy),
+        np.testing.assert_array_equal(mn._conv_input_grad(x.shape, w, kernel, dy)[0],
                                       col2im_per_tap(dcols, x.shape, kernel, hw))
 
     def test_an_empty_batch_gives_empty_passes(self):
         x, w, b = conv_case((0, 3, 8, 8), (3, 3, 2, 1), 4)
-        y, cols = mn._conv_forward(x, w, b, (3, 3, 2, 1))
+        y, _, cols, _ = mn._conv_forward(x, w, b, (3, 3, 2, 1))
         assert y.shape == (0, 4, 4, 4) and cols.shape == (0, 27)
-        y, cols = mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward=False)
+        y, _, cols, _ = mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward=False)
         assert y.shape == (0, 4, 4, 4) and cols is None
-        assert mn._conv_input_grad(x.shape, w, (3, 3, 2, 1), y).shape == x.shape
+        assert mn._conv_input_grad(x.shape, w, (3, 3, 2, 1), y)[0].shape == x.shape
 
     def test_windows_cover_the_batch_once_in_order(self):
         for b in (1, 5, 16, 17, 300):
@@ -511,15 +511,15 @@ class TestParallelWindows:
         try:
             for cores in (1, 2, 3):
                 force_cores(monkeypatch, cores)
-                y, cols = mn._conv_forward(x, w, b, kernel)
-                y_only, _ = mn._conv_forward(x, w, b, kernel, for_backward=False)
+                y, _, cols, _ = mn._conv_forward(x, w, b, kernel)
+                y_only, *_ = mn._conv_forward(x, w, b, kernel, for_backward=False)
                 if dy is None:
                     dy = Rng(4).normal(1.0, y.shape)
-                got[cores] = y, cols, y_only, mn._conv_input_grad(x.shape, w, kernel, dy)
+                got[cores] = y, cols, y_only, mn._conv_input_grad(x.shape, w, kernel, dy)[0]
         finally:
             sys.setswitchinterval(interval)
         cols = got[1][1]
-        assert len(mn._sample_windows(shape[0], cols.size // shape[0])[0]) > 1
+        assert len(mn._sample_windows(shape[0], cols.size // shape[0], c_out)[0]) > 1
         for cores in (2, 3):
             for want, have in zip(got[1], got[cores]):
                 np.testing.assert_array_equal(have, want)
@@ -528,8 +528,8 @@ class TestParallelWindows:
         # one forward-only and one for-backward pass run the same window
         # GEMMs, at whatever BLAS thread count the suite runs with
         x, w, b = conv_case((64, 64, 15, 15), (3, 3, 1, 1), 500)
-        y, _ = mn._conv_forward(x, w, b, (3, 3, 1, 1))
-        y_only, _ = mn._conv_forward(x, w, b, (3, 3, 1, 1), for_backward=False)
+        y, *_ = mn._conv_forward(x, w, b, (3, 3, 1, 1))
+        y_only, *_ = mn._conv_forward(x, w, b, (3, 3, 1, 1), for_backward=False)
         np.testing.assert_array_equal(y_only, y)
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -555,15 +555,15 @@ class TestParallelWindows:
             return patches(*args)
 
         monkeypatch.setattr(mn, "_patches", failing)
-        # 300 samples are three windows in two groups
+        # 300 samples are five windows in two groups
         x, w, b = conv_case((300, 3, 32, 32), (3, 3, 2, 1), 8)
         before = threading.active_count()
         for for_backward in (True, False):
             with pytest.raises(RuntimeError, match="window failed"):
                 mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward)
             assert threading.active_count() == before
-        # 137 samples are two windows, the last overlapping the first: one
-        # group, run on the calling thread alone
+        # 137 samples, below the floor, are three windows, the last
+        # overlapping the second: one group, run on the calling thread alone
         x = x[:137]
         for for_backward in (True, False):
             mn._conv_forward(x, w, b, (3, 3, 2, 1), for_backward)
@@ -576,7 +576,7 @@ class TestParallelWindows:
         for cores in (1, 2, 3, 4):
             force_cores(monkeypatch, cores)
             for batch in range(601):
-                windows, _ = mn._sample_windows(batch, oh * ow * 9 * c)
+                windows, _ = mn._sample_windows(batch, oh * ow * 9 * c, 96)
                 groups = []
                 tensor.in_groups(windows, tensor.SPLIT_FLOOR, tuple, groups.append)
                 assert len(groups) <= cores

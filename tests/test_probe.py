@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hyperinit import hypergen as hg
 from hyperinit import mainnet as mn
 from hyperinit import probe
+from hyperinit import train as tr
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
 
@@ -251,6 +253,65 @@ class TestConvLayout:
                 assert row.n == a.size
                 assert row.mean == pytest.approx(a.mean(), rel=1e-10)
                 assert row.var == pytest.approx(a.var(), rel=1e-10)
+
+
+class TestCifarProbeSnapshot:
+    """A probe step at the probe's batch on cifar-allconv: each row is its
+    array's own ``mean()`` and ``var()``, read without a copy of it."""
+
+    @pytest.fixture(scope="class")
+    def probe_batch(self):
+        preset = tr.PRESETS["cifar-allconv"]
+        mspec = preset.build_mainnet()
+        net = hg.init_hypernet(preset.build_hspec(), mspec, parse_scheme("hyperfan-in"),
+                               Rng(4))
+        rng = Rng(5)
+        x = rng.child(0).normal(1.0, (tr.PROBE_BATCH, 3, 32, 32))
+        y = np.asarray(rng.child(1).integers(10, size=tr.PROBE_BATCH))
+        step, feature_grads = tr.probe_step(net, mspec, x, y)
+        linear = probe.linear_activation_variances(mspec, step.params, step.trace)
+        arrays = {(-1, probe.INPUT): step.trace.inputs[0]}
+        for t in range(len(mspec.layers)):
+            arrays.update({(t, probe.PREACT): step.trace.preacts[t],
+                           (t, probe.ACT): step.trace.acts[t],
+                           (t, probe.WEIGHT): step.params[t]["W"],
+                           (t, probe.BIAS): step.params[t]["b"],
+                           (t, probe.GRAD_ACT): step.grads.acts[t],
+                           (t, probe.GRAD_WEIGHT): step.grads.weight[t],
+                           (t, probe.LINEAR_ACT): linear[t]})
+        arrays.update({(t, probe.HEAD_FEATURE_GRAD): g for t, g in feature_grads.items()})
+        return step, feature_grads, linear, arrays
+
+    def snapshot(self, probe_batch):
+        step, feature_grads, linear, _ = probe_batch
+        return probe.snapshot(0, step.trace, step.params, step.grads,
+                              head_feature_grads=feature_grads, linear_acts=linear)
+
+    def test_each_row_is_its_arrays_mean_and_var(self, probe_batch):
+        arrays = probe_batch[3]
+        rows = self.snapshot(probe_batch).rows
+        assert {(r.layer, r.kind) for r in rows} == set(arrays)
+        for row in rows:
+            a = arrays[(row.layer, row.kind)]
+            assert (row.mean, row.var, row.n) == (float(a.mean()), float(a.var()), a.size), \
+                (row.layer, row.kind)
+
+    def test_the_layer_0_replay_row_is_the_preact_row(self, probe_batch):
+        step, _, linear, _ = probe_batch
+        assert linear[0] is step.trace.preacts[0]
+        rows = {(r.layer, r.kind): r for r in self.snapshot(probe_batch).rows}
+        linear_row, preact_row = rows[(0, probe.LINEAR_ACT)], rows[(0, probe.PREACT)]
+        assert (linear_row.mean, linear_row.var) == (preact_row.mean, preact_row.var)
+
+    def test_no_copy_of_an_array(self, probe_batch):
+        largest = max(a.nbytes for a in probe_batch[3].values())
+        tracemalloc.start()
+        try:
+            self.snapshot(probe_batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2
 
 
 class TestSerialization:

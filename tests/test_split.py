@@ -2,7 +2,6 @@
 of its serial result, on one core and on every core the process may use; and
 the passes of a small step stay below its floor and start no thread."""
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -18,29 +17,7 @@ from hyperinit import train as tr
 from hyperinit.init_schemes import parse_scheme
 from hyperinit.tensor import Rng
 
-
-@contextlib.contextmanager
-def on_cores(n):
-    """Narrow this thread's affinity to its first ``n`` cores (all when n is
-    None), and restore it afterwards."""
-    before = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, sorted(before)[:n or len(before)])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, before)
-
-
-CORE_COUNTS = [1, None]   # one core, and every core
-
-
-def on_each_core_count(f):
-    """f()'s result on one core and on every core."""
-    out = []
-    for n in CORE_COUNTS:
-        with on_cores(n):
-            out.append(f())
-    return out
+from helpers import CORE_COUNTS, on_cores, on_each_core_count, refuse_threads
 
 
 def assert_all_equal(results, want):
@@ -224,13 +201,6 @@ class TestHeads:
         fast.sync()
 
 
-def refuse_threads(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started below the floor")
-
-    monkeypatch.setattr(threading, "Thread", refuse)
-
-
 class TestFloor:
     def test_a_regression_step_starts_no_thread(self, monkeypatch):
         preset = tr.PRESETS["regression-seq"]
@@ -270,3 +240,145 @@ class TestFloor:
         x = Rng(7).normal(1.0, (300, 784))
         mn.forward(mspec, net.generate()[0], x)
         assert started
+
+
+def cifar_net():
+    preset = tr.PRESETS["cifar-allconv"]
+    mspec = preset.build_mainnet()
+    net = hg.init_hypernet(preset.build_hspec(), mspec, parse_scheme("hyperfan-in"), Rng(8))
+    return mspec, net.generate()[0]
+
+
+@pytest.fixture(scope="module")
+def cifar():
+    return cifar_net()
+
+
+def unfused(mspec, params, x, labels):
+    """What the fused conv passes replace, from their own GEMMs: each conv
+    window's product plus the bias, then the activation and the overflow
+    check over the whole map, and each layer's dy = activation_grad(dx)."""
+    trace, _ = mn.forward(mspec, params, x, labels)
+    grads = mn.backward(mspec, params, trace, labels, weights=False)
+    preacts, acts, overflow = [], [], None
+    for t, layer in enumerate(mspec.layers):
+        y = trace.preacts[t]
+        if layer.kind == mn.CONV:
+            _, c_in, kh, kw = layer.weight_shape
+            wm_t = mn._weight_matrix(params[t]["W"]).T
+            windows, _ = mn._sample_windows(len(y), y[0].size // layer.d_out * kh * kw * c_in,
+                                            layer.d_out)
+            y = np.empty_like(y)
+            y_mat, cols, p = y.reshape(-1, layer.d_out), trace.conv_cols[t], y[0].size // layer.d_out
+            for s in windows:
+                rows = slice(s.start * p, s.stop * p)
+                y_mat[rows] = np.matmul(cols[rows], wm_t) + params[t]["b"]
+        preacts.append(y)
+        acts.append(mn.activate(layer.activation, y))
+        m = np.abs(y).max()
+        if overflow is None and (not np.isfinite(m) or m > mn.OVERFLOW_LIMIT):
+            overflow = t
+    dys = [mn.activation_grad(l.activation, y, a, d)
+           for l, y, a, d in zip(mspec.layers, preacts, acts, grads.acts)]
+    dws = [mn.weight_grad(l, trace, t, dy) for t, (l, dy) in enumerate(zip(mspec.layers, dys))]
+    return (preacts, acts, overflow, dys, [dy.reshape(-1, dy.shape[-1]).sum(axis=0) for dy in dys],
+            dws)
+
+
+def fused(mspec, params, x, labels):
+    trace, _ = mn.forward(mspec, params, x, labels)
+    kept = mn.backward(mspec, params, trace, labels, weights=False)
+    trace, _ = mn.forward(mspec, params, x, labels)
+    grads = mn.backward(mspec, params, trace, labels)
+    return (trace.preacts, trace.acts, trace.overflow_layer, kept.preacts, grads.bias,
+            grads.weight)
+
+
+def assert_passes_equal(got, want):
+    for name, a, b in zip(("preacts", "acts", "overflow", "dy", "db", "dW"), got, want):
+        if name == "overflow":
+            assert a == b
+            continue
+        assert len(a) == len(b)
+        for t, (u, v) in enumerate(zip(a, b)):
+            assert u.shape == v.shape, (name, t)
+            np.testing.assert_array_equal(u, v, err_msg=f"{name} of layer {t}")
+
+
+class TestFusedConvPasses:
+    """The conv windows add the bias, activate and check for overflow in row
+    blocks, and the input gradient forms the layer below's dy per window:
+    the same bits as the whole-map formulas, at every batch and core count."""
+
+    @pytest.mark.parametrize("batch", [1, 17, 50, 129, 300, 500])
+    def test_the_cifar_passes_equal_the_unfused_formulas(self, cifar, batch):
+        mspec, params = cifar
+        rng = Rng(batch)
+        x = rng.child(0).normal(1.0, (batch, 3, 32, 32))
+        labels = np.asarray(rng.child(1).integers(10, size=batch))
+        want = unfused(mspec, params, x, labels)
+        for n in CORE_COUNTS:
+            with on_cores(n):
+                assert_passes_equal(fused(mspec, params, x, labels), want)
+
+    def test_on_more_threads_than_cores(self, cifar, monkeypatch):
+        # four groups of windows trading the interpreter every microsecond
+        mspec, params = cifar
+        rng = Rng(44)
+        x = rng.child(0).normal(1.0, (129, 3, 32, 32))
+        labels = np.asarray(rng.child(1).integers(10, size=129))
+        want = unfused(mspec, params, x, labels)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = fused(mspec, params, x, labels)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_passes_equal(got, want)
+
+    @pytest.mark.parametrize("entries", [mn.EPILOGUE_ENTRIES, 12])
+    def test_a_tanh_layer_in_blocks_of_any_length(self, monkeypatch, entries):
+        # 5 channels: at 12 entries, blocks of 2 rows, 10 values, off every
+        # multiple of 8; 45 x 45 maps make 2-sample windows and an odd last one
+        monkeypatch.setattr(mn, "EPILOGUE_ENTRIES", entries)
+        mspec = mn.MainnetSpec(layers=(
+            mn.LayerSpec(mn.CONV, 16, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
+            mn.LayerSpec(mn.CONV, 5, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
+            mn.LayerSpec(mn.DENSE, 5, 3)))
+        rng = Rng(21)
+        params = [{"W": rng.child(2 * t).normal(0.3, l.weight_shape),
+                   "b": rng.child(2 * t + 1).normal(0.1, l.d_out)}
+                  for t, l in enumerate(mspec.layers)]
+        x = rng.child(9).normal(1.0, (11, 16, 45, 45))
+        labels = np.asarray(rng.child(10).integers(3, size=11))
+        want = unfused(mspec, params, x, labels)
+        for n in CORE_COUNTS:
+            with on_cores(n):
+                assert_passes_equal(fused(mspec, params, x, labels), want)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_an_overflow_in_a_later_group_names_its_layer(self, cifar, bad):
+        # 300 samples: the last windows run on the last group's thread
+        mspec, params = cifar
+        x = np.zeros((300, 3, 32, 32))
+        x[290, 1, 5, 7] = bad
+        for n in CORE_COUNTS:
+            with on_cores(n):
+                assert mn.forward(mspec, params, x)[0].overflow_layer == 0
+        # layer 1 alone overflows: layer 0 passes sample 290's 1e10 on in
+        # channels 0 and 1, and layer 1 multiplies them by 1e308. (Its GEMM's
+        # fused multiply-adds keep a +-inf sum, so no NaN can start there.)
+        x[290, 1, 5, 7] = 1e10
+        huge = [dict(p) for p in params]
+        huge[0]["W"] = np.zeros_like(params[0]["W"])
+        huge[0]["W"][:2] = 1.0
+        huge[0]["b"] = np.zeros_like(params[0]["b"])
+        huge[1]["W"] = np.zeros_like(params[1]["W"])
+        huge[1]["W"][:, :2] = 1e308
+        for n in CORE_COUNTS:
+            with on_cores(n):
+                trace = mn.forward(mspec, huge, x)[0]
+                assert trace.overflow_layer == 1
+                bad_samples = ~np.isfinite(trace.preacts[1]).all(axis=(1, 2, 3))
+                assert np.flatnonzero(bad_samples).tolist() == [290]

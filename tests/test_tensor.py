@@ -1,11 +1,16 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinit.tensor import Rng, sample
+from hyperinit.tensor import (SPLIT_FLOOR, STREAM_WORK, SUM_LEAF, Rng, cores, mean_var,
+                              sample)
 
-from helpers import empirical_variance
+from helpers import empirical_variance, on_each_core_count, refuse_threads
 
 
 class TestRng:
@@ -88,3 +93,79 @@ class TestEmpiricalVariance:
     def test_large_uniform_sample(self):
         vals = sample(0.25, 10 ** 6, Rng(4))
         assert abs(empirical_variance(vals) - 0.25) / 0.25 < 0.01
+
+
+class TestMeanVar:
+    """``mean_var`` sums numpy's own pairwise tree leaf by leaf: if a numpy
+    version ever sums another way, these fail instead of the bits drifting."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        # a large offset, so a sum in any other order differs in its last bits
+        return Rng(8).normal(1.0, (1 << 23) + 1) + 1e3
+
+    SIZES = sorted({*range(2, 131),
+                    *(SUM_LEAF + d for d in (-8, -1, 1, 8)),
+                    *((1 << k) + d for k in range(8, 24) for d in (-1, 1))})
+
+    @staticmethod
+    def numpy_stats(a):
+        return float(a.mean()), float(a.var())
+
+    def test_equals_numpy_at_every_size(self, values):
+        want = [self.numpy_stats(values[:n]) for n in self.SIZES]
+        for got in on_each_core_count(lambda: [mean_var(values[:n]) for n in self.SIZES]):
+            assert got == want
+
+    def test_equals_numpy_on_views(self, values):
+        for view in (values[::3], values[: 3 << 18].reshape(-1, 1 << 10).T,
+                     values[: 1 << 20].reshape(1 << 10, -1)[:, 1:]):
+            assert not view.flags.c_contiguous
+            assert mean_var(view) == self.numpy_stats(view)
+        image = values[: 2000 * 3 * 32 * 32].reshape(2000, 3, 32, 32)
+        assert mean_var(image) == self.numpy_stats(image)
+
+    @pytest.mark.parametrize("bad", [{-5: np.inf}, {-5: -np.inf}, {-5: np.nan},
+                                     {1: np.inf, -5: -np.inf}])
+    def test_non_finite_values(self, values, bad):
+        a = values[: 3 << 20].copy()
+        for i, v in bad.items():   # in the first and the last leaf
+            a[i] = v
+        with np.errstate(invalid="ignore"):   # on every group's thread too
+            want = self.numpy_stats(a)
+            for got in on_each_core_count(lambda: mean_var(a)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_tiny(self):
+        assert mean_var(np.array([2.5, 2.5])) == (2.5, 0.0)
+        assert mean_var(np.array([[1.0]])) == (1.0, 0.0)
+
+    def test_on_more_threads_than_cores(self, values, monkeypatch):
+        # four groups of leaves trading the interpreter every microsecond
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mean_var(values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == self.numpy_stats(values)
+
+    def test_no_thread_below_the_floor(self, values, monkeypatch):
+        n = SPLIT_FLOOR // STREAM_WORK - 1
+        refuse_threads(monkeypatch)
+        assert mean_var(values[:n]) == self.numpy_stats(values[:n])
+
+    def test_a_large_array_does_split(self, values, monkeypatch):
+        if cores() < 2:
+            pytest.skip("one core: nothing splits")
+        started = []
+        thread = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counting)
+        mean_var(values)
+        assert started
