@@ -21,7 +21,7 @@ units or patch columns (``matmul_cols``), at power-of-two boundaries where
 every entry's reduction stays whole: at one BLAS thread the bits are the
 whole product's. Batch-10 dense layers stay below the floor.
 Every conv pass works through the batch in windows of samples (at most
-about 1<<20 patch-matrix entries and an eighth of the batch each), one
+about 1<<18 patch-matrix entries and an eighth of the batch each), one
 contiguous group of windows per core, each group on its own thread through
 buffers reused from window to window: no padded copy of the batch, no patch
 matrix beyond the one a backward needs, no padded gradient. Every window
@@ -47,11 +47,15 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import DTYPE, in_groups, matmul_cols, row_chunks
 
 OVERFLOW_LIMIT = 1e30
-# A conv window holds at most 1/WINDOW_SHARE of the batch, but runs a GEMM of
+# A conv window's patch rows fill at most WINDOW_ENTRIES (2 MiB, a core's L2
+# cache): a window's buffers, a backward's dcols blocks among them, then add
+# less to the probe step's peak than the parent's 8 MiB windows did. It holds
+# at most 1/WINDOW_SHARE of the batch, but runs a GEMM of
 # at least MIN_WINDOW_WORK multiply-adds: OpenBLAS takes smaller products
 # through its small-matrix kernel, with other last bits (cifar-allconv's
 # layer 0 on one sample, 0.66M, differs from a taller window; on two, 1.3M,
 # does not).
+WINDOW_ENTRIES = 1 << 18
 WINDOW_SHARE = 8
 MIN_WINDOW_WORK = 1 << 21
 # A conv window's bias, activation and overflow check run on row blocks of
@@ -242,18 +246,18 @@ def _weight_matrix(weight):
 
 def _sample_windows(b, rows_per_sample, c_out=1):
     """Windows of n samples covering [0, b) in order, and n: a power of two
-    of at most ~1<<20 patch-matrix entries (``row_chunks``) and at most
-    b / WINDOW_SHARE samples, so every core runs several windows and a
-    batch-50 step splits; but at least MIN_WINDOW_WORK multiply-adds of GEMM
-    per window (``c_out`` output channels), or b samples if fewer. The last
+    of at most ~WINDOW_ENTRIES patch-matrix entries (``row_chunks``) and at
+    most b / WINDOW_SHARE samples, so every core runs several windows and a
+    batch-50 step splits, unless that leaves a window's GEMM (``c_out``
+    output channels) under MIN_WINDOW_WORK multiply-adds; b if fewer. The last
     window ends at b and may overlap the one before it, so every GEMM of a
     pass is n samples tall: OpenBLAS takes a small product through another
     kernel, whose last bits differ, and windows of one size above it give the
     bits of the whole-batch GEMM."""
-    cap = row_chunks(max(b, 1), rows_per_sample)[0].stop
+    cap = row_chunks(max(b, 1), rows_per_sample, WINDOW_ENTRIES)[0].stop
     share = 1 << max(0, (b // WINDOW_SHARE).bit_length() - 1)
     least = 1 << (-(-MIN_WINDOW_WORK // (rows_per_sample * c_out)) - 1).bit_length()
-    n = min(b, cap, max(share, least))
+    n = min(b, max(least, min(cap, share)))
     return [slice(min(lo, b - n), min(lo, b - n) + n) for lo in range(0, b, max(n, 1))], n
 
 

@@ -424,9 +424,12 @@ class TestBlockedConv:
         assert mn._conv_input_grad(x.shape, w, (3, 3, 2, 1), y)[0].shape == x.shape
 
     def test_windows_cover_the_batch_once_in_order(self):
-        for b in (1, 5, 16, 17, 300):
-            windows, n = mn._sample_windows(b, 1 << 16)
-            assert n == min(b, 16)
+        # 1<<14 patch entries per sample: at most 16 samples, an eighth of
+        # the batch, but a GEMM of 2^21 multiply-adds (at 1 channel, 128)
+        for b, c_out, want in ((1, 128, 1), (5, 128, 1), (16, 128, 2), (17, 128, 2),
+                               (300, 128, 16), (300, 1, 128), (17, 1, 17)):
+            windows, n = mn._sample_windows(b, 1 << 14, c_out)
+            assert n == want
             assert all(s.stop - s.start == n for s in windows)
             assert windows[0].start == 0 and windows[-1].stop == b
             assert all(p.stop <= s.stop and s.start <= p.stop
