@@ -30,8 +30,9 @@ two threads, so the bits do not depend on the core count. Each forward
 window also adds the bias, writes the activation and checks for overflow in
 cache-sized row blocks of its output, and each input-gradient window forms
 the layer below's pre-activation gradient for the samples it completes, so
-no elementwise pass reads a whole conv map again. A forward-only pass (``forward(..., for_backward=False)``:
-evaluation, the probe's replay) keeps no patch matrix at all, and
+no elementwise pass reads a whole conv map again. A forward-only pass
+(``forward(..., for_backward=False)``: evaluation, the probe's replay) keeps
+no patch matrix at all, and
 ``backward(..., weights=True)`` drops each conv layer's patch matrix once its
 weight gradient is formed; ``backward`` refuses a trace without them.
 Overflowing activations (|y| > 1e30 or non-finite) are
@@ -48,13 +49,12 @@ from .tensor import DTYPE, in_groups, matmul_cols, row_chunks
 
 OVERFLOW_LIMIT = 1e30
 # A conv window's patch rows fill at most WINDOW_ENTRIES (2 MiB, a core's L2
-# cache): a window's buffers, a backward's dcols blocks among them, then add
-# less to the probe step's peak than the parent's 8 MiB windows did. It holds
-# at most 1/WINDOW_SHARE of the batch, but runs a GEMM of
-# at least MIN_WINDOW_WORK multiply-adds: OpenBLAS takes smaller products
-# through its small-matrix kernel, with other last bits (cifar-allconv's
-# layer 0 on one sample, 0.66M, differs from a taller window; on two, 1.3M,
-# does not).
+# cache), so its buffers, a backward's dcols blocks among them, add little to
+# the probe step's peak memory. It holds at most 1/WINDOW_SHARE of the batch,
+# but runs a GEMM of at least MIN_WINDOW_WORK multiply-adds: OpenBLAS takes
+# smaller products through its small-matrix kernel, with other last bits
+# (cifar-allconv's layer 0 on one sample, 0.66M, differs from a taller
+# window; on two, 1.3M, does not).
 WINDOW_ENTRIES = 1 << 18
 WINDOW_SHARE = 8
 MIN_WINDOW_WORK = 1 << 21
@@ -310,7 +310,7 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True, activation=IDENTIT
                     activate(activation, yr, act_mat[r])
                 # comparisons, so a NaN counts (Python's max would drop it)
                 if not (yr.max() <= OVERFLOW_LIMIT and yr.min() >= -OVERFLOW_LIMIT):
-                    overflow.append(s.start)
+                    overflow.append(True)
 
     in_groups(windows, b * p * k * (c_out + 1), buffers, run)
     return y, act, cols, bool(overflow)
@@ -358,7 +358,7 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
             for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
             for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
 
-    def run(group, dcols):
+    def run(group, dcols, mask):
         done = group[0].start
         for s in group:
             d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
@@ -367,12 +367,19 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
             dxs = dx[new]
             for i, j, rows, cols, hs, ws in taps:
                 dxs[:, hs, ws] += d[:, rows, cols, i, j]
-            if name != IDENTITY:
+            if name == RELU:   # dx * (y > 0): dx where y > 0, else dx * 0.0
+                positive = np.greater(y_below[new], 0.0, out=mask[:len(dxs)])
+                np.multiply(dxs, 0.0, out=dy_below[new])
+                np.copyto(dy_below[new], dxs, where=positive)
+            elif name != IDENTITY:
                 activation_grad(name, y_below[new], x_below[new], dxs, out=dy_below[new])
             done = s.stop
 
-    in_groups(windows, b * p * k * (c_out + 1), lambda: (np.empty((n * p, k), dtype=DTYPE),),
-              run)
+    def buffers():   # a ReLU's mask too, so a group allocates nothing on its thread
+        return (np.empty((n * p, k), dtype=DTYPE),
+                np.empty((n, h, w, c), dtype=bool) if name == RELU else None)
+
+    in_groups(windows, b * p * k * (c_out + 1), buffers, run)
     return dx, dy_below
 
 
