@@ -244,7 +244,7 @@ def _weight_matrix(weight):
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
-def _sample_windows(b, rows_per_sample, c_out=1):
+def _sample_windows(b, rows_per_sample, c_out):
     """Windows of n samples covering [0, b) in order, and n: a power of two
     of at most ~WINDOW_ENTRIES patch-matrix entries (``row_chunks``) and at
     most b / WINDOW_SHARE samples, so every core runs several windows and a

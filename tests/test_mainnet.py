@@ -434,7 +434,7 @@ class TestBlockedConv:
             assert windows[0].start == 0 and windows[-1].stop == b
             assert all(p.stop <= s.stop and s.start <= p.stop
                        for p, s in zip(windows, windows[1:]))
-        assert mn._sample_windows(0, 10) == ([], 0)
+        assert mn._sample_windows(0, 10, 1) == ([], 0)
 
     def test_forward_only_pass_peaks_below_one_patch_matrix(self):
         spec = mn.MainnetSpec(layers=(
