@@ -29,8 +29,12 @@ runs the same n-row GEMM in either forward mode, and no sample is handled by
 two threads, so the bits do not depend on the core count. Each forward
 window also adds the bias, writes the activation and checks for overflow in
 cache-sized row blocks of its output, and each input-gradient window forms
-the layer below's pre-activation gradient for the samples it completes, so
-no elementwise pass reads a whole conv map again. A forward-only pass
+the layer below's pre-activation gradient for the samples it completes (a
+ReLU's as a product with its bool mask), so no elementwise pass reads a
+whole conv map again. An input-gradient window scatters its patch
+gradients one output phase (input row and column mod the stride) at a
+time, each phase's first tap writing where the others add, so no pass
+zero-fills the input gradient. A forward-only pass
 (``forward(..., for_backward=False)``: evaluation, the probe's replay) keeps
 no patch matrix at all, and
 ``backward(..., weights=True)`` drops each conv layer's patch matrix once its
@@ -330,6 +334,49 @@ def _tap_ranges(size, out, k, stride, pad):
     return taps
 
 
+def _col2im_phases(h, w, out_hw, kernel):
+    """A col2im's kernel taps grouped by the phase (input row mod stride,
+    input column mod stride) they write, one (zero, taps) pair per phase:
+    the (rows, cols) slices of the phase its first tap does not reach, and
+    the phase's taps in kernel order, as (i, j, out rows, out cols, in rows,
+    in cols). A phase no tap reaches is one zero slice pair and no tap."""
+    kh, kw, stride, pad = kernel
+    row_taps = _tap_ranges(h, out_hw[0], kh, stride, pad)
+    col_taps = _tap_ranges(w, out_hw[1], kw, stride, pad)
+    phases = []
+    for ph in range(min(stride, h)):
+        for pw in range(min(stride, w)):
+            rows, cols = slice(ph, h, stride), slice(pw, w, stride)
+            taps = [(i, j, out_rows, out_cols, hs, ws)
+                    for i, out_rows, hs in row_taps if hs.start % stride == ph
+                    for j, out_cols, ws in col_taps if ws.start % stride == pw]
+            zero = [(rows, cols)]
+            if taps:   # above, below, left and right of the first tap's block
+                hs, ws = taps[0][4], taps[0][5]
+                zero = [(slice(ph, hs.start, stride), cols),
+                        (slice(hs.stop - 1 + stride, h, stride), cols),
+                        (hs, slice(pw, ws.start, stride)),
+                        (hs, slice(ws.stop - 1 + stride, w, stride))]
+            phases.append(([(r, c) for r, c in zero if len(range(h)[r]) and len(range(w)[c])],
+                           taps))
+    return phases
+
+
+def _col2im(d, phases, out):
+    """The (n, oh, ow, kh, kw, C) patch gradients ``d`` scattered into the
+    (n, h, w, C) ``out`` and returned, by ``_col2im_phases``: every element
+    takes the bits of the same adds into a zero-filled map."""
+    for zero, taps in phases:
+        for hs, ws in zero:
+            out[:, hs, ws] = 0.0
+        for t, (i, j, rows, cols, hs, ws) in enumerate(taps):
+            if t:
+                out[:, hs, ws] += d[:, rows, cols, i, j]
+            else:   # 0.0 + tap, as into a zeroed map: -0.0 becomes 0.0
+                np.add(d[:, rows, cols, i, j], 0.0, out=out[:, hs, ws])
+    return out
+
+
 def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
     """dL/dx of an NHWC conv from its output gradient ``dy``, and the dL/dy of
     the layer below, whose (activation, y, x) ``below`` gives: dL/dx itself
@@ -337,13 +384,16 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
 
     The windows of samples run in groups, one per core, no sample handled by
     two threads (``tensor.in_groups``): a window's patch gradients go into its
-    group's reused buffer and are added, tap by tap in kernel order, straight
-    into its samples of the unpadded ``dx``; taps that read the zero padding
-    are clipped off, so every element takes the same adds in the same order
-    as from a padded batch. The samples a window completes then take the
-    layer below's activation derivative on the same thread. An overlapping
-    last window skips the samples its group has already done, so no sample
-    is added into twice."""
+    group's reused buffer and are scattered straight into its samples of the
+    unpadded ``dx`` one output phase at a time (``_col2im``): a phase's
+    first tap writes ``tap + 0.0``, the positions it does not reach are set
+    to 0.0, and its other taps add in kernel order; taps that read the zero
+    padding are clipped off. So every element takes the adds, and the bits,
+    of a scatter into a zero-padded batch, and no pass zero-fills ``dx``.
+    The samples a window completes then take the layer below's activation
+    derivative on the same thread, a ReLU's as ``dx`` times the window's
+    ``y > 0`` mask. An overlapping last window skips the samples its group
+    has already done, so no sample is written twice."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x_shape
     _, oh, ow, c_out = dy.shape
@@ -351,12 +401,10 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
     wm = _weight_matrix(weight)
     dy_mat = dy.reshape(b * p, c_out)
     windows, n = _sample_windows(b, p * k, c_out)
-    dx = np.zeros(x_shape, dtype=DTYPE)
+    dx = np.empty(x_shape, dtype=DTYPE)
     name, y_below, x_below = below
     dy_below = dx if name == IDENTITY else np.empty(x_shape, dtype=DTYPE)
-    taps = [(i, j, rows, cols, hs, ws)
-            for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
-            for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
+    phases = _col2im_phases(h, w, (oh, ow), kernel)
 
     def run(group, dcols, mask):
         done = group[0].start
@@ -364,13 +412,10 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
             d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
             d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
             new = slice(done, s.stop)
-            dxs = dx[new]
-            for i, j, rows, cols, hs, ws in taps:
-                dxs[:, hs, ws] += d[:, rows, cols, i, j]
-            if name == RELU:   # dx * (y > 0): dx where y > 0, else dx * 0.0
+            dxs = _col2im(d, phases, dx[new])
+            if name == RELU:   # dx * (y > 0), the bool mask cast in the multiply
                 positive = np.greater(y_below[new], 0.0, out=mask[:len(dxs)])
-                np.multiply(dxs, 0.0, out=dy_below[new])
-                np.copyto(dy_below[new], dxs, where=positive)
+                np.multiply(dxs, positive, out=dy_below[new])
             elif name != IDENTITY:
                 activation_grad(name, y_below[new], x_below[new], dxs, out=dy_below[new])
             done = s.stop

@@ -482,6 +482,56 @@ class TestBlockedConv:
             mn.backward(spec, params, trace, y, weights=False)
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+COL2IM_KERNELS = [(k, k, stride, pad) for k in (3, 1) for stride in (1, 2, 3, 4)
+                  for pad in (0, 1)]
+
+
+class TestCol2im:
+    """The scatter by output phase gives the bits of the per-tap scatter into
+    a zero-padded batch: signed zeros, infinities and NaNs included, and
+    positions no tap reaches (a stride above the kernel) set to 0.0."""
+
+    @pytest.mark.parametrize("kernel", COL2IM_KERNELS)
+    @pytest.mark.parametrize("hw", [(9, 11), (8, 8), (3, 5)])
+    def test_phases_equal_the_zero_padded_scatter(self, kernel, hw):
+        kh, kw, _, _ = kernel
+        (h, w), c = hw, 3
+        oh, ow = mn._conv_out_hw(h, w, kernel)
+        rng = np.random.default_rng(kernel[2] * 10 + kernel[3])
+        d = rng.normal(size=(4, oh, ow, kh, kw, c))
+        picks = rng.integers(6, size=d.shape)
+        for value, pick in ((0.0, 1), (-0.0, 2), (np.inf, 3), (-np.inf, 4), (np.nan, 5)):
+            d[picks == pick] = value
+        phases = mn._col2im_phases(h, w, (oh, ow), kernel)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            got = mn._col2im(d, phases, np.full((4, h, w, c), np.nan))
+            want = col2im_per_tap(d.reshape(-1, kh * kw * c), got.shape, kernel, (oh, ow))
+        np.testing.assert_array_equal(bits(got), bits(want))
+        if kernel[2] > kh:   # whole phases no tap reaches
+            assert any(not taps for _, taps in phases)
+
+    @pytest.mark.parametrize("kernel", COL2IM_KERNELS)
+    def test_windows_with_an_overlapping_last_one(self, kernel, monkeypatch):
+        x_shape, c_out = (41, 28, 28, 16), 128
+        oh, ow = mn._conv_out_hw(28, 28, kernel)
+        k = kernel[0] * kernel[1] * x_shape[3]
+        windows, n = mn._sample_windows(x_shape[0], oh * ow * k, c_out)
+        assert len(windows) > 1 and x_shape[0] % n   # the last window overlaps
+        rng = Rng(kernel[2] * 10 + kernel[3])
+        w = rng.child(0).normal(1.0, (c_out, x_shape[3], kernel[0], kernel[1]))
+        dy = rng.child(1).normal(1.0, (x_shape[0], oh, ow, c_out))
+        want = col2im_per_tap(dy.reshape(-1, c_out) @ weight_matrix(w), x_shape, kernel,
+                              (oh, ow))
+        for cores in (1, 2, 3):
+            force_cores(monkeypatch, cores)
+            got = mn._conv_input_grad(x_shape, w, kernel, dy)[0]
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
 def force_cores(monkeypatch, cores):
     """Make the conv passes see ``cores`` cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))

@@ -302,7 +302,9 @@ def assert_passes_equal(got, want):
         assert len(a) == len(b)
         for t, (u, v) in enumerate(zip(a, b)):
             assert u.shape == v.shape, (name, t)
-            np.testing.assert_array_equal(u, v, err_msg=f"{name} of layer {t}")
+            # bit patterns: -0.0 and 0.0 differ, NaNs compare by payload
+            np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64),
+                                          err_msg=f"{name} of layer {t}")
 
 
 class TestFusedConvPasses:
@@ -356,6 +358,34 @@ class TestFusedConvPasses:
         for n in CORE_COUNTS:
             with on_cores(n):
                 assert_passes_equal(fused(mspec, params, x, labels), want)
+
+    def test_a_relu_derivative_of_non_finite_values(self):
+        # cifar-allconv's layer 1 at batch 50: 13 windows, the last one
+        # overlapping; +inf and NaN in dy put +-inf and NaN into dx, beside
+        # a y of NaN, 0.0, -0.0 and negative values
+        x_shape, kernel = (50, 16, 16, 96), (3, 3, 2, 1)
+        rng = Rng(45)
+        w = rng.child(0).normal(1.0, (96, 96, 3, 3))
+        dy = rng.child(1).normal(1.0, (50, 8, 8, 96))
+        dy[3, 2, 5, 0], dy[31, 2, 2, 4], dy[32, 1, 1, 7] = np.inf, np.nan, np.inf
+        y = rng.child(2).normal(1.0, x_shape)
+        y[::3, 4:9] = np.nan
+        y[1::3, :, 2:7] = 0.0
+        y[2::3, :, 2:7] = -0.0
+        below = (mn.RELU, y, mn.activate(mn.RELU, y))
+        got = []
+        with np.errstate(invalid="ignore"):   # inf - inf and inf * 0
+            for n in CORE_COUNTS:
+                with on_cores(n):
+                    got.append(mn._conv_input_grad(x_shape, w, kernel, dy, below))
+            dx = got[0][0]
+            assert np.isposinf(dx).any() and np.isneginf(dx).any() and np.isnan(dx).any()
+            for at in (np.isnan(y), (y == 0) & ~np.signbit(y), (y == 0) & np.signbit(y), y < 0):
+                assert (at & ~np.isfinite(dx)).any()
+            want = mn.activation_grad(mn.RELU, y, None, dx)
+        for dx_n, dy_below in got:
+            np.testing.assert_array_equal(dx_n.view(np.uint64), dx.view(np.uint64))
+            np.testing.assert_array_equal(dy_below.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_an_overflow_in_a_later_group_names_its_layer(self, cifar, bad):
