@@ -20,10 +20,10 @@ with tempfile.TemporaryDirectory(prefix="hyperinit-demo-") as tmp:
     root = Path(tmp)
     train_ds, test_ds = dt.make_synthetic_images(2000, 500, (28, 28), 10, seed=123)
     dt.write_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte",
-                 (train_ds.inputs * 255).astype(np.uint8),
+                 train_ds.inputs,
                  train_ds.labels.astype(np.uint8))
     dt.write_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte",
-                 (test_ds.inputs * 255).astype(np.uint8),
+                 test_ds.inputs,
                  test_ds.labels.astype(np.uint8))
 
     for scheme in ("hyperfan-in", "fan-in"):

@@ -4,6 +4,13 @@ Readers for the two on-disk formats the experiments use (IDX images/labels
 and the 3073-byte-record CIFAR-10 binary), an IDX writer so fixtures can be
 produced in-process, standardization, and the synthetic regression task
 sequence. Loaders are byte-deterministic and never touch the network.
+
+A ``Dataset`` keeps the values it was read from: an image set its uint8
+pixels, with the deferred ``/ 255.0`` and the ``(mean, std)`` pairs that
+``standardize`` attaches. No float copy of a whole set is made. ``rows``
+turns the requested rows into float64 by the same elementwise ops, in the
+same order, as a whole float array would have been built with, so a batch
+has the bits of indexing that array.
 """
 
 import struct
@@ -11,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import DTYPE, STREAM_WORK, Rng, in_groups, mean_var, row_chunks
+from .tensor import DTYPE, Rng, mean_var
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixels
+PIXEL_SCALE = 255.0  # a uint8 pixel over this is its float value in [0, 1]
 
 GLOBAL = "global"
 
@@ -26,17 +34,45 @@ class FormatError(ValueError):
 
 @dataclass
 class Dataset:
+    """Examples as stored: ``inputs`` holds the values read (uint8 pixels, or
+    a caller's floats), ``scale`` their divisor (``PIXEL_SCALE`` for pixels)
+    and ``stats`` the ``(mean, std)`` pairs ``standardize`` attached, applied
+    in order. ``inputs`` is kept C-contiguous, so ``standardize`` reads it
+    leaf by leaf."""
+
     inputs: np.ndarray
     labels: np.ndarray
+    scale: float = 1.0
+    stats: tuple = ()
+
+    def __post_init__(self):
+        self.inputs = np.ascontiguousarray(self.inputs)
 
     def __len__(self):
         return len(self.inputs)
+
+    def rows(self, idx):
+        """The float64 inputs of rows ``idx`` (an index array or a slice):
+        ``inputs[idx] / scale``, then ``(x - mean) / std`` per attached pair.
+        A caller's float set with no stats keeps its bits (``x / 1.0``)."""
+        stored = self.inputs[idx]
+        return _floats(stored, self.scale, self.stats, np.empty(stored.shape, dtype=DTYPE))
 
     def take(self, n):
         """First-n subset (desk-scale runs)."""
         if n is None or n >= len(self):
             return self
         return replace(self, inputs=self.inputs[:n], labels=self.labels[:n])
+
+
+def _floats(stored, scale, stats, out):
+    """``stored / scale`` in float64, then ``(x - mean) / std`` for each
+    ``(mean, std)`` of ``stats`` in order, all into ``out``; returns ``out``."""
+    np.divide(stored, scale, out=out, dtype=DTYPE)
+    for mean, std in stats:
+        np.subtract(out, mean, out=out)
+        np.divide(out, std, out=out)
+    return out
 
 
 def _read_be32(f, path, offset):
@@ -71,7 +107,7 @@ def read_idx(path):
 
 
 def load_idx(images_path, labels_path):
-    """IDX image+label pair as a Dataset with float pixels in [0, 1]."""
+    """IDX image+label pair as a Dataset of its uint8 pixels, read as [0, 1]."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -80,8 +116,7 @@ def load_idx(images_path, labels_path):
         raise FormatError(f"{labels_path}: not a label file")
     if len(images) != len(labels):
         raise FormatError(f"image/label count mismatch: {len(images)} vs {len(labels)}")
-    return Dataset(inputs=images.astype(DTYPE) / 255.0,
-                   labels=labels.astype(np.int64))
+    return Dataset(inputs=images, labels=labels.astype(np.int64), scale=PIXEL_SCALE)
 
 
 def write_idx(images_path, labels_path, images, labels):
@@ -98,7 +133,8 @@ def write_idx(images_path, labels_path, images, labels):
 
 
 def load_cifar10_binary(path):
-    """One CIFAR-10 binary batch file -> Dataset of (N, 3, 32, 32) floats."""
+    """One CIFAR-10 binary batch file -> Dataset of (N, 3, 32, 32) uint8
+    pixels, read as [0, 1]."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
@@ -111,41 +147,27 @@ def load_cifar10_binary(path):
         i = int(bad[0])
         raise FormatError(f"{path}: record {i} at offset {i * CIFAR_RECORD} has label "
                           f"byte {labels[i]}; CIFAR-10 labels are 0-9")
-    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(DTYPE) / 255.0
-    return Dataset(inputs=images, labels=labels)
+    return Dataset(inputs=records[:, 1:].reshape(-1, 3, 32, 32), labels=labels,
+                   scale=PIXEL_SCALE)
 
 
 def standardize(ds, mode=GLOBAL, stats=None):
     """Center/scale inputs by their global mean and standard deviation (1 when
     zero); returns (dataset, stats) so test splits reuse train stats. The
-    statistics are ``x.mean()`` and ``x.std()`` to the bit, from the two
-    reads of ``tensor.mean_var``."""
-    x = ds.inputs
+    pair is attached to the dataset, which ``rows`` applies. The statistics
+    are the float array's ``mean()`` and ``std()`` to the bit, from the two
+    reads of ``tensor.mean_var``, each leaf of the stored values turned into
+    floats by ``rows``'s ops in the leaf buffer."""
     if stats is None:
         if mode != GLOBAL:
             raise ValueError(f"unknown standardization mode {mode!r}")
-        mean, var = mean_var(x)
+        mean, var = mean_var(ds.inputs, lambda v, out: _floats(v, ds.scale, ds.stats, out))
         std = float(np.sqrt(var))   # x.std() is the root of x.var()
         if std == 0.0:
             std = 1.0
         stats = (mean, std)
     mean, std = stats
-    return replace(ds, inputs=_centered(x, mean, std)), stats
-
-
-def _centered(x, mean, std):
-    """``(x - mean) / std``, by row ranges on every core above the floor
-    (``tensor.in_groups``), each range scaled while it is in cache."""
-    src = np.ascontiguousarray(x, dtype=DTYPE).reshape(-1)
-    out = np.empty_like(src)
-
-    def run(group):
-        for rows in group:
-            np.subtract(src[rows], mean, out=out[rows])
-            out[rows] /= std
-
-    in_groups(row_chunks(src.size, 1, 1 << 16), src.size * STREAM_WORK, tuple, run)
-    return out.reshape(np.shape(x))
+    return replace(ds, stats=ds.stats + ((mean, std),)), stats
 
 
 @dataclass
@@ -217,7 +239,7 @@ def make_synthetic_images(n_train, n_test, shape, n_classes, seed,
 
     Each class is a smooth random pattern; samples are amplitude-jittered,
     spatially shifted copies with pixel noise, quantized to uint8. Returns
-    (train Dataset, test Dataset) with float inputs in [0, 1].
+    (train Dataset, test Dataset) of uint8 pixels, read as [0, 1].
     """
     rng = Rng(seed)
     protos = _smooth_prototypes(n_classes, shape, rng.child(0))
@@ -235,5 +257,5 @@ def make_synthetic_images(n_train, n_test, shape, n_classes, seed,
             images[i] = img
         images = np.clip(images + pixel_noise, 0.0, 1.0)
         images_u8 = np.round(images * 255.0).astype(np.uint8)
-        sets.append(Dataset(inputs=images_u8.astype(DTYPE) / 255.0, labels=labels))
+        sets.append(Dataset(inputs=images_u8, labels=labels, scale=PIXEL_SCALE))
     return tuple(sets)

@@ -449,12 +449,17 @@ def weight_grad(layer, trace, t, dy, rows=slice(None), out=None):
     product splits by its columns (``matmul_cols``): a dense gradient's input
     units, a conv gradient's patch columns. A split by output units would
     change a dense gradient's bits (500 -> 500), and by channels would read
-    the whole patch matrix on every core."""
+    the whole patch matrix on every core. A conv patch matrix with fewer
+    columns than ``rows`` has channels is multiplied as ``(x.T @ dy).T``,
+    split by channels: it reads its few columns on every core, and the bits
+    are those of ``dy.T @ x`` (``tests/test_split.py``)."""
     dy_mat, x = weight_factors(trace, t, dy)
+    dy_mat = dy_mat[:, rows]
     if layer.kind == DENSE:
-        return matmul_cols(dy_mat[:, rows].T, x, out=out)
+        return matmul_cols(dy_mat.T, x, out=out)
     _, c_in, kh, kw = layer.weight_shape
-    g = matmul_cols(dy_mat[:, rows].T, x).reshape(-1, kh, kw, c_in).transpose(0, 3, 1, 2)
+    g = matmul_cols(x.T, dy_mat).T if x.shape[1] < dy_mat.shape[1] else matmul_cols(dy_mat.T, x)
+    g = g.reshape(-1, kh, kw, c_in).transpose(0, 3, 1, 2)
     if out is None:
         out = np.empty(g.shape, dtype=DTYPE)
     out[...] = g

@@ -7,7 +7,8 @@ numpy float64 arrays; this module pins the dtype and provides the few
 numerical primitives the rest of the package builds on.
 
 ``mean_var`` gives an array's ``mean()`` and ``var()`` to the bit from two
-reads on every core, by summing the leaves of numpy's own pairwise-sum tree.
+reads on every core, by summing the leaves of numpy's own pairwise-sum tree;
+given a conversion, those of stored values' float array, one leaf at a time.
 
 ``in_groups`` is the one place that splits a pass across cores: one
 contiguous group of row ranges per core, every buffer made on the calling
@@ -133,15 +134,21 @@ def _fold(tree, sums):
     return _fold(tree[0], sums) + _fold(tree[1], sums)
 
 
-def mean_var(a):
+def mean_var(a, convert=None):
     """``(a.mean(), a.var())`` as floats, with their bits, from one summing
     read and one read of squared deviations, each leaf's into a leaf-sized
     buffer. The leaves of numpy's pairwise-sum tree are summed in groups on
     every core above the floor (``in_groups``), and the leaf sums are added
     in the tree's order. A non-contiguous or empty array takes numpy's own
-    reductions, which do not sum a strided array as one tree."""
-    a = np.asarray(a, dtype=DTYPE)
+    reductions, which do not sum a strided array as one tree.
+
+    With ``convert``, ``a`` holds stored values and the statistics are those
+    of the float64 array ``convert(a, out)`` writes into ``out``, which is
+    never made whole: each leaf is converted into the leaf buffer first."""
+    a = np.asarray(a, dtype=DTYPE) if convert is None else np.asarray(a)
     if a.size == 0 or not a.flags.c_contiguous:
+        if convert is not None:
+            a = convert(a, np.empty(a.shape, dtype=DTYPE))
         return float(a.mean()), float(a.var())
     flat = a.reshape(-1)
     n = flat.size
@@ -149,23 +156,27 @@ def mean_var(a):
     leaves = _leaves(tree)
     sums = {}
 
-    def total(run, buffers=tuple):
-        in_groups(leaves, n * STREAM_WORK, buffers, run)
+    def values(s, buffer):   # leaf s as floats: a view, or converted into the buffer
+        return flat[s] if convert is None else convert(flat[s], buffer[:s.stop - s.start])
+
+    def total(run):
+        in_groups(leaves, n * STREAM_WORK, lambda: (np.empty(min(n, SUM_LEAF), dtype=DTYPE),),
+                  run)
         return _fold(tree, sums)
 
-    def add(group):
+    def add(group, buffer):
         for s in group:
-            sums[s.start] = float(flat[s].sum())
+            sums[s.start] = float(values(s, buffer).sum())
 
     mean = total(add) / n
 
     def add_squares(group, buffer):
         for s in group:
-            dev = np.subtract(flat[s], mean, out=buffer[:s.stop - s.start])
+            dev = np.subtract(values(s, buffer), mean, out=buffer[:s.stop - s.start])
             np.multiply(dev, dev, out=dev)
             sums[s.start] = float(dev.sum())
 
-    return mean, total(add_squares, lambda: (np.empty(min(n, SUM_LEAF), dtype=DTYPE),)) / n
+    return mean, total(add_squares) / n
 
 
 def _philox_at(state, skip):

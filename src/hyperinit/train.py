@@ -7,6 +7,10 @@ weight heads' feature gradients: ``probe_step`` runs the step on freshly
 generated parameters and asks ``Hypernet.feature_grads`` for them, so no
 hypernet parameter gradient is built. ``train`` runs one loop over a preset's
 batch schedule: shuffled epochs, or a sequence of tasks of sampled batches.
+Every batch, the probe batch and each evaluation chunk is gathered from a
+``data.Dataset`` by ``Dataset.rows``, so an image set stays uint8 pixels in
+memory; an evaluation runs its chunk one forward-only layer at a time and
+holds only the running layer's maps.
 
 Only hypernet parameters and trainable embeddings are ever updated, through
 ``sgd_step`` on the updatable prefix of the hypernet's flat parameter vector
@@ -52,12 +56,12 @@ baseline initializations are expected to end this way.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (GLOBAL, FormatError, load_cifar10_binary, load_idx,
+from .data import (GLOBAL, Dataset, FormatError, load_cifar10_binary, load_idx,
                    make_regression_tasks, standardize)
 from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet,
                        HypernetSpec, init_hypernet)
@@ -440,25 +444,35 @@ def config_for(preset_name, **overrides):
     return TrainConfig(**base)
 
 
-def _flatten_inputs(mspec, x):
+def _batch(mspec, ds, idx):
+    """Rows ``idx`` of ``ds`` as a mainnet batch: float inputs (flattened for
+    a dense first layer) and their labels."""
+    x = ds.rows(idx)
     if mspec.layers[0].kind == DENSE and x.ndim > 2:
-        return x.reshape(len(x), -1)
-    return x
+        x = x.reshape(len(x), -1)
+    return x, ds.labels[idx]
 
 
-def _test_metric(mspec, params, x, y, chunk=500):
-    """Accuracy for classifiers, MSE for regression outputs."""
+def _test_metric(mspec, params, ds, chunk=500):
+    """Accuracy for classifiers, MSE for regression outputs, over ``ds`` in
+    chunks. Each chunk runs one forward-only layer at a time, so only the
+    running layer's maps are held, not the whole trace."""
     metric = accuracy if mspec.loss == CROSS_ENTROPY else mse_loss
     total = 0.0
-    for lo in range(0, len(x), chunk):
-        trace, _ = forward(mspec, params, x[lo:lo + chunk], for_backward=False)
-        total += metric(trace.output, y[lo:lo + chunk]) * len(trace.output)
-    return total / len(x)
+    for lo in range(0, len(ds), chunk):
+        x, y = _batch(mspec, ds, slice(lo, lo + chunk))
+        for t, layer in enumerate(mspec.layers):
+            if t and x.ndim == 4:   # a conv layer's NHWC map: forward takes NCHW
+                x = x.transpose(0, 3, 1, 2)
+            x = forward(replace(mspec, layers=(layer,)), [params[t]], x,
+                        for_backward=False)[0].output
+        total += metric(x, y) * len(x)
+    return total / len(ds)
 
 
 @dataclass
 class Schedule:
-    """``segments`` yields (index, (x, y) batches, (x, y) test set) per epoch
+    """``segments`` yields (index, (x, y) batches, test Dataset) per epoch
     or task. Without a ``probe`` batch a run takes no probes and its initial
     loss is its first batch loss. ``tasks`` segments each record their first
     and tail loss, keep curve windows inside the task, record nothing when cut
@@ -469,28 +483,28 @@ class Schedule:
     tasks: bool = False
 
 
-def _epochs(rng, x, y, test, config):
+def _epochs(rng, mspec, ds, test, config):
     """Shuffled epochs of batches, at most ``iterations`` batches in all (if set)."""
-    n, size, left = len(x), config.batch_size, config.iterations
+    n, size, left = len(ds), config.batch_size, config.iterations
     for epoch in range(config.epochs):
         order = rng.child(100 + epoch).permutation(n)
         starts = range(0, n - n % size, size)[:left]
-        yield epoch, ((x[order[lo:lo + size]], y[order[lo:lo + size]]) for lo in starts), test
+        yield epoch, (_batch(mspec, ds, order[lo:lo + size]) for lo in starts), test
         if left is not None:
             left -= len(starts)
             if left <= 0:
                 return
 
 
-def _sampled_batches(rng, x, y, count, size):
+def _sampled_batches(rng, mspec, ds, count, size):
     for _ in range(count):
-        idx = rng.integers(len(x), size=size)
-        yield x[idx], y[idx]
+        yield _batch(mspec, ds, rng.integers(len(ds), size=size))
 
 
 def _check_finite(arrays):
     """FormatError for the first named array that holds a non-finite value,
-    naming the index of its first example that does."""
+    naming the index of its first example that does. A dataset is checked
+    by its stored values, so pixels are never turned into floats here."""
     for name, a in arrays:
         bad = np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1))
         if bad.size:
@@ -509,16 +523,14 @@ def _classification_schedule(preset, config, rng, mspec, data_dir, data):
                       for name in ("inputs", "labels"))
     train_ds, stats = standardize(train_raw, preset.standardize_mode)
     test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
-    x, y = _flatten_inputs(mspec, train_ds.inputs), train_ds.labels
-    x_test, y_test = _flatten_inputs(mspec, test_ds.inputs), test_ds.labels
     if mspec.loss == CROSS_ENTROPY:   # checked once, before step 1
-        for split, labels in (("train", y), ("test", y_test)):
+        for split, labels in (("train", train_ds.labels), ("test", test_ds.labels)):
             bad = np.flatnonzero((labels < 0) | (labels >= mspec.output_dim))
             if bad.size:
                 raise FormatError(f"{split} label {labels[bad[0]]} at index {bad[0]} "
                                   f"is outside [0, {mspec.output_dim})")
-    return Schedule(_epochs(rng, x, y, (x_test, y_test), config),
-                    probe=(x_test[:PROBE_BATCH], y_test[:PROBE_BATCH]))
+    return Schedule(_epochs(rng, mspec, train_ds, test_ds, config),
+                    probe=_batch(mspec, test_ds, slice(0, PROBE_BATCH)))
 
 
 def _regression_schedule(preset, config, rng, mspec, data_dir, data):
@@ -531,9 +543,10 @@ def _regression_schedule(preset, config, rng, mspec, data_dir, data):
                       for i, task in enumerate(tasks.tasks)
                       for name in ("train_x", "train_y", "test_x", "test_y"))
     count = 400 if config.iterations is None else config.iterations
-    return Schedule(((i, _sampled_batches(rng.child(200 + i), task.train_x, task.train_y,
+    return Schedule(((i, _sampled_batches(rng.child(200 + i), mspec,
+                                          Dataset(task.train_x, task.train_y),
                                           count, config.batch_size),
-                      (task.test_x, task.test_y))
+                      Dataset(task.test_x, task.test_y))
                      for i, task in enumerate(tasks.tasks)), tasks=True)
 
 
@@ -588,7 +601,7 @@ def _run(net, mspec, config, schedule, result):
             step += 1
             if config.eval_every and step % config.eval_every == 0:
                 window = losses[max(floor, len(losses) - config.eval_every):]
-                metric = _test_metric(mspec, updater.current_params(), *test)
+                metric = _test_metric(mspec, updater.current_params(), test)
                 result.curve.append((step, index, float(np.mean(window)), metric))
             if config.probe_every and step % config.probe_every == 0:
                 take_probe(step)
@@ -621,7 +634,7 @@ def _run(net, mspec, config, schedule, result):
         last = result.curve[-1][0] if result.curve else 0
         if last != step or not result.curve:
             window = losses[last:]
-            metric = _test_metric(mspec, updater.current_params(), *test)
+            metric = _test_metric(mspec, updater.current_params(), test)
             result.curve.append((step, index,
                                  float(np.mean(window)) if window else float("nan"), metric))
         if not result.reports or result.reports[-1].step != step:   # not probed yet

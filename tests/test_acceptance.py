@@ -41,11 +41,11 @@ def mnist_files(tmp_path_factory):
                                                  seed=123)
     dt.write_idx(root / "train-images-idx3-ubyte",
                  root / "train-labels-idx1-ubyte",
-                 (train_ds.inputs * 255).astype(np.uint8),
+                 train_ds.inputs,
                  train_ds.labels.astype(np.uint8))
     dt.write_idx(root / "t10k-images-idx3-ubyte",
                  root / "t10k-labels-idx1-ubyte",
-                 (test_ds.inputs * 255).astype(np.uint8),
+                 test_ds.inputs,
                  test_ds.labels.astype(np.uint8))
     return root
 
@@ -56,10 +56,10 @@ def cifar_files(tmp_path_factory):
     train_ds, test_ds = dt.make_synthetic_images(5000, 500, (3, 32, 32), 10,
                                                  seed=321)
     write_cifar10_binary(root / "data_batch_1.bin",
-                            (train_ds.inputs * 255).astype(np.uint8),
+                            train_ds.inputs,
                             train_ds.labels.astype(np.uint8))
     write_cifar10_binary(root / "test_batch.bin",
-                            (test_ds.inputs * 255).astype(np.uint8),
+                            test_ds.inputs,
                             test_ds.labels.astype(np.uint8))
     return root
 

@@ -230,9 +230,9 @@ class TestTrainCommand:
     def write_mnist(root, n_train, n_test):
         train_ds, test_ds = dt.make_synthetic_images(n_train, n_test, (28, 28), 10, seed=3)
         dt.write_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte",
-                     (train_ds.inputs * 255).astype(np.uint8), train_ds.labels.astype(np.uint8))
+                     train_ds.inputs, train_ds.labels.astype(np.uint8))
         dt.write_idx(root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte",
-                     (test_ds.inputs * 255).astype(np.uint8), test_ds.labels.astype(np.uint8))
+                     test_ds.inputs, test_ds.labels.astype(np.uint8))
 
     def test_mnist_const_embedding_via_cli(self, capsys, tmp_path):
         # equal embeddings make a shared head's Gram matrix singular; the

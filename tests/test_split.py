@@ -136,7 +136,9 @@ def test_column_ranges_at_each_core_count(monkeypatch, n_cores, ranges):
 
 
 class TestConvWeightGrad:
-    # cifar-allconv's conv layers: positions per sample, patch width
+    # cifar-allconv's conv layers: positions per sample, patch width. Layer
+    # 0's 27 patch columns, fewer than the 96 (or 32) channels asked for,
+    # take the transposed product (cols.T @ dy).T, split by channels.
     @pytest.mark.parametrize("batch", [50, 300])
     @pytest.mark.parametrize("p, c_in", [(256, 3), (64, 96), (16, 96)])
     def test_gradient_equals_the_whole_gemm(self, batch, p, c_in):
@@ -145,10 +147,12 @@ class TestConvWeightGrad:
         dy = rng.child(1).normal(1.0, (batch, p, 1, 96))
         layer = mn.LayerSpec(mn.CONV, c_in, 96, kernel=(3, 3, 2, 1))
         trace = mn.ForwardTrace(conv_cols={0: cols})
-        g = dy.reshape(-1, 96).T @ cols
-        want = (g.reshape(96, 3, 3, c_in).transpose(0, 3, 1, 2),)
-        assert_all_equal(on_each_core_count(
-            lambda: (mn.weight_grad(layer, trace, 0, dy),)), want)
+        for rows in (slice(None), slice(32, 64)):
+            g = dy.reshape(-1, 96)[:, rows].T @ cols
+            want = g.reshape(-1, 3, 3, c_in).transpose(0, 3, 1, 2)
+            for got in on_each_core_count(lambda: mn.weight_grad(layer, trace, 0, dy, rows)):
+                # by bit pattern: -0.0 and 0.0 differ
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestHeads:

@@ -701,11 +701,11 @@ class TestDataLoading:
         train_ds, test_ds = dt.make_synthetic_images(64, 32, (28, 28), 10, seed=2)
         dt.write_idx(tmp_path / "train-images-idx3-ubyte",
                      tmp_path / "train-labels-idx1-ubyte",
-                     (train_ds.inputs * 255).astype(np.uint8),
+                     train_ds.inputs,
                      train_ds.labels.astype(np.uint8))
         dt.write_idx(tmp_path / "t10k-images-idx3-ubyte",
                      tmp_path / "t10k-labels-idx1-ubyte",
-                     (test_ds.inputs * 255).astype(np.uint8),
+                     test_ds.inputs,
                      test_ds.labels.astype(np.uint8))
         cfg = replace(tr.config_for("mnist-mlp"), epochs=1, subset=64,
                       eval_every=None, probe_every=10 ** 6)
