@@ -5,8 +5,8 @@ Exit codes are the machine contract: 0 success, 1 check failure (tolerance
 miss, gradient-check failure, or training divergence), 2 usage error,
 3 I/O error. Output files are data-only (JSON/CSV) for external plotting;
 every run with an output directory also writes a manifest sufficient to
-reproduce it, with the BLAS thread count and core count an unpinned run's
-last bits depend on.
+reproduce it, with the cores the process may use and the BLAS thread count
+read back from the library.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .init_schemes import FanGeometry, parse_scheme, uniform_bound
 from .mainnet import IDENTITY, MSE, RELU, TANH, mlp
 from .probe import (StatRow, activation_variance_ratios, compare, predict,
                     rows_from_dict, snapshot, write_csv, write_json)
-from .tensor import Rng, cores
+from .tensor import Rng, blas_threads, cores
 from .train import DataNotFoundError, PRESETS, config_for, probe_step, train
 
 DATA_DIR_ENV = "HYPERINIT_DATA_DIR"
@@ -145,7 +145,7 @@ def _write_manifest(out_dir, args, extra=None):
     manifest = {"version": __version__, "argv": sys.argv[1:],
                 "flags": {k: v for k, v in vars(args).items() if k != "command"},
                 "command": args.command, "cores": cores(),
-                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+                "blas_threads": blas_threads()}
     if extra:
         manifest.update(extra)
     out = Path(out_dir)

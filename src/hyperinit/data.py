@@ -13,6 +13,8 @@ same order, as a whole float array would have been built with, so a batch
 has the bits of indexing that array.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -24,6 +26,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixels
 PIXEL_SCALE = 255.0  # a uint8 pixel over this is its float value in [0, 1]
+READ_CHUNK = 1 << 20  # bytes of CIFAR records read at a time
 
 GLOBAL = "global"
 
@@ -96,13 +99,14 @@ def read_idx(path):
             shape = (count, rows, cols)
         else:
             shape = (count,)
-        need = int(np.prod(shape))
-        payload = f.read(need)
-        if len(payload) != need:
+        need = math.prod(shape)   # a Python int: no wrap at 2^63
+        left = os.fstat(f.fileno()).st_size - offset
+        if left < need:   # checked before reading, so a huge header allocates nothing
             raise FormatError(f"{path}: expected {need} data bytes at offset {offset}, "
-                              f"got {len(payload)}")
-        if f.read(1):
+                              f"got {left}")
+        if left > need:
             raise FormatError(f"{path}: trailing bytes after offset {offset + need}")
+        payload = f.read(need)
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
@@ -134,21 +138,30 @@ def write_idx(images_path, labels_path, images, labels):
 
 def load_cifar10_binary(path):
     """One CIFAR-10 binary batch file -> Dataset of (N, 3, 32, 32) uint8
-    pixels, read as [0, 1]."""
+    pixels, read as [0, 1]. The records are read in chunks of at most
+    ``READ_CHUNK`` bytes straight into one pixel array and one label array,
+    so loading holds the pixels once."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
-        raise FormatError(f"{path}: size {len(raw)} is not a multiple of "
-                          f"{CIFAR_RECORD}-byte records")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-    labels = records[:, 0].astype(np.int64)
+        size = os.fstat(f.fileno()).st_size
+        if size == 0 or size % CIFAR_RECORD != 0:
+            raise FormatError(f"{path}: size {size} is not a multiple of "
+                              f"{CIFAR_RECORD}-byte records")
+        n = size // CIFAR_RECORD
+        pixels = np.empty((n, CIFAR_RECORD - 1), dtype=np.uint8)
+        labels = np.empty(n, dtype=np.int64)
+        records = np.empty((max(1, READ_CHUNK // CIFAR_RECORD), CIFAR_RECORD), dtype=np.uint8)
+        for lo in range(0, n, len(records)):
+            chunk = records[:min(len(records), n - lo)]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"{path}: truncated at record {lo}, offset {lo * CIFAR_RECORD}")
+            labels[lo:lo + len(chunk)] = chunk[:, 0]
+            pixels[lo:lo + len(chunk)] = chunk[:, 1:]
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         i = int(bad[0])
         raise FormatError(f"{path}: record {i} at offset {i * CIFAR_RECORD} has label "
                           f"byte {labels[i]}; CIFAR-10 labels are 0-9")
-    return Dataset(inputs=records[:, 1:].reshape(-1, 3, 32, 32), labels=labels,
-                   scale=PIXEL_SCALE)
+    return Dataset(inputs=pixels.reshape(-1, 3, 32, 32), labels=labels, scale=PIXEL_SCALE)
 
 
 def standardize(ds, mode=GLOBAL, stats=None):
@@ -233,12 +246,12 @@ def _smooth_prototypes(n_classes, shape, rng):
     return protos
 
 
-def make_synthetic_images(n_train, n_test, shape, n_classes, seed,
-                          noise=0.25, max_shift=3):
+def make_synthetic_images(n_train, n_test, shape, n_classes, seed):
     """Deterministic image classification set with class-prototype structure.
 
-    Each class is a smooth random pattern; samples are amplitude-jittered,
-    spatially shifted copies with pixel noise, quantized to uint8. Returns
+    Each class is a smooth random pattern; samples are amplitude-jittered
+    copies, shifted by up to 3 pixels each way, with pixel noise of standard
+    deviation 0.25, quantized to uint8. Returns
     (train Dataset, test Dataset) of uint8 pixels, read as [0, 1].
     """
     rng = Rng(seed)
@@ -248,8 +261,8 @@ def make_synthetic_images(n_train, n_test, shape, n_classes, seed,
         r = rng.child(si + 1)
         labels = np.asarray(r.integers(n_classes, size=n), dtype=np.int64)
         amps = 1.0 + r.uniform_symmetric(0.3, n)
-        shifts = r.integers(2 * max_shift + 1, size=(n, 2)) - max_shift
-        pixel_noise = r.normal(noise, (n,) + tuple(shape))
+        shifts = r.integers(7, size=(n, 2)) - 3
+        pixel_noise = r.normal(0.25, (n,) + tuple(shape))
         images = np.empty((n,) + tuple(shape), dtype=DTYPE)
         for i in range(n):
             img = protos[labels[i]] * amps[i]

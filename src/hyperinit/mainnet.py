@@ -18,8 +18,8 @@ Passes above the engine's split floor run on every core through its one
 scheduler, ``tensor.in_groups``, each group writing rows no other group
 writes. A dense product splits by output units, a weight gradient by input
 units or patch columns (``matmul_cols``), at power-of-two boundaries where
-every entry's reduction stays whole: at one BLAS thread the bits are the
-whole product's. Batch-10 dense layers stay below the floor.
+every entry's reduction stays whole, so the bits are the whole product's.
+Batch-10 dense layers stay below the floor.
 Every conv pass works through the batch in windows of samples (at most
 about 1<<18 patch-matrix entries and an eighth of the batch each), one
 contiguous group of windows per core, each group on its own thread through

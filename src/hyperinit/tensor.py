@@ -14,11 +14,15 @@ given a conversion, those of stored values' float array, one leaf at a time.
 contiguous group of row ranges per core, every buffer made on the calling
 thread, nothing split below ``SPLIT_FLOOR``, and no option, flag or
 environment variable. Each caller splits only where the bits of every entry
-are proven equal to the whole pass's (``tests/test_split.py``), at one BLAS
-thread: OpenBLAS's own threads already change a GEMM's last bits.
+are proven equal to the whole pass's (``tests/test_split.py``). Importing
+this module sets numpy's bundled OpenBLAS to one thread (``blas_threads``),
+since OpenBLAS's own threads change a GEMM's last bits with the core count:
+``in_groups`` is the only code that runs on more than one core.
 """
 
 import contextvars
+import ctypes
+import glob
 import os
 import threading
 
@@ -39,6 +43,35 @@ DRAW_WORK = 256
 # two threads than on one, 1<<17 fastest on either.
 STREAM_WORK = 24
 SUM_LEAF = 1 << 17
+
+
+def _pin_openblas():
+    """Set numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``)
+    to one thread and return its thread-count getter; None, leaving BLAS
+    alone, when numpy carries no such library or it lacks the symbols."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    try:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads(1)
+    return get_threads
+
+
+_get_blas_threads = _pin_openblas()
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, read back from the library (1 once this
+    module is imported), or None when its bundled OpenBLAS was not found."""
+    return None if _get_blas_threads is None else _get_blas_threads()
 
 
 def cores():
@@ -94,8 +127,8 @@ def matmul_cols(a, b, out=None):
     split at 256 on 2 cores, at 128 and 256 on 3), each group multiplying
     the whole of ``a`` straight into its columns, so every entry's reduction
     stays whole. Such splits keep OpenBLAS's bits for mnist-mlp's dense
-    layers and generated heads at one BLAS thread; a split by the product's
-    rows, or one at 320 of 500 columns, does not."""
+    layers and generated heads; a split by the product's rows, or one at 320
+    of 500 columns, does not."""
     work = a.shape[0] * a.shape[1] * b.shape[1]
     if work < SPLIT_FLOOR:   # the common small case, without a closure
         return np.matmul(a, b, out=out)

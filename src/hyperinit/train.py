@@ -56,6 +56,7 @@ baseline initializations are expected to end this way.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -74,6 +75,7 @@ from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv
 from .tensor import DTYPE, Rng, in_groups, row_chunks
 
 PROBE_BATCH = 300
+EVAL_CHUNK = 500          # test rows per forward-only evaluation pass
 BLOCK_ENTRIES = 1 << 16   # a 512 KiB gradient block: it, its Gram product and the
                           # stack's block stay within a 2 MiB per-core L2 cache
 SAFE_PRODUCT = 1e300      # K max|dy| max|x| below this cannot overflow
@@ -453,14 +455,14 @@ def _batch(mspec, ds, idx):
     return x, ds.labels[idx]
 
 
-def _test_metric(mspec, params, ds, chunk=500):
+def _test_metric(mspec, params, ds):
     """Accuracy for classifiers, MSE for regression outputs, over ``ds`` in
     chunks. Each chunk runs one forward-only layer at a time, so only the
     running layer's maps are held, not the whole trace."""
     metric = accuracy if mspec.loss == CROSS_ENTROPY else mse_loss
     total = 0.0
-    for lo in range(0, len(ds), chunk):
-        x, y = _batch(mspec, ds, slice(lo, lo + chunk))
+    for lo in range(0, len(ds), EVAL_CHUNK):
+        x, y = _batch(mspec, ds, slice(lo, lo + EVAL_CHUNK))
         for t, layer in enumerate(mspec.layers):
             if t and x.ndim == 4:   # a conv layer's NHWC map: forward takes NCHW
                 x = x.transpose(0, 3, 1, 2)
@@ -521,6 +523,14 @@ def _classification_schedule(preset, config, rng, mspec, data_dir, data):
         _check_finite((f"{split} {name}", getattr(ds, name))
                       for split, ds in (("train", train_raw), ("test", test_raw))
                       for name in ("inputs", "labels"))
+    first = mspec.layers[0]
+    for split, ds in (("train", train_raw), ("test", test_raw)):
+        shape = ds.inputs.shape[1:]   # checked before step 1 and the hypernet
+        if (math.prod(shape) != first.d_in if first.kind == DENSE
+                else len(shape) != 3 or shape[0] != first.d_in):
+            unit = "values" if first.kind == DENSE else "channels"
+            raise FormatError(f"{split} examples of shape {shape} do not fit layer 0, "
+                              f"which takes {first.d_in} {unit}")
     train_ds, stats = standardize(train_raw, preset.standardize_mode)
     test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
     if mspec.loss == CROSS_ENTROPY:   # checked once, before step 1

@@ -1,5 +1,9 @@
 import json
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +11,56 @@ import pytest
 from hyperinit import data as dt
 from hyperinit.cli import main
 
-from helpers import write_cifar10_binary
+from helpers import on_cores, write_cifar10_binary
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# OPENBLAS_NUM_THREADS of each child run; "one core" leaves it unset and
+# narrows the child to the first core
+BLAS_SETTINGS = {"unset": None, "1": "1", "2": "2", "one core": None}
+BLAS_RUNS = {   # a few steps of each image preset, probed and evaluated twice
+    "mnist-mlp": ("--init", "hyperfan-out", "--subset", "600", "--iterations", "40",
+                  "--probe-every", "20", "--eval-every", "20"),
+    "cifar-allconv": ("--subset", "200", "--iterations", "4", "--probe-every", "2",
+                      "--eval-every", "2"),
+}
+
+
+@pytest.fixture(scope="module")
+def blas_runs(tmp_path_factory):
+    """``train --out`` of each image preset in a child process under each
+    BLAS setting: {(preset, setting): output directory}."""
+    data = tmp_path_factory.mktemp("data")
+    TestTrainCommand.write_mnist(data, 600, 300)
+    train_ds, test_ds = dt.make_synthetic_images(200, 100, (3, 32, 32), 10, seed=4)
+    write_cifar10_binary(data / "data_batch_1.bin", train_ds.inputs,
+                         train_ds.labels.astype(np.uint8))
+    write_cifar10_binary(data / "test_batch.bin", test_ds.inputs,
+                         test_ds.labels.astype(np.uint8))
+    runs = {}
+    for setting, threads in BLAS_SETTINGS.items():
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        for preset, flags in BLAS_RUNS.items():
+            out = tmp_path_factory.mktemp("run") / "out"
+            with on_cores(1 if setting == "one core" else None):   # a child keeps the mask
+                done = subprocess.run(
+                    [sys.executable, "-c", "import sys; from hyperinit.cli import main; "
+                     "sys.exit(main())", "train", "--preset", preset, *flags,
+                     "--data-dir", str(data), "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs[preset, setting] = out
+    return runs
 
 
 class TestUsageErrors:
@@ -201,21 +248,13 @@ class TestTrainCommand:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 0
 
-    @pytest.mark.parametrize("blas_threads", [None, "1"])
-    def test_the_manifest_records_blas_threads_and_cores(self, capsys, tmp_path, monkeypatch,
-                                                         blas_threads):
-        # an unpinned run's last bits depend on both (tests/test_split.py)
-        if blas_threads is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-        out_dir = tmp_path / "run"
-        code, _, _ = run(capsys, "train", "--preset", "regression-seq",
-                         "--iterations", "2", "--out", str(out_dir))
-        assert code == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["blas_threads"] == blas_threads
-        assert manifest["cores"] == len(os.sched_getaffinity(0)) >= 1
+    @pytest.mark.parametrize("setting", BLAS_SETTINGS)
+    def test_the_manifest_records_blas_threads_and_cores(self, blas_runs, setting):
+        # the thread count read back from OpenBLAS, whatever the environment
+        manifest = json.loads((blas_runs["mnist-mlp", setting] / "manifest.json").read_text())
+        assert manifest["blas_threads"] == 1
+        cores = 1 if setting == "one core" else len(os.sched_getaffinity(0))
+        assert manifest["cores"] == cores >= 1
 
     def test_seed_list_runs_each(self, capsys, tmp_path):
         out_dir = tmp_path / "multi"
@@ -265,6 +304,25 @@ class TestTrainCommand:
         assert code == 3
         assert f"{split} split holds no images" in err
 
+    def test_an_idx_header_larger_than_the_file_is_format_error(self, capsys, tmp_path):
+        self.write_mnist(tmp_path, 64, 32)
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", dt.IDX_IMAGES_MAGIC, *(1 << 16,) * 3) + bytes(16))
+        code, _, err = run(capsys, "train", "--preset", "mnist-mlp", "--data-dir", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error: ") and "offset 16" in err and "Traceback" not in err
+
+    def test_images_that_do_not_fit_the_preset_are_format_error(self, capsys, tmp_path):
+        train_ds, test_ds = dt.make_synthetic_images(64, 32, (20, 20), 10, seed=3)
+        for stem, ds in (("train", train_ds), ("t10k", test_ds)):
+            dt.write_idx(tmp_path / f"{stem}-images-idx3-ubyte",
+                         tmp_path / f"{stem}-labels-idx1-ubyte",
+                         ds.inputs, ds.labels.astype(np.uint8))
+        code, _, err = run(capsys, "train", "--preset", "mnist-mlp", "--data-dir", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error: train examples of shape (20, 20) do not fit layer 0")
+        assert "Traceback" not in err
+
     def test_bad_cifar_label_is_io_error(self, capsys, tmp_path):
         images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
         write_cifar10_binary(tmp_path / "data_batch_1.bin", images,
@@ -275,6 +333,16 @@ class TestTrainCommand:
                            "--data-dir", str(tmp_path))
         assert code == 3
         assert "label byte 12" in err
+
+
+@pytest.mark.parametrize("preset", BLAS_RUNS)
+def test_a_run_writes_the_same_bytes_under_every_blas_setting(blas_runs, preset):
+    # importing hyperinit sets OpenBLAS to one thread, so neither
+    # OPENBLAS_NUM_THREADS nor the core count picks a run's last bits
+    for name in ("checkpoint.npz", "probe.json", "curves.csv"):
+        want = (blas_runs[preset, "unset"] / name).read_bytes()
+        for setting in BLAS_SETTINGS:
+            assert (blas_runs[preset, setting] / name).read_bytes() == want, (setting, name)
 
 
 class TestReport:

@@ -564,8 +564,7 @@ class TestParallelWindows:
                 np.testing.assert_array_equal(have, want)
 
     def test_both_modes_give_equal_outputs_on_a_wide_layer(self):
-        # one forward-only and one for-backward pass run the same window
-        # GEMMs, at whatever BLAS thread count the suite runs with
+        # one forward-only and one for-backward pass run the same window GEMMs
         x, w, b = conv_case((64, 64, 15, 15), (3, 3, 1, 1), 500)
         y, *_ = mn._conv_forward(x, w, b, (3, 3, 1, 1))
         y_only, *_ = mn._conv_forward(x, w, b, (3, 3, 1, 1), for_backward=False)

@@ -3,7 +3,6 @@ of its serial result, on one core and on every core the process may use; and
 the passes of a small step stay below its floor and start no thread."""
 
 import os
-import subprocess
 import sys
 import threading
 
@@ -79,19 +78,6 @@ class TestDraws:
 
 
 def test_dense_passes_equal_the_whole_gemm():
-    # OpenBLAS's own threads already change a dense GEMM's last bits (a 300 x
-    # 784 by 784 x 500 product differs between 1 and 2 BLAS threads), and
-    # under them a dense split does too: the dense splits hold the bits at one
-    # BLAS thread, the setting perfbench pins, so the test runs there, in a
-    # child process when the suite leaves BLAS threads unpinned.
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               f"{__file__}::test_dense_passes_equal_the_whole_gemm"],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "1 passed" in proc.stdout
-        return
     for batch in (10, 300, 500):   # the mnist-mlp layers at its step, probe and evaluation
         for d_in, d_out in ((784, 500), (500, 500), (500, 10)):
             rng = Rng(batch + d_in + d_out)

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _ctypes
+
+from hyperinit import tensor
 from hyperinit.tensor import (SPLIT_FLOOR, STREAM_WORK, SUM_LEAF, Rng, cores, mean_var,
                               sample)
 
@@ -169,3 +172,13 @@ class TestMeanVar:
         monkeypatch.setattr(threading, "Thread", counting)
         mean_var(values)
         assert started
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("found", [[], [_ctypes.__file__]])
+    def test_without_the_library_or_its_symbols_blas_is_left_alone(self, monkeypatch, found):
+        # no bundled OpenBLAS, or a library without its thread-count symbols
+        monkeypatch.setattr(tensor.glob, "glob", lambda pattern: found)
+        assert tensor._pin_openblas() is None
+        monkeypatch.setattr(tensor, "_get_blas_threads", None)
+        assert tensor.blas_threads() is None

@@ -663,6 +663,27 @@ class TestLabelCheck:
             tr.train(name, tr.config_for(name), data=data)
 
 
+class TestShapeCheck:
+    @pytest.mark.parametrize("preset, split, shape, message", [
+        ("mnist-mlp", 0, (20, 20), r"train examples of shape \(20, 20\) .* takes 784 values"),
+        ("mnist-mlp", 1, (28, 27), r"test examples of shape \(28, 27\) .* takes 784 values"),
+        ("cifar-allconv", 0, (1, 32, 32), r"train .* \(1, 32, 32\) .* takes 3 channels"),
+        ("cifar-allconv", 1, (96, 32), r"test .* \(96, 32\) .* takes 3 channels"),
+    ])
+    def test_examples_that_do_not_fit_layer_zero_are_rejected_before_the_hypernet(
+            self, monkeypatch, preset, split, shape, message):
+        good = (28, 28) if preset == "mnist-mlp" else (3, 32, 32)
+        sets = [dt.make_synthetic_images(20, 10, shape if i == split else good, 10, seed=1)[i]
+                for i in (0, 1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hypernet was built")
+
+        monkeypatch.setattr(tr, "init_hypernet", refuse)
+        with pytest.raises(dt.FormatError, match=message):
+            tr.train(preset, tr.config_for(preset), data=tuple(sets))
+
+
 class TestNonFiniteData:
     @pytest.mark.parametrize("split,field,value", [
         (0, "inputs", np.nan), (1, "inputs", -np.inf), (0, "labels", np.nan)])
