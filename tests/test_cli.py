@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -36,7 +38,8 @@ BLAS_RUNS = {   # a few steps of each image preset, probed and evaluated twice
 @pytest.fixture(scope="module")
 def blas_runs(tmp_path_factory):
     """``train --out`` of each image preset in a child process under each
-    BLAS setting: {(preset, setting): output directory}."""
+    BLAS setting: {(preset, setting): {output file name: its sha256, or the
+    manifest's dict}}. The output directories are removed once read."""
     data = tmp_path_factory.mktemp("data")
     TestTrainCommand.write_mnist(data, 600, 300)
     train_ds, test_ds = dt.make_synthetic_images(200, 100, (3, 32, 32), 10, seed=4)
@@ -59,7 +62,11 @@ def blas_runs(tmp_path_factory):
                      "--data-dir", str(data), "--out", str(out)],
                     env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
-            runs[preset, setting] = out
+            runs[preset, setting] = {
+                "manifest": json.loads((out / "manifest.json").read_text()),
+                **{name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("checkpoint.npz", "probe.json", "curves.csv")}}
+            shutil.rmtree(out)
     return runs
 
 
@@ -251,7 +258,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("setting", BLAS_SETTINGS)
     def test_the_manifest_records_blas_threads_and_cores(self, blas_runs, setting):
         # the thread count read back from OpenBLAS, whatever the environment
-        manifest = json.loads((blas_runs["mnist-mlp", setting] / "manifest.json").read_text())
+        manifest = blas_runs["mnist-mlp", setting]["manifest"]
         assert manifest["blas_threads"] == 1
         cores = 1 if setting == "one core" else len(os.sched_getaffinity(0))
         assert manifest["cores"] == cores >= 1
@@ -340,9 +347,9 @@ def test_a_run_writes_the_same_bytes_under_every_blas_setting(blas_runs, preset)
     # importing hyperinit sets OpenBLAS to one thread, so neither
     # OPENBLAS_NUM_THREADS nor the core count picks a run's last bits
     for name in ("checkpoint.npz", "probe.json", "curves.csv"):
-        want = (blas_runs[preset, "unset"] / name).read_bytes()
         for setting in BLAS_SETTINGS:
-            assert (blas_runs[preset, setting] / name).read_bytes() == want, (setting, name)
+            assert blas_runs[preset, setting][name] == blas_runs[preset, "unset"][name], \
+                (setting, name)
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import _ctypes
 import os
 import sys
 import threading
@@ -6,8 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import _ctypes
 
 from hyperinit import tensor
 from hyperinit.tensor import (SPLIT_FLOOR, STREAM_WORK, SUM_LEAF, Rng, cores, mean_var,
