@@ -149,7 +149,7 @@ def load_cifar10_binary(path):
         n = size // CIFAR_RECORD
         pixels = np.empty((n, CIFAR_RECORD - 1), dtype=np.uint8)
         labels = np.empty(n, dtype=np.int64)
-        records = np.empty((max(1, READ_CHUNK // CIFAR_RECORD), CIFAR_RECORD), dtype=np.uint8)
+        records = np.empty((READ_CHUNK // CIFAR_RECORD, CIFAR_RECORD), dtype=np.uint8)
         for lo in range(0, n, len(records)):
             chunk = records[:min(len(records), n - lo)]
             if f.readinto(chunk) != chunk.nbytes:
