@@ -157,10 +157,8 @@ class Trunk(Segment):
         self.weights, self.biases = [], []   # views set by bind()
 
     def bind(self, flat):
-        views = self.named(flat)
-        arrays = list(views.values())
+        arrays = self.arrays(flat)
         self.weights, self.biases = arrays[0::2], arrays[1::2]
-        return views
 
     @property
     def out_dim(self):
@@ -210,9 +208,7 @@ class Projection(Segment):
         self.shapes = ((rows[-1].stop, d_e, d_e), (rows[-1].stop, d_e))
 
     def bind(self, flat):
-        views = self.named(flat)
-        self.proj, self.proj_bias = views.values()
-        return views
+        self.proj, self.proj_bias = self.arrays(flat)
 
     def initialize(self, net, scheme, rng):
         """Each target's rows by the projection rule, then the offsets."""
@@ -248,7 +244,6 @@ class Source(Segment):
 
     def bind(self, flat):
         self.block = flat[self.span].reshape(len(self.targets), -1)
-        return self.named(flat)
 
 
 @dataclass(frozen=True)
@@ -345,10 +340,8 @@ class SlotBank(Segment):
 
     def bind(self, flat):
         self.H, self.beta = self.arrays(flat)
-        views = self.named(flat)
         for h in self.heads:
-            h.H, h.beta = (views[key] for key in h.keys)
-        return views
+            h.H, h.beta = self.H[h.cols], self.beta[h.cols]
 
     def initialize(self, net, scheme, rng):
         for h in self.heads:
@@ -488,14 +481,13 @@ class Hypernet:
             part.span = slice(lo, lo + part.size)
             lo = part.span.stop
         self.flat = np.zeros(lo, dtype=DTYPE)
-        self._arrays = {}
         for part in self._parts():
-            self._arrays.update(part.bind(self.flat))
+            part.bind(self.flat)
         self.n_updatable = lo if self.hspec.embeddings_trainable else next(iter(self.sources.values())).span.start
 
     def param_arrays(self):
         """Flat name -> array view of every parameter, embeddings included."""
-        return dict(self._arrays)
+        return {k: v for part in self._parts() for k, v in part.named(self.flat).items()}
 
     def grad_arrays(self):
         """Flat name -> array view of ``grad``, keyed like ``param_arrays``."""

@@ -39,10 +39,11 @@ target's gradient (one small GEMM each) in one reused buffer, multiplies it by
 the head's Gram matrix, scales it by lr and subtracts it from the stack's
 matching block. Each step reads and writes each stack once. A head of one
 target has a 1x1 Gram matrix, which ``np.multiply`` applies with the bits of
-``np.matmul``. The stacks are built, and folded back at ``sync``, in the
-head's power-of-two row chunks on every core (``tensor.in_groups``), with the
-bits of the whole-matrix products; a ``sync`` with no update since the last
-one folds nothing.
+``np.matmul``. The stacks, the loop's one copy of the weights, are built and
+folded back at ``sync`` (each chunk rebuilt from the head, then its motion
+solved and folded into the head) in the head's power-of-two row chunks on
+every core (``tensor.in_groups``), with the bits of the whole-matrix products;
+a ``sync`` with no update since the last one folds nothing.
 
 A step is refused, before any head moves, exactly when some gradient entry
 would be non-finite: when a factor has a non-finite entry, or, if the
@@ -207,16 +208,6 @@ class _FixedHeadFastPath:
         for head in (h for bank in net.heads for h in bank.heads):
             emb = net.sources[head.slot.tag].block[list(head.rows)]   # identity trunk
             stack = np.empty((len(head.targets), head.n_out), dtype=DTYPE)
-            base = np.empty_like(stack)
-
-            def build(group):   # straight from the head: no product of every source row
-                for rows in group:
-                    for row in range(len(stack)):
-                        np.matmul(head.H[rows], emb[row], out=stack[row, rows])
-                        stack[row, rows] += head.beta[rows]
-                    base[:, rows] = stack[:, rows]
-
-            in_groups(row_chunks(*head.H.shape), stack.size * head.d_in, tuple, build)
             shape = head.shapes[0]   # a row per target: chunks come with a projection
             for row, t in enumerate(head.targets):
                 self.carried[t][head.slot.param] = stack[row].reshape(shape)
@@ -226,7 +217,8 @@ class _FixedHeadFastPath:
                       for rows in row_chunks(n_rows, stack.shape[0] * width, BLOCK_ENTRIES)]
             size = max(size, stack.shape[0] * (blocks[0][1].stop - blocks[0][1].start))
             self.heads.append({"head": head, "emb": emb, "gram": emb @ emb.T + 1.0,
-                               "stack": stack, "base": base, "blocks": blocks})
+                               "stack": stack, "blocks": blocks})
+            self._walk(self.heads[-1])
         self.block, self.prod = np.empty(size, dtype=DTYPE), np.empty(size, dtype=DTYPE)
         self.moved = False   # whether an update ran since the last sync
 
@@ -290,34 +282,40 @@ class _FixedHeadFastPath:
         self.moved = True
         return True
 
+    @staticmethod
+    def _walk(rec, fold=False):
+        """Build the head's stack, or fold its motion back into the head, walking
+        the head's power-of-two row chunks on every core (``tensor.in_groups``).
+        Each chunk of every target's ``H e + beta`` is one matrix-vector product,
+        into the stack when building. A fold forms it in its group's buffer,
+        subtracts the carried chunk and, unless that ``delta`` is zero, folds its
+        least-squares ``acc`` into the chunk of ``H`` and ``beta``: with
+        ``A = [E, 1]``, every solution of ``A Aᵀ acc = delta`` moves the head by
+        the same ``Aᵀ acc``, so least squares serves a singular Gram."""
+        head, emb, stack = rec["head"], rec["emb"], rec["stack"]
+        chunks = row_chunks(*head.H.shape)
+        n = min(chunks[0].stop, len(head.H))
+
+        def run(group, built=None, prod=None):
+            for rows in group:
+                h = head.H[rows]
+                out = stack[:, rows] if built is None else built[:, :len(h)]
+                for row in range(len(stack)):
+                    np.matmul(h, emb[row], out=out[row])
+                    out[row] += head.beta[rows]
+                if built is not None and np.subtract(out, stack[:, rows], out=out).any():
+                    acc = np.linalg.lstsq(rec["gram"], out, rcond=None)[0]
+                    h -= np.matmul(acc.T, emb, out=prod[:len(h)])
+                    head.beta[rows] -= acc.sum(axis=0)
+
+        in_groups(chunks, stack.size * head.d_in, lambda: () if not fold else (
+            np.empty((len(stack), n), dtype=DTYPE), np.empty((n, head.d_in), dtype=DTYPE)), run)
+
     def sync(self):
-        """Fold the accumulated weight motion back into the heads, exactly:
-        with ``A = [E, 1]``, every solution of ``A Aᵀ acc = delta`` moves the
-        head by the same ``Aᵀ acc``, so least squares serves a singular Gram.
-        ``delta`` is formed in ``base``, and nothing is folded when no update
-        ran since the last fold. Each group of the head's row chunks forms
-        its chunks' products ``acc[:, rows].T @ emb`` in its own buffer."""
-        if not self.moved:
-            return
-        for rec in self.heads:
-            head, emb, stack, base = rec["head"], rec["emb"], rec["stack"], rec["base"]
-            delta = np.subtract(base, stack, out=base)
-            if not delta.any():
-                np.copyto(base, stack)
-                continue
-            acc = np.linalg.lstsq(rec["gram"], delta, rcond=None)[0]
-            chunks = row_chunks(*head.H.shape)
-
-            def fold(group, prod):
-                for rows in group:
-                    h = head.H[rows]
-                    h -= np.matmul(acc[:, rows].T, emb, out=prod[:len(h)])
-                    base[:, rows] = stack[:, rows]
-
-            rows = min(chunks[0].stop, len(head.H))
-            in_groups(chunks, stack.size * head.d_in,
-                      lambda: (np.empty((rows, head.d_in), dtype=DTYPE),), fold)
-            head.beta -= acc.sum(axis=0)
+        """Fold the carried weights' motion back into the heads (``_walk``),
+        unless no update ran since the last fold."""
+        for rec in self.heads if self.moved else ():
+            self._walk(rec, fold=True)
         self.moved = False
 
 
@@ -531,14 +529,16 @@ def _classification_schedule(preset, config, rng, mspec, data_dir, data):
             unit = "values" if first.kind == DENSE else "channels"
             raise FormatError(f"{split} examples of shape {shape} do not fit layer 0, "
                               f"which takes {first.d_in} {unit}")
+        labels = ds.labels
+        if labels.shape != (len(ds),):
+            raise FormatError(f"{split} labels of shape {labels.shape} are not one per example "
+                              f"of {len(ds)}")
+        bad = np.flatnonzero((labels < 0) | (labels >= mspec.output_dim) | (labels % 1 != 0))
+        if bad.size:
+            raise FormatError(f"{split} label {labels[bad[0]]} at index {bad[0]} "
+                              f"is not a class in [0, {mspec.output_dim})")
     train_ds, stats = standardize(train_raw, preset.standardize_mode)
     test_ds, _ = standardize(test_raw, preset.standardize_mode, stats)
-    if mspec.loss == CROSS_ENTROPY:   # checked once, before step 1
-        for split, labels in (("train", train_ds.labels), ("test", test_ds.labels)):
-            bad = np.flatnonzero((labels < 0) | (labels >= mspec.output_dim))
-            if bad.size:
-                raise FormatError(f"{split} label {labels[bad[0]]} at index {bad[0]} "
-                                  f"is outside [0, {mspec.output_dim})")
     return Schedule(_epochs(rng, mspec, train_ds, test_ds, config),
                     probe=_batch(mspec, test_ds, slice(0, PROBE_BATCH)))
 
@@ -549,6 +549,13 @@ def _regression_schedule(preset, config, rng, mspec, data_dir, data):
         tasks = make_regression_tasks(config.seed)
     else:   # checked once, before step 1
         tasks = data
+        for i, task in enumerate(tasks.tasks):
+            for split in ("train", "test"):
+                x, y = getattr(task, f"{split}_x"), getattr(task, f"{split}_y")
+                for name, a, width in (("x", x, mspec.layers[0].d_in), ("y", y, mspec.output_dim)):
+                    if a.shape != x.shape[:1] + (width,) or a.size == 0:
+                        raise FormatError(f"task {i} {split}_{name} has shape {a.shape}; want "
+                                          f"(N, {width}), N > 0 the rows of {split}_x")
         _check_finite((f"task {i} {name}", getattr(task, name))
                       for i, task in enumerate(tasks.tasks)
                       for name in ("train_x", "train_y", "test_x", "test_y"))

@@ -183,13 +183,19 @@ class TestFastPath:
         return step
 
     @staticmethod
-    def state(fast, net):
-        """Every array the fast path carries, and the hypernet's parameters."""
+    def generated(rec):
+        """The head's whole-matrix stack: ``H @ e + beta`` of every target."""
+        head = rec["head"]
+        return np.stack([head.H @ e + head.beta for e in rec["emb"]])
+
+    def state(self, fast, net):
+        """Every array the fast path carries, the hypernet's parameters and
+        the stacks they generate."""
         arrays = [net.flat]
         for p in fast.carried:
             arrays += [p["W"], p["b"]]
         for rec in fast.heads:
-            arrays += [rec["stack"], rec["base"]]
+            arrays += [rec["stack"], self.generated(rec)]
         return arrays
 
     @staticmethod
@@ -276,7 +282,8 @@ class TestFastPath:
             assert fast.update(self.fast_step(net, mspec, fast, Rng(7).child(step)), 0.1)
         want = []
         for rec in fast.heads:   # the whole-matrix fold
-            acc = np.linalg.lstsq(rec["gram"], rec["base"] - rec["stack"], rcond=None)[0]
+            acc = np.linalg.lstsq(rec["gram"], self.generated(rec) - rec["stack"],
+                                  rcond=None)[0]
             want.append((rec["head"].H - acc.T @ rec["emb"], rec["head"].beta - acc.sum(axis=0)))
         fast.sync()
         for rec, (h, beta) in zip(fast.heads, want):
@@ -369,6 +376,50 @@ class TestFastPath:
         finally:
             tracemalloc.stop()
         assert peak < head_bytes
+
+    @staticmethod
+    def build_wide():
+        # a 400x400 head shared by two layers, plus two heads of one target
+        mspec = mn.mlp([16, 400, 400, 400, 4], activation="tanh")
+        hspec = hg.HypernetSpec(embedding_dim=4, head_topology=hg.SHARED_SAME_SIZE)
+        return mspec, hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(4))
+
+    def test_building_allocates_less_than_twice_the_stacks(self):
+        # the stacks are built straight from the heads: no copy of them is kept
+        _, net = self.build_wide()
+        tracemalloc.start()
+        try:
+            fast = tr._FixedHeadFastPath(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack_bytes = sum(rec["stack"].nbytes for rec in fast.heads)
+        assert stack_bytes >= 2 << 20
+        assert peak < 2 * stack_bytes
+
+    def test_sync_allocates_less_than_one_head(self, monkeypatch):
+        # a fold rebuilds, solves and folds one row chunk at a time; a head
+        # of this size is one chunk of the default size, so chunks of 4096
+        # rows stand in for the 16384-row chunks of mnist-mlp's heads
+        monkeypatch.setattr(tr, "row_chunks",
+                            lambda n, size, entries=1 << 20:
+                            tensor.row_chunks(n, size, entries=entries >> 6))
+        mspec, net = self.build_wide()
+        fast = tr._FixedHeadFastPath(net)
+        head_bytes = max(rec["stack"].nbytes for rec in fast.heads)
+        assert head_bytes >= 2 << 20
+        assert len(tr.row_chunks(*fast.heads[1]["head"].H.shape)) > 1
+        assert fast.update(self.fast_step(net, mspec, fast, Rng(5)), 0.1)
+        tracemalloc.start()
+        try:
+            fast.sync()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < head_bytes
+        for rec in fast.heads:   # and it folded
+            np.testing.assert_allclose(self.generated(rec), rec["stack"], rtol=1e-10,
+                                       atol=1e-13)
 
     def test_train_allocates_no_hypernet_gradient(self, tiny_bias_classification):
         name, data = tiny_bias_classification
@@ -648,6 +699,14 @@ class TestCheckpoint:
         assert meta["step"] == res.steps == 16   # 2 epochs of 128 / 16 batches
 
 
+def refuse_hypernet(monkeypatch):
+    """Make building the hypernet fail, for checks that must come before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hypernet was built")
+
+    monkeypatch.setattr(tr, "init_hypernet", refuse)
+
+
 class TestLabelCheck:
     @pytest.mark.parametrize("split,label", [(0, 4), (1, -1)])
     def test_out_of_range_label_rejected_before_step_one(self, tiny_classification,
@@ -660,6 +719,23 @@ class TestLabelCheck:
                      for i, ds in enumerate(data))
         which = ("train", "test")[split]
         with pytest.raises(dt.FormatError, match=f"{which} label {label} at index 5"):
+            tr.train(name, tr.config_for(name), data=data)
+
+    @pytest.mark.parametrize("split, labels, message", [
+        (0, lambda a: a[:100], r"train labels of shape \(100,\) are not one per example of 128"),
+        (1, lambda a: a[:40], r"test labels of shape \(40,\) are not one per example of 64"),
+        (0, lambda a: a[:, None], r"train labels of shape \(128, 1\)"),
+        (1, lambda a: np.where(np.arange(len(a)) == 5, 2.5, a),
+         r"test label 2.5 at index 5 is not a class in \[0, 4\)"),
+    ], ids=["short-train", "short-test", "a-column", "not-whole"])
+    def test_labels_not_one_class_per_example_rejected_before_the_hypernet(
+            self, tiny_classification, monkeypatch, split, labels, message):
+        from dataclasses import replace
+        name, data = tiny_classification
+        data = tuple(replace(ds, labels=labels(ds.labels)) if i == split else ds
+                     for i, ds in enumerate(data))
+        refuse_hypernet(monkeypatch)
+        with pytest.raises(dt.FormatError, match=message):
             tr.train(name, tr.config_for(name), data=data)
 
 
@@ -675,11 +751,7 @@ class TestShapeCheck:
         good = (28, 28) if preset == "mnist-mlp" else (3, 32, 32)
         sets = [dt.make_synthetic_images(20, 10, shape if i == split else good, 10, seed=1)[i]
                 for i in (0, 1)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the hypernet was built")
-
-        monkeypatch.setattr(tr, "init_hypernet", refuse)
+        refuse_hypernet(monkeypatch)
         with pytest.raises(dt.FormatError, match=message):
             tr.train(preset, tr.config_for(preset), data=tuple(sets))
 
@@ -708,6 +780,27 @@ class TestNonFiniteData:
         arr[55] = np.nan
         tasks.tasks[1] = replace(tasks.tasks[1], **{field: arr})
         with pytest.raises(dt.FormatError, match=f"task 1 {field}: non-finite value at index 55"):
+            tr.train("regression-seq", tr.config_for("regression-seq"), data=tasks)
+
+    @pytest.mark.parametrize("task, message", [
+        (dict(train_x=np.zeros((0, 1)), train_y=np.zeros((0, 1))),
+         r"task 1 train_x has shape \(0, 1\); want \(N, 1\), N > 0"),
+        (dict(test_x=np.zeros((0, 1)), test_y=np.zeros((0, 1))), r"task 1 test_x has shape"),
+        (dict(train_y=np.zeros((56, 1))), r"task 1 train_y has shape \(56, 1\); want \(N, 1\)"),
+        (dict(test_y=np.zeros(100)), r"task 1 test_y has shape \(100,\)"),
+        (dict(train_x=np.zeros(100)), r"task 1 train_x has shape \(100,\); want \(N, 1\)"),
+        (dict(train_x=np.zeros((100, 2))), r"task 1 train_x has shape \(100, 2\)"),
+        (dict(train_y=np.zeros((100, 3))), r"task 1 train_y has shape \(100, 3\)"),
+    ], ids=["empty-train", "empty-test", "short-train-y", "flat-test-y", "flat-train-x",
+            "wide-train-x", "wide-train-y"])
+    def test_regression_task_shapes_rejected_before_the_hypernet(self, monkeypatch, task,
+                                                                  message):
+        # empty, ragged or misshapen arrays used to end in a reshape or index error
+        from dataclasses import replace
+        tasks = dt.make_regression_tasks(0)
+        tasks.tasks[1] = replace(tasks.tasks[1], **task)
+        refuse_hypernet(monkeypatch)
+        with pytest.raises(dt.FormatError, match=message):
             tr.train("regression-seq", tr.config_for("regression-seq"), data=tasks)
 
 
