@@ -77,8 +77,8 @@ from .tensor import DTYPE, Rng, in_groups, row_chunks
 
 PROBE_BATCH = 300
 EVAL_CHUNK = 500          # test rows per forward-only evaluation pass
-BLOCK_ENTRIES = 1 << 16   # a 512 KiB gradient block: it, its Gram product and the
-                          # stack's block stay within a 2 MiB per-core L2 cache
+BLOCK_ENTRIES = 1 << 16   # 512 KiB: a gradient block, its Gram product and the stack's
+                          # block, or a head's row chunk and its fold buffers, fit 2 MiB L2
 SAFE_PRODUCT = 1e300      # K max|dy| max|x| below this cannot overflow
 
 
@@ -293,7 +293,7 @@ class _FixedHeadFastPath:
         ``A = [E, 1]``, every solution of ``A Aᵀ acc = delta`` moves the head by
         the same ``Aᵀ acc``, so least squares serves a singular Gram."""
         head, emb, stack = rec["head"], rec["emb"], rec["stack"]
-        chunks = row_chunks(*head.H.shape)
+        chunks = row_chunks(*head.H.shape, BLOCK_ENTRIES)
         n = min(chunks[0].stop, len(head.H))
 
         def run(group, built=None, prod=None):

@@ -397,18 +397,13 @@ class TestFastPath:
         assert stack_bytes >= 2 << 20
         assert peak < 2 * stack_bytes
 
-    def test_sync_allocates_less_than_one_head(self, monkeypatch):
-        # a fold rebuilds, solves and folds one row chunk at a time; a head
-        # of this size is one chunk of the default size, so chunks of 4096
-        # rows stand in for the 16384-row chunks of mnist-mlp's heads
-        monkeypatch.setattr(tr, "row_chunks",
-                            lambda n, size, entries=1 << 20:
-                            tensor.row_chunks(n, size, entries=entries >> 6))
+    def test_sync_allocates_less_than_one_head(self):
+        # a fold rebuilds, solves and folds one row chunk at a time
         mspec, net = self.build_wide()
         fast = tr._FixedHeadFastPath(net)
         head_bytes = max(rec["stack"].nbytes for rec in fast.heads)
         assert head_bytes >= 2 << 20
-        assert len(tr.row_chunks(*fast.heads[1]["head"].H.shape)) > 1
+        assert len(tr.row_chunks(*fast.heads[1]["head"].H.shape, tr.BLOCK_ENTRIES)) > 1
         assert fast.update(self.fast_step(net, mspec, fast, Rng(5)), 0.1)
         tracemalloc.start()
         try:
