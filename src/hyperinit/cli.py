@@ -24,7 +24,7 @@ from .data import FormatError
 from .gradcheck import run_suite
 from .hypergen import HypernetSpec, SHARED_SAME_SIZE, init_hypernet
 from .init_schemes import FanGeometry, parse_scheme, uniform_bound
-from .mainnet import IDENTITY, MSE, RELU, TANH, mlp
+from .mainnet import GENERATED_BIAS, IDENTITY, MSE, RELU, TANH, ZERO_BIAS, mlp
 from .probe import (StatRow, activation_variance_ratios, compare, predict,
                     rows_from_dict, snapshot, write_csv, write_json)
 from .tensor import Rng, blas_threads, cores
@@ -157,7 +157,7 @@ def _write_manifest(out_dir, args, extra=None):
 def cmd_variance_check(args):
     activation = RELU if args.relu else TANH if args.tanh else IDENTITY
     dims = [args.width] * (args.depth + 1)
-    bias = "generated" if args.gen_bias else "zero"
+    bias = GENERATED_BIAS if args.gen_bias else ZERO_BIAS
     mspec = mlp(dims, activation=activation, loss=MSE, bias_source=bias)
     hspec = HypernetSpec(embedding_dim=args.hyper_width,
                          head_topology=SHARED_SAME_SIZE,

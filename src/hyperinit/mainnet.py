@@ -27,16 +27,13 @@ buffers reused from window to window: no padded copy of the batch, no patch
 matrix beyond the one a backward needs, no padded gradient. Every window
 runs the same n-row GEMM in either forward mode, and no sample is handled by
 two threads, so the bits do not depend on the core count. Each forward
-window also adds the bias, writes the activation and checks for overflow in
-cache-sized row blocks of its output, and each input-gradient window forms
-the layer below's pre-activation gradient for the samples it completes (a
-ReLU's as a product with its bool mask), so no elementwise pass reads a
-whole conv map again. An input-gradient window scatters its patch
-gradients one output phase (input row and column mod the stride) at a
-time, each phase's first tap writing where the others add, so no pass
-zero-fills the input gradient. A forward-only pass
-(``forward(..., for_backward=False)``: evaluation, the probe's replay) keeps
-no patch matrix at all, and
+window also adds the bias, writes the activation and checks for overflow on
+its output block, and each input-gradient window zeroes its samples of the
+input gradient, adds its patch gradients into them and forms the layer
+below's pre-activation gradient for them (a ReLU's as a product with its
+bool mask), so no elementwise pass reads a whole conv map again. A
+forward-only pass (``forward(..., for_backward=False)``: evaluation, the
+probe's replay) keeps no patch matrix at all, and
 ``backward(..., weights=True)`` drops each conv layer's patch matrix once its
 weight gradient is formed; ``backward`` refuses a trace without them.
 Overflowing activations (|y| > 1e30 or non-finite) are
@@ -62,9 +59,6 @@ OVERFLOW_LIMIT = 1e30
 WINDOW_ENTRIES = 1 << 18
 WINDOW_SHARE = 8
 MIN_WINDOW_WORK = 1 << 21
-# A conv window's bias, activation and overflow check run on row blocks of
-# about this many output entries (256 KiB), in a core's L2 cache.
-EPILOGUE_ENTRIES = 1 << 15
 
 DENSE = "dense"
 CONV = "conv"
@@ -278,9 +272,9 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True, activation=IDENTIT
     ``for_backward`` it unrolls into its rows of the whole-batch patch matrix
     that ``weight_factors`` needs; without, into its group's reused block of
     patch rows. The window's output rows then take the bias, the activation
-    and the overflow check in power-of-two row blocks, each block while it is
-    in cache. An overlapping last window rewrites the rows it shares with
-    the window before it, with the same values, on the same thread."""
+    and the overflow check. An overlapping last window rewrites the rows it
+    shares with the window before it, with the same values, on the same
+    thread."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x.shape
     oh, ow = _conv_out_hw(h, w, kernel)
@@ -288,7 +282,6 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True, activation=IDENTIT
     c_out = weight.shape[0]
     wm_t = _weight_matrix(weight).T
     windows, n = _sample_windows(b, p * k, c_out)
-    blocks = row_chunks(n * p, c_out, EPILOGUE_ENTRIES)
     cols = np.empty((b * p, k), dtype=DTYPE) if for_backward else None
     y = np.empty((b, oh, ow, c_out), dtype=DTYPE)
     act = y if activation == IDENTITY else np.empty_like(y)
@@ -305,16 +298,13 @@ def _conv_forward(x, weight, bias, kernel, for_backward=True, activation=IDENTIT
             rows = slice(s.start * p, s.stop * p)
             a = cols[rows] if for_backward else block
             a.reshape(n, oh, ow, kh, kw * c)[...] = _patches(xp, kernel, (oh, ow))
-            np.matmul(a, wm_t, out=y_mat[rows])
-            for r in blocks:
-                r = slice(rows.start + r.start, min(rows.start + r.stop, rows.stop))
-                yr = y_mat[r]
-                yr += bias
-                if activation != IDENTITY:
-                    activate(activation, yr, act_mat[r])
-                # comparisons, so a NaN counts (Python's max would drop it)
-                if not (yr.max() <= OVERFLOW_LIMIT and yr.min() >= -OVERFLOW_LIMIT):
-                    overflow.append(True)
+            yr = np.matmul(a, wm_t, out=y_mat[rows])
+            yr += bias
+            if activation != IDENTITY:
+                activate(activation, yr, act_mat[rows])
+            # comparisons, so a NaN counts (Python's max would drop it)
+            if not (yr.max() <= OVERFLOW_LIMIT and yr.min() >= -OVERFLOW_LIMIT):
+                overflow.append(True)
 
     in_groups(windows, b * p * k * (c_out + 1), buffers, run)
     return y, act, cols, bool(overflow)
@@ -334,46 +324,15 @@ def _tap_ranges(size, out, k, stride, pad):
     return taps
 
 
-def _col2im_phases(h, w, out_hw, kernel):
-    """A col2im's kernel taps grouped by the phase (input row mod stride,
-    input column mod stride) they write, one (zero, taps) pair per phase:
-    the (rows, cols) slices of the phase its first tap does not reach, and
-    the phase's taps in kernel order, as (i, j, out rows, out cols, in rows,
-    in cols). A phase no tap reaches is one zero slice pair and no tap."""
-    kh, kw, stride, pad = kernel
-    row_taps = _tap_ranges(h, out_hw[0], kh, stride, pad)
-    col_taps = _tap_ranges(w, out_hw[1], kw, stride, pad)
-    phases = []
-    for ph in range(min(stride, h)):
-        for pw in range(min(stride, w)):
-            rows, cols = slice(ph, h, stride), slice(pw, w, stride)
-            taps = [(i, j, out_rows, out_cols, hs, ws)
-                    for i, out_rows, hs in row_taps if hs.start % stride == ph
-                    for j, out_cols, ws in col_taps if ws.start % stride == pw]
-            zero = [(rows, cols)]
-            if taps:   # above, below, left and right of the first tap's block
-                hs, ws = taps[0][4], taps[0][5]
-                zero = [(slice(ph, hs.start, stride), cols),
-                        (slice(hs.stop - 1 + stride, h, stride), cols),
-                        (hs, slice(pw, ws.start, stride)),
-                        (hs, slice(ws.stop - 1 + stride, w, stride))]
-            phases.append(([(r, c) for r, c in zero if len(range(h)[r]) and len(range(w)[c])],
-                           taps))
-    return phases
-
-
-def _col2im(d, phases, out):
+def _col2im(d, taps, out):
     """The (n, oh, ow, kh, kw, C) patch gradients ``d`` scattered into the
-    (n, h, w, C) ``out`` and returned, by ``_col2im_phases``: every element
-    takes the bits of the same adds into a zero-filled map."""
-    for zero, taps in phases:
-        for hs, ws in zero:
-            out[:, hs, ws] = 0.0
-        for t, (i, j, rows, cols, hs, ws) in enumerate(taps):
-            if t:
-                out[:, hs, ws] += d[:, rows, cols, i, j]
-            else:   # 0.0 + tap, as into a zeroed map: -0.0 becomes 0.0
-                np.add(d[:, rows, cols, i, j], 0.0, out=out[:, hs, ws])
+    (n, h, w, C) ``out`` and returned: ``out`` zero-filled, then each tap of
+    ``taps`` (i, j, out rows, out cols, in rows, in cols) added in kernel
+    order, so every element takes the adds, and the bits, of a scatter into
+    a zero-padded batch."""
+    out[...] = 0.0
+    for i, j, rows, cols, hs, ws in taps:
+        out[:, hs, ws] += d[:, rows, cols, i, j]
     return out
 
 
@@ -384,16 +343,13 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
 
     The windows of samples run in groups, one per core, no sample handled by
     two threads (``tensor.in_groups``): a window's patch gradients go into its
-    group's reused buffer and are scattered straight into its samples of the
-    unpadded ``dx`` one output phase at a time (``_col2im``): a phase's
-    first tap writes ``tap + 0.0``, the positions it does not reach are set
-    to 0.0, and its other taps add in kernel order; taps that read the zero
-    padding are clipped off. So every element takes the adds, and the bits,
-    of a scatter into a zero-padded batch, and no pass zero-fills ``dx``.
-    The samples a window completes then take the layer below's activation
-    derivative on the same thread, a ReLU's as ``dx`` times the window's
-    ``y > 0`` mask. An overlapping last window skips the samples its group
-    has already done, so no sample is written twice."""
+    group's reused buffer and are scattered into its samples of the unpadded
+    ``dx`` (``_col2im``): zeroed, then added tap by tap in kernel order, with
+    the taps that read the zero padding clipped off. Its samples then take
+    the layer below's activation derivative on the same thread, a ReLU's as
+    ``dx`` times the window's ``y > 0`` mask. An overlapping last window
+    rewrites the samples it shares with the window before it, with the same
+    values, on the same thread."""
     kh, kw, stride, pad = kernel
     b, h, w, c = x_shape
     _, oh, ow, c_out = dy.shape
@@ -404,21 +360,18 @@ def _conv_input_grad(x_shape, weight, kernel, dy, below=(IDENTITY, None, None)):
     dx = np.empty(x_shape, dtype=DTYPE)
     name, y_below, x_below = below
     dy_below = dx if name == IDENTITY else np.empty(x_shape, dtype=DTYPE)
-    phases = _col2im_phases(h, w, (oh, ow), kernel)
+    taps = [(i, j, rows, cols, hs, ws)
+            for i, rows, hs in _tap_ranges(h, oh, kh, stride, pad)
+            for j, cols, ws in _tap_ranges(w, ow, kw, stride, pad)]
 
     def run(group, dcols, mask):
-        done = group[0].start
         for s in group:
             d = np.matmul(dy_mat[s.start * p:s.stop * p], wm, out=dcols)
-            d = d.reshape(n, oh, ow, kh, kw, c)[done - s.start:]
-            new = slice(done, s.stop)
-            dxs = _col2im(d, phases, dx[new])
+            dxs = _col2im(d.reshape(n, oh, ow, kh, kw, c), taps, dx[s])
             if name == RELU:   # dx * (y > 0), the bool mask cast in the multiply
-                positive = np.greater(y_below[new], 0.0, out=mask[:len(dxs)])
-                np.multiply(dxs, positive, out=dy_below[new])
+                np.multiply(dxs, np.greater(y_below[s], 0.0, out=mask), out=dy_below[s])
             elif name != IDENTITY:
-                activation_grad(name, y_below[new], x_below[new], dxs, out=dy_below[new])
-            done = s.stop
+                activation_grad(name, y_below[s], x_below[s], dxs, out=dy_below[s])
 
     def buffers():   # a ReLU's mask too, so a group allocates nothing on its thread
         return (np.empty((n * p, k), dtype=DTYPE),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import init_schemes as schemes
-from .mainnet import IDENTITY, RELU, SpecError, forward
+from .mainnet import GENERATED_BIAS, IDENTITY, RELU, SpecError, forward
 from .tensor import mean_var
 
 DEFAULT_BAND = (0.8, 1.25)
@@ -130,7 +130,7 @@ def predict(scheme, mspec, hypernet, var_input=1.0):
         eff = hypernet.layer_scheme(scheme, t)
         w = schemes.generated_weight_variance(eff, geom)
         bias_term = 0.0
-        if layer.bias_source == "generated":
+        if layer.bias_source == GENERATED_BIAS:
             bias_term = geom.d_l * schemes.scheme_bias_variance(eff, geom) * geom.var_e2
         v = layer.fan_in * w * m2 + bias_term
         lin = layer.fan_in * w * lin + bias_term

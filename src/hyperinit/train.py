@@ -69,7 +69,7 @@ from .hypergen import (CHUNKED, PER_LAYER, SHARED_SAME_SIZE, ChunkPlan, Hypernet
                        HypernetSpec, init_hypernet)
 from .init_schemes import parse_scheme
 from .mainnet import (CROSS_ENTROPY, DENSE, GENERATED_BIAS, MSE, OVERFLOW_LIMIT, TANH, RELU,
-                      ForwardTrace, MainnetGrads, accuracy, allconv,
+                      ZERO_BIAS, ForwardTrace, MainnetGrads, accuracy, allconv,
                       backward, forward, mlp, mse_loss, weight_factors, weight_grad)
 from .probe import (LINEAR_ACT, linear_activation_variances, snapshot, write_csv,
                     write_json)
@@ -149,7 +149,7 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weight
         return Step(params, trace, loss, diverged)
     grads = backward(mspec, params, trace, y, weights=weights)
     if gtrace is not None:
-        net.backward(gtrace, grads.weight, grads.bias if net.bias_targets else None)
+        net.backward(gtrace, grads.weight, grads.bias)
     return Step(params, trace, loss, diverged, grads)
 
 
@@ -349,7 +349,7 @@ class Preset:
 
 
 def _mnist_mainnet(bias):
-    src = GENERATED_BIAS if bias else "zero"
+    src = GENERATED_BIAS if bias else ZERO_BIAS
     return mlp([784, 500, 500, 500, 500, 500, 10], activation=TANH,
                loss=CROSS_ENTROPY, bias_source=src)
 

@@ -369,7 +369,7 @@ def conv_case(shape, kernel, c_out, seed=3, nchw_view=True):
 # (batch NCHW shape, kernel, C_out): cifar-allconv's three conv layers at
 # batches of several windows with a partial last one, then odd shapes, one
 # of them (129 samples of 4x4) with a one-sample last window, then strides
-# above 2 and 1x1 kernels, some leaving whole output phases untouched
+# above 2 and 1x1 kernels, some leaving input positions no tap reaches
 BLOCKED_CASES = [
     ((137, 3, 32, 32), (3, 3, 2, 1), 96),
     ((50, 96, 16, 16), (3, 3, 2, 1), 96),
@@ -493,29 +493,30 @@ class TestBlockedConv:
 
 
 class TestCol2im:
-    """The scatter by output phase gives the bits of the per-tap scatter into
-    a zero-padded batch: signed zeros, infinities and NaNs included, and
-    positions no tap reaches (a stride above the kernel) set to 0.0."""
+    """The clipped scatter into an unpadded map gives the bits of the per-tap
+    scatter into a zero-padded batch: signed zeros, infinities and NaNs
+    included, and positions no tap reaches (a stride above the kernel) set
+    to 0.0 over a NaN-filled ``out``."""
 
     @pytest.mark.parametrize("kernel", [(k, k, stride, pad) for k in (3, 1)
                                         for stride in (1, 2, 3, 4) for pad in (0, 1)])
     @pytest.mark.parametrize("hw", [(9, 11), (8, 8), (3, 5)])
-    def test_phases_equal_the_zero_padded_scatter(self, kernel, hw):
-        kh, kw, _, _ = kernel
+    def test_equals_the_zero_padded_scatter(self, kernel, hw):
+        kh, kw, stride, pad = kernel
         (h, w), c = hw, 3
         oh, ow = mn._conv_out_hw(h, w, kernel)
-        rng = np.random.default_rng(kernel[2] * 10 + kernel[3])
+        rng = np.random.default_rng(stride * 10 + pad)
         d = rng.normal(size=(4, oh, ow, kh, kw, c))
         picks = rng.integers(6, size=d.shape)
         for value, pick in ((0.0, 1), (-0.0, 2), (np.inf, 3), (-np.inf, 4), (np.nan, 5)):
             d[picks == pick] = value
-        phases = mn._col2im_phases(h, w, (oh, ow), kernel)
+        taps = [(i, j, rows, cols, hs, ws)
+                for i, rows, hs in mn._tap_ranges(h, oh, kh, stride, pad)
+                for j, cols, ws in mn._tap_ranges(w, ow, kw, stride, pad)]
         with np.errstate(invalid="ignore"):   # inf - inf
-            got = mn._col2im(d, phases, np.full((4, h, w, c), np.nan))
+            got = mn._col2im(d, taps, np.full((4, h, w, c), np.nan))
             want = col2im_per_tap(d.reshape(-1, kh * kw * c), got.shape, kernel, (oh, ow))
         np.testing.assert_array_equal(bits(got), bits(want))
-        if kernel[2] > kh:   # whole phases no tap reaches
-            assert any(not taps for _, taps in phases)
 
 
 def force_cores(monkeypatch, cores):

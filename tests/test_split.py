@@ -299,9 +299,10 @@ def assert_passes_equal(got, want):
 
 
 class TestFusedConvPasses:
-    """The conv windows add the bias, activate and check for overflow in row
-    blocks, and the input gradient forms the layer below's dy per window:
-    the same bits as the whole-map formulas, at every batch and core count."""
+    """The conv windows add the bias, activate and check for overflow on
+    their output rows, and the input gradient forms the layer below's dy per
+    window: the same bits as the whole-map formulas, at every batch and core
+    count."""
 
     @pytest.mark.parametrize("batch", [1, 17, 50, 129, 300, 500])
     def test_the_cifar_passes_equal_the_unfused_formulas(self, cifar, batch):
@@ -330,11 +331,8 @@ class TestFusedConvPasses:
             sys.setswitchinterval(interval)
         assert_passes_equal(got, want)
 
-    @pytest.mark.parametrize("entries", [mn.EPILOGUE_ENTRIES, 12])
-    def test_a_tanh_layer_in_blocks_of_any_length(self, monkeypatch, entries):
-        # 5 channels: at 12 entries, blocks of 2 rows, 10 values, off every
-        # multiple of 8; 45 x 45 maps make 2-sample windows and an odd last one
-        monkeypatch.setattr(mn, "EPILOGUE_ENTRIES", entries)
+    def test_a_tanh_layer_in_small_windows(self):
+        # 45 x 45 maps make 2-sample windows and an odd last one
         mspec = mn.MainnetSpec(layers=(
             mn.LayerSpec(mn.CONV, 16, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
             mn.LayerSpec(mn.CONV, 5, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
