@@ -331,8 +331,10 @@ class TestFusedConvPasses:
             sys.setswitchinterval(interval)
         assert_passes_equal(got, want)
 
-    def test_a_tanh_layer_in_small_windows(self):
-        # 45 x 45 maps make 2-sample windows and an odd last one
+    @pytest.mark.parametrize("batch", [11, 12])
+    def test_a_tanh_layer_in_small_windows(self, batch):
+        # 45 x 45 maps make 2-sample windows in the first layer: at 11
+        # samples an overlapping last one, at 12 none overlapping
         mspec = mn.MainnetSpec(layers=(
             mn.LayerSpec(mn.CONV, 16, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
             mn.LayerSpec(mn.CONV, 5, 5, kernel=(3, 3, 1, 1), activation=mn.TANH),
@@ -341,8 +343,8 @@ class TestFusedConvPasses:
         params = [{"W": rng.child(2 * t).normal(0.3, l.weight_shape),
                    "b": rng.child(2 * t + 1).normal(0.1, l.d_out)}
                   for t, l in enumerate(mspec.layers)]
-        x = rng.child(9).normal(1.0, (11, 16, 45, 45))
-        labels = np.asarray(rng.child(10).integers(3, size=11))
+        x = rng.child(9).normal(1.0, (batch, 16, 45, 45))
+        labels = np.asarray(rng.child(10).integers(3, size=batch))
         want = unfused(mspec, params, x, labels)
         for n in CORE_COUNTS:
             with on_cores(n):
