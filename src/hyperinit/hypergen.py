@@ -10,8 +10,9 @@ gradients back, and ``feature_grads`` returns only the features' gradients,
 which the variance probe reads. Three head topologies are supported:
 
 * ``per-layer``: every target layer gets its own linear head.
-* ``shared-same-size``: layers with identical weight shapes share one head,
-  each layer keeping its own embedding.
+* ``shared-same-size``: layers with identical weight shapes and the same
+  ReLU gain share one head, each layer keeping its own embedding, so a head
+  serves one variance formula.
 * ``chunked``: one shared linear head emits fixed-size (K, n, n) blocks of
   conv weights, one per source row; each block has its own embedding, read
   through its own input projection, and a layer's blocks are assembled into
@@ -23,12 +24,18 @@ each ``LinearHead`` (``W = H h(e) + beta``, ``b = G g(e) + gamma``) is a row
 range of it: their H (G) matrices are consecutive row blocks of one (N, d)
 matrix and their beta (gamma) offsets consecutive pieces of one (N,) vector.
 ``generate`` is one GEMM per slot, every target's parameter its rows and
-columns of the product (one row, or a chunk grid); ``backward`` places each
-target's gradient in one (rows, N) matrix and takes the head gradients and the
-feature gradients from it in three whole-slot operations; ``feature_grads``
-multiplies each target's weight gradient by its own head's rows. For shared
-heads the head gradient is the sum of the per-target contributions, which
-combats the usual head-gradient shrinkage.
+columns of the product (one row, or a chunk grid); ``backward`` reads each
+target's gradient from one (rows, N) slot-gradient matrix and takes the head
+gradients and the feature gradients from it in three whole-slot operations;
+``feature_grads`` multiplies each target's weight gradient by its own head's
+rows. For shared heads the head gradient is the sum of the per-target
+contributions, which combats the usual head-gradient shrinkage. The bank
+keeps its slot-gradient matrix from its first use on, and
+``Hypernet.gradient_views`` hands out each target's rows of it as a view in
+the parameter's layout, which ``mainnet.backward(..., out=)`` writes in
+place; ``backward`` copies a gradient in only when it is not that view (a
+caller's own arrays, or a conv kernel of several output blocks, whose chunk
+rows no view can order).
 
 Every hypernet array is a view into one flat float64 vector, ``Hypernet.flat``,
 laid out in one order: shared trunks, then each source's head and projection,
@@ -37,9 +44,11 @@ then each source's embedding block, so the updatable arrays form the prefix
 order and binds itself to its one segment of ``flat``. The hypernet owns its
 gradient the same way: ``Hypernet.grad``, laid out like ``flat``, is allocated
 by the first ``backward``, which binds each part's ``grads`` to its segment;
-every ``backward`` overwrites every entry, so one SGD step is one check and
-one update. Embeddings are drawn uniform at ``HypernetSpec.embedding_variance``,
-the declared ``Var(e)`` the head formulas read.
+every ``backward`` overwrites every entry, each trunk writing the embedding
+gradients straight into its source's segment, so one SGD step is one check
+and one update. Embeddings are drawn uniform at
+``HypernetSpec.embedding_variance``, the declared ``Var(e)`` the head
+formulas read.
 """
 
 import math
@@ -184,16 +193,17 @@ class Trunk(Segment):
             xs.append(x)
         return x, (xs, ys)
 
-    def backward(self, cache, dfeat):
-        """Write dL/d(trunk arrays) into ``grads``; return dL/d(embeddings)."""
+    def backward(self, cache, dfeat, out):
+        """Write dL/d(trunk arrays) into ``grads`` and dL/d(embeddings) into ``out``."""
         xs, ys = cache
         dx = dfeat
         for i in range(len(self.weights) - 1, -1, -1):
             dy = activation_grad(self.activation, ys[i], xs[i + 1], dx)
             np.matmul(dy.T, xs[i], out=self.grads[2 * i])
             dy.sum(axis=0, out=self.grads[2 * i + 1])
-            dx = dy @ self.weights[i]
-        return dx
+            dx = np.matmul(dy, self.weights[i], out=None if i else out)
+        if dx is not out:   # an identity trunk
+            out[...] = dx
 
 
 class Projection(Segment):
@@ -222,12 +232,12 @@ class Projection(Segment):
         """emb: (rows, d_e) embeddings -> (features, cache)."""
         return np.einsum("mpd,md->mp", self.proj, emb) + self.proj_bias, emb
 
-    def backward(self, emb, dfeat):
-        """Write dL/d(projection arrays) into ``grads``; return dL/d(embeddings)."""
+    def backward(self, emb, dfeat, out):
+        """Write dL/d(projection arrays) into ``grads`` and dL/d(embeddings) into ``out``."""
         proj, proj_bias = self.grads
         np.einsum("mp,md->mpd", dfeat, emb, out=proj)
         proj_bias[...] = dfeat
-        return np.einsum("mpd,mp->md", self.proj, dfeat)
+        np.einsum("mpd,mp->md", self.proj, dfeat, out=out)
 
 
 class Source(Segment):
@@ -274,6 +284,20 @@ def _assemble(block, shape):
     return block.reshape(blocks, d_in, d_out // blocks, -1).transpose(0, 2, 1, 3).reshape(shape)
 
 
+def _layout_view(block, shape):
+    """A target's rows of a slot matrix as a view in its parameter's layout,
+    the view ``_disassemble`` undoes: one row reshaped, or the chunk rows of
+    a conv kernel with one output block, its (input channel, K, kh, kw) view
+    transposed; None for several output blocks, whose chunk rows no view of
+    the rows can order."""
+    if block.ndim == 1:
+        return block.reshape(shape, copy=False)
+    d_out, d_in = shape[:2]
+    if len(block) != d_in:
+        return None
+    return block.reshape(d_in, d_out, *shape[2:], copy=False).transpose(1, 0, 2, 3)
+
+
 def _disassemble(grad, row):
     """The inverse of ``_assemble``: a target's parameter gradient as its
     rows ``row`` (an index or a range) of a slot matrix."""
@@ -317,8 +341,13 @@ class SlotBank(Segment):
     head's offset. Target t of a head owns the rows ``row`` of the source
     features and the head's columns ``cols`` of the (rows, N) slot matrix, so
     its parameter is assembled from ``(x @ H.T + beta)[row, cols]`` and its
-    gradient sits at ``D[row, cols]``.
+    gradient sits at ``D[row, cols]``. The (rows, N) slot-gradient matrix
+    ``D`` is allocated by the first ``slot_grad`` and kept, with ``views``,
+    each place's view of it in its parameter's layout (``_layout_view``).
     """
+
+    D = None
+    views = ()
 
     def __init__(self, slot, heads):
         self.slot = slot
@@ -377,11 +406,24 @@ class SlotBank(Segment):
                 lo += 1 if dt.ndim == 1 else len(dt)
         return out
 
+    def slot_grad(self, n_rows):
+        """``D``, allocated zeroed by the first call, with ``views``. Every
+        ``backward`` writes only the places, so the entries outside them stay
+        zero and ``D`` is never zeroed again."""
+        if self.D is None:
+            self.D = np.zeros((n_rows, self.n_out), dtype=DTYPE)
+            self.views = [_layout_view(self.D[row, cols], shape)
+                          for _, row, cols, shape in self.places]
+        return self.D
+
     def backward(self, x, dslot):
-        """Write dL/d(head arrays) into ``grads``; return dL/dx."""
-        d = np.zeros((len(x), self.n_out), dtype=DTYPE)
-        for t, row, cols, _ in self.places:
-            d[row, cols] = _disassemble(dslot[t], row)
+        """Write dL/d(head arrays) into ``grads``; return dL/dx. Each target's
+        gradient is placed in ``D``: copied there (``_disassemble``), unless
+        it is its own view of ``D``, which the mainnet wrote in place."""
+        d = self.slot_grad(len(x))
+        for (t, row, cols, _), view in zip(self.places, self.views):
+            if dslot[t] is not view:
+                d[row, cols] = _disassemble(dslot[t], row)
         h, beta = self.grads
         np.matmul(d.T, x, out=h)
         d.sum(axis=0, out=beta)
@@ -429,9 +471,11 @@ class Hypernet:
         shared = hspec.head_topology == SHARED_SAME_SIZE
         for slot, trunk, targets in zip((WEIGHT, BIAS), self.trunks,
                                         (plain_targets, bias_layers)):
-            by_head = {}   # one head per target, or per same-size group when shared
+            by_head = {}   # one head per target, or per same-size, same-gain group when shared
             for t in targets:
-                by_head.setdefault(slot.shape(mspec.layers[t]) if shared else t, []).append(t)
+                layer = mspec.layers[t]
+                by_head.setdefault((slot.shape(layer), layer.activation == RELU) if shared else t,
+                                   []).append(t)
             heads = [LinearHead(slot, f"{slot.tag}g{i}", ts, [targets.index(t) for t in ts],
                                 mspec, trunk.out_dim) for i, ts in enumerate(by_head.values())]
             if heads:
@@ -453,6 +497,7 @@ class Hypernet:
                                  for h in head.heads for t in h.targets}
         self._allocate()
         self.grad = None
+        self._gradient_views = None
 
         var_e, erng = hspec.embedding_variance, rng.child(0)
         for src in self.sources.values():
@@ -538,7 +583,8 @@ class Hypernet:
 
     def generate(self):
         """Produce all mainnet parameters plus the trace needed for backward."""
-        params = [{"b": np.zeros(layer.d_out, dtype=DTYPE)} for layer in self.mspec.layers]
+        params = [{} if t in self.bias_targets else {"b": np.zeros(layer.d_out, dtype=DTYPE)}
+                  for t, layer in enumerate(self.mspec.layers)]
         feats, caches = {}, {}
         for name, src in self.sources.items():
             feats[name], caches[name] = src.trunk.forward(src.block)
@@ -556,10 +602,27 @@ class Hypernet:
                 out.update(head.feature_grads(weight_grads))
         return out
 
+    def gradient_views(self):
+        """The (weight, bias) lists, by layer, of the views ``backward`` reads
+        in place: each generated parameter's rows of its head's ``D`` in the
+        parameter's layout, None where there is none (an ungenerated bias, a
+        kernel of several output blocks). ``mainnet.backward(..., out=)``
+        writes a step's gradients there, and the next step overwrites them."""
+        if self._gradient_views is None:
+            n = len(self.mspec.layers)
+            out = {WEIGHT.param: [None] * n, BIAS.param: [None] * n}
+            for src in self.sources.values():
+                src.head.slot_grad(len(src.targets))
+                for (t, *_), view in zip(src.head.places, src.head.views):
+                    out[src.head.slot.param][t] = view
+            self._gradient_views = out[WEIGHT.param], out[BIAS.param]
+        return self._gradient_views
+
     def backward(self, trace: GenTrace, weight_grads, bias_grads=None):
         """Map mainnet parameter gradients to hypernet parameter gradients,
         written into ``grad``: the first call allocates it and binds each
-        part's ``grads`` to it, and every call overwrites every entry."""
+        part's ``grads`` to it, and every call overwrites every entry. A
+        gradient that is its own ``gradient_views`` entry is read in place."""
         if self.bias_targets and bias_grads is None:
             raise SpecError("bias gradients required: this hypernet generates biases")
         if self.grad is None:
@@ -569,8 +632,8 @@ class Hypernet:
         dslots = {WEIGHT.param: weight_grads, BIAS.param: bias_grads}
         for name, src in self.sources.items():
             dfeat = src.head.backward(trace.feats[name], dslots[src.head.slot.param])
-            demb = src.trunk.backward(trace.trunk_caches[name], dfeat)
-            self.grad[src.span] = demb.ravel()
+            src.trunk.backward(trace.trunk_caches[name], dfeat,
+                               self.grad[src.span].reshape(src.block.shape))
 
 
 def init_hypernet(hspec, mspec, scheme, rng):

@@ -444,8 +444,7 @@ def forward(spec, params, batch, labels=None, for_backward=True):
                 raise SpecError(f"layer {t} expects width {layer.d_in}, got {x.shape[1]}")
             y = matmul_cols(x, params[t]["W"].T)   # split by output units
             y += params[t]["b"]
-            m = np.abs(y).max()
-            overflow = not np.isfinite(m) or m > OVERFLOW_LIMIT
+            overflow = not np.abs(y).max() <= OVERFLOW_LIMIT   # a NaN fails it too
             x = activate(layer.activation, y)
         else:   # the windows add the bias, activate and check their own rows
             if x.ndim != 4 or x.shape[3] != layer.d_in:   # only the batch can fail this
@@ -507,7 +506,7 @@ class MainnetGrads:
     preacts: list | None   # preacts[t] = dL/dy[t], kept only when no weight gradient is formed
 
 
-def backward(spec, params, trace, labels, weights=True):
+def backward(spec, params, trace, labels, weights=True, out=None):
     """Exact gradients of the batch loss for every parameter and activation.
 
     Each layer's weight gradient is the product ``dy.T @ x`` of two factors
@@ -522,6 +521,9 @@ def backward(spec, params, trace, labels, weights=True):
     not hold it; the trace is then spent, and ``weight_factors`` and
     a second ``backward`` refuse it. Conv input gradients run their windows
     on every core (``_conv_input_grad``).
+    ``out``, when given, is a (weight, bias) pair of lists, by layer, of
+    arrays that layer t's gradients are written into (a hypernet's
+    ``gradient_views``); a None entry, or no ``out``, allocates.
     """
     n_layers = len(spec.layers)
     if len(trace.acts) != n_layers:
@@ -531,6 +533,7 @@ def backward(spec, params, trace, labels, weights=True):
                         "pass or was spent by backward(..., weights=True)")
     dW = [None] * n_layers
     db = [None] * n_layers
+    w_out, b_out = out or ([None] * n_layers,) * 2
     dys = [None] * n_layers
     dacts = [None] * n_layers
     dx = loss_output_grad(spec, trace.output, labels)
@@ -541,12 +544,12 @@ def backward(spec, params, trace, labels, weights=True):
         if dy is None:
             dy = activation_grad(layer.activation, trace.preacts[t], trace.acts[t], dx)
         if weights:
-            dW[t] = weight_grad(layer, trace, t, dy)
+            dW[t] = weight_grad(layer, trace, t, dy, out=w_out[t])
             if t in trace.conv_cols:   # nothing reads the patch matrix again
                 trace.conv_cols[t] = None
         else:
             dys[t] = dy
-        db[t] = dy.reshape(-1, layer.d_out).sum(axis=0)
+        db[t] = dy.reshape(-1, layer.d_out).sum(axis=0, out=b_out[t])
         if t == 0:
             break   # the input batch is not trained: no gradient for it
         if layer.kind == DENSE:

@@ -5,12 +5,16 @@ Hypernet.backward) serves the training loop, the probe, the variance check
 and the gradient check. The probe and the variance check read only the
 weight heads' feature gradients: ``probe_step`` runs the step on freshly
 generated parameters and asks ``Hypernet.feature_grads`` for them, so no
-hypernet parameter gradient is built. ``train`` runs one loop over a preset's
-batch schedule: shuffled epochs, or a sequence of tasks of sampled batches.
+hypernet parameter gradient is built. A step on generated parameters has the
+mainnet write each parameter's gradient straight into the hypernet's
+slot-gradient matrices (``Hypernet.gradient_views``), where
+``Hypernet.backward`` reads it, so no gradient is copied between the two.
+``train`` runs one loop over a preset's batch schedule: shuffled epochs, or
+a sequence of tasks of sampled batches, a task's indices drawn at once.
 Every batch, the probe batch and each evaluation chunk is gathered from a
-``data.Dataset`` by ``Dataset.rows``, so an image set stays uint8 pixels in
-memory; an evaluation runs its chunk one forward-only layer at a time and
-holds only the running layer's maps.
+``data.Dataset`` by ``Dataset.rows`` (a task's batches by one call), so an
+image set stays uint8 pixels in memory; an evaluation runs its chunk one
+forward-only layer at a time and holds only the running layer's maps.
 
 Only hypernet parameters and trainable embeddings are ever updated, through
 ``sgd_step`` on the updatable prefix of the hypernet's flat parameter vector
@@ -58,6 +62,7 @@ baseline initializations are expected to end this way.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -99,8 +104,12 @@ class TrainConfig:
     iterations: int | None = None   # per-task iteration cap (regression / conv desk runs)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:   # NaN fails it too
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("batch_size", "epochs", "subset", "iterations", "eval_every", "probe_every"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
         if self.subset is not None and self.subset < 1:
@@ -120,8 +129,7 @@ def sgd_step(params, grads, lr):
 
 
 def _diverged(trace, loss):
-    return (trace.overflow_layer is not None or not np.isfinite(loss)
-            or abs(loss) > OVERFLOW_LIMIT)
+    return trace.overflow_layer is not None or not abs(loss) <= OVERFLOW_LIMIT   # NaN too
 
 
 @dataclass
@@ -139,7 +147,10 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weight
     """Generate the mainnet parameters (unless carried ``params`` are given),
     run forward, stop if diverged, then backpropagate through the mainnet and,
     for generated parameters, through the hypernet into ``net.grad``.
-    ``weights`` is passed to ``mainnet.backward``."""
+    ``weights`` is passed to ``mainnet.backward``. A generated step's weight
+    and bias gradients are written straight into the hypernet's slot
+    matrices (``Hypernet.gradient_views``), so, like its ``GenTrace``, they
+    are views valid only until the next step."""
     gtrace = None
     if params is None:
         params, gtrace = net.generate()
@@ -147,7 +158,8 @@ def pipeline_step(net, mspec, x, y, params=None, stop_on_divergence=True, weight
     diverged = _diverged(trace, loss)
     if diverged and stop_on_divergence:
         return Step(params, trace, loss, diverged)
-    grads = backward(mspec, params, trace, y, weights=weights)
+    grads = backward(mspec, params, trace, y, weights=weights,
+                     out=None if gtrace is None else net.gradient_views())
     if gtrace is not None:
         net.backward(gtrace, grads.weight, grads.bias)
     return Step(params, trace, loss, diverged, grads)
@@ -497,8 +509,12 @@ def _epochs(rng, mspec, ds, test, config):
 
 
 def _sampled_batches(rng, mspec, ds, count, size):
-    for _ in range(count):
-        yield _batch(mspec, ds, rng.integers(len(ds), size=size))
+    """``count`` batches of ``size`` rows drawn with replacement: every index
+    in one draw and one gather, the indices and generator state of ``count``
+    draws of ``size``."""
+    x, y = _batch(mspec, ds, rng.integers(len(ds), size=count * size))
+    for lo in range(0, count * size, size):
+        yield x[lo:lo + size], y[lo:lo + size]
 
 
 def _check_finite(arrays):

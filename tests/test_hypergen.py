@@ -34,6 +34,19 @@ class TestTopologyConstruction:
         sizes = sorted(len(g.targets) for g in slot_heads(net))
         assert sizes == [1, 1, 2]
 
+    @pytest.mark.parametrize("scheme", ["hyperfan-in", "hyperfan-out"])
+    def test_shared_heads_give_each_layer_its_own_formula(self, scheme):
+        # two ReLU layers and the linear output layer share a shape; the
+        # output layer, without the ReLU gain, gets a head of its own
+        net, _ = simple_dense_net([100, 100, 100, 100], hg.SHARED_SAME_SIZE, scheme=scheme,
+                                  emb=50, seed=5, activation="relu", normalize_embeddings=True)
+        assert [g.targets for g in slot_heads(net)] == [(0, 1), (2,)]
+        params, _ = net.generate()
+        sch = s.parse_scheme(scheme)
+        for t, p in enumerate(params):
+            want = s.generated_weight_variance(net.layer_scheme(sch, t), net.geometry(t))
+            assert np.var(p["W"]) == pytest.approx(want, rel=0.05), t
+
     def test_shared_head_rejects_mixed_shapes(self):
         mspec = mn.mlp([3, 4, 5], activation="tanh")
         with pytest.raises(mn.SpecError):

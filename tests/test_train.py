@@ -109,6 +109,23 @@ class TestTrainConfig:
     def test_zero_and_none_counts_allowed(self, field, value):
         assert getattr(tr.TrainConfig(**{field: value}), field) == value
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, value):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            tr.TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 2.5), ("epochs", 1.5), ("subset", 10.5),
+        ("iterations", 2.5), ("eval_every", 4.0), ("probe_every", 1.5),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tr.TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_allowed(self):
+        cfg = tr.TrainConfig(batch_size=np.int64(4), iterations=np.int32(3))
+        assert (cfg.batch_size, cfg.iterations) == (4, 3)
+
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
@@ -455,6 +472,125 @@ class TestHeadSpaceSgd:
         res = tr.train(name, tr.config_for(name), data=data)
         assert res.steps > 0 and not res.diverged
         assert len(seen) == res.steps and all(g is seen[0] for g in seen)
+
+
+def one_block_conv(bias):
+    return mn.allconv(2, [4, 4], 3, kernel=3, strides=[1, 2],
+                      bias_source="generated" if bias else "zero")
+
+
+# A hypernet of each head path that head-space SGD steps: per-layer heads
+# behind a trunk, shared heads, and chunked conv kernels of one output block
+# (read in place) and of two (copied in), each with and without generated biases.
+STEP_BUILDS = {
+    "per-layer": lambda bias: (
+        mn.mlp([3, 5, 5, 2], activation="relu", loss="mse",
+               bias_source="generated" if bias else "zero"),
+        hg.HypernetSpec(embedding_dim=3, hidden_layers=(4,), embeddings_trainable=True,
+                        head_topology=hg.PER_LAYER)),
+    "shared": lambda bias: (
+        mn.mlp([3, 5, 5, 5, 2], activation="tanh", loss="mse",
+               bias_source="generated" if bias else "zero"),
+        hg.HypernetSpec(embedding_dim=3, hidden_layers=(4,), head_topology=hg.SHARED_SAME_SIZE)),
+    "chunked-one-block": lambda bias: (
+        one_block_conv(bias),
+        hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED, chunk=hg.ChunkPlan(K=4, n=3),
+                        embeddings_trainable=True)),
+    "chunked-two-blocks": lambda bias: (
+        one_block_conv(bias),
+        hg.HypernetSpec(embedding_dim=3, head_topology=hg.CHUNKED, chunk=hg.ChunkPlan(K=2, n=3),
+                        embeddings_trainable=True)),
+}
+
+
+def step_case(build, bias, seed=4):
+    mspec, hspec = STEP_BUILDS[build](bias)
+    net = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(seed))
+    rng = Rng(seed + 1)
+    first = mspec.layers[0]
+    if first.kind == "conv":
+        x = rng.child(0).normal(1.0, (3, first.d_in, 6, 6))
+        y = np.asarray(rng.child(1).integers(mspec.output_dim, size=3))
+    else:
+        x = rng.child(0).normal(1.0, (4, first.d_in))
+        y = rng.child(1).normal(1.0, (4, mspec.output_dim))
+    return net, mspec, x, y
+
+
+class TestGradientsInPlace:
+    @pytest.mark.parametrize("bias", [False, True], ids=["zero-bias", "generated-bias"])
+    @pytest.mark.parametrize("build", sorted(STEP_BUILDS))
+    def test_step_gradient_equals_backward_of_copies(self, build, bias):
+        # the mainnet writes a generated step's gradients into the slot
+        # matrices; Hypernet.backward fed copies of them must give the same bits
+        net, mspec, x, y = step_case(build, bias)
+        ref, *_ = step_case(build, bias)
+        net.grad = None
+        views = net.gradient_views()
+        for _ in range(2):   # the second step reads the kept matrices again
+            step = tr.pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+            params, trace = ref.generate()
+            want = mn.backward(mspec, params, mn.forward(mspec, params, x, y)[0], y)
+            for t in range(len(mspec.layers)):
+                np.testing.assert_array_equal(step.grads.weight[t], want.weight[t])
+                np.testing.assert_array_equal(step.grads.bias[t], want.bias[t])
+            ref.backward(trace, [g.copy() for g in step.grads.weight],
+                         [g.copy() for g in step.grads.bias])
+            np.testing.assert_array_equal(net.grad, ref.grad)
+            assert tr._HeadSpaceSgd(net).update(step, 0.05)
+            assert tr._HeadSpaceSgd(ref).update(step, 0.05)
+        for t, (w, b) in enumerate(zip(*views)):   # which gradients were read in place
+            assert (w is not None) == (build != "chunked-two-blocks" or mspec.layers[t].kind
+                                       == "dense")
+            assert (b is not None) == bias
+            assert w is None or step.grads.weight[t] is w
+            assert b is None or step.grads.bias[t] is b
+
+    @pytest.mark.parametrize("build", sorted(STEP_BUILDS))
+    def test_each_bank_keeps_one_slot_gradient(self, build):
+        net, mspec, x, y = step_case(build, True)
+        kept = None
+        for _ in range(3):
+            step = tr.pipeline_step(net, mspec, x, y, stop_on_divergence=False)
+            assert tr._HeadSpaceSgd(net).update(step, 0.05)
+            banks = [(bank.D, list(bank.views)) for bank in net.heads]
+            if kept is not None:
+                for (d, views), (d0, views0) in zip(banks, kept):
+                    assert d is d0 and all(v is v0 for v, v0 in zip(views, views0))
+            kept = banks
+
+    def test_a_bank_allocates_no_slot_matrix_after_the_first_step(self):
+        mspec = mn.mlp([3, 64, 64, 2], activation="relu", loss="mse", bias_source="generated")
+        hspec = hg.HypernetSpec(embedding_dim=3, hidden_layers=(4,), head_topology=hg.PER_LAYER)
+        net = hg.init_hypernet(hspec, mspec, parse_scheme("hyperfan-in"), Rng(2))
+        x, y = Rng(3).child(0).normal(1.0, (4, 3)), Rng(3).child(1).normal(1.0, (4, 2))
+        step = tr.pipeline_step(net, mspec, x, y)
+        trace = net.generate()[1]
+        grads = {"W": step.grads.weight, "b": step.grads.bias}
+        bank = net.sources["w"].head
+        assert bank.D.nbytes > 10 ** 5
+        tracemalloc.start()
+        bank.backward(trace.feats["w"], grads["W"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < bank.D.nbytes / 20
+
+
+class TestSampledBatches:
+    @pytest.mark.parametrize("count,size", [(7, 5), (1, 16), (0, 3)])
+    def test_one_draw_gives_the_per_batch_draws(self, count, size):
+        mspec = mn.mlp([2, 3, 1], loss="mse")
+        rng = Rng(12)
+        ds = dt.Dataset(rng.child(0).normal(1.0, (20, 2)), rng.child(1).normal(1.0, (20, 1)))
+        got_rng, want_rng = Rng(8), Rng(8)
+        got = list(tr._sampled_batches(got_rng, mspec, ds, count, size))
+        assert len(got) == count
+        for x, y in got:
+            idx = want_rng.integers(len(ds), size=size)
+            np.testing.assert_array_equal(x, ds.rows(idx))
+            np.testing.assert_array_equal(y, ds.labels[idx])
+        np.testing.assert_array_equal(got_rng.integers(1 << 30, size=4),
+                                      want_rng.integers(1 << 30, size=4))
 
 
 class TestClassificationLoop:
